@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -188,7 +189,7 @@ def _maybe_normalize(series: tel.TelemetrySeries, stats) -> tel.TelemetrySeries:
 
 
 def _train_predictor(config: RunConfig, series: tel.TelemetrySeries, mode: str):
-    """Split, normalize, window, and train; returns the fitted pieces."""
+    """Split, normalize, window, and train; returns splits, model, train losses."""
     parts = tel.split(series, config.split_spec())
     stats = _norm_stats(config, series, parts.train)
     pcfg = config.predictor_config(mode)
@@ -203,7 +204,7 @@ def _train_predictor(config: RunConfig, series: tel.TelemetrySeries, mode: str):
     predictor = fc.init_predictor(pcfg, train_windows.feature_count, norm_stats=stats)
     predictor = fc.train(predictor, train_windows, val_windows)
     _, train_losses = record_losses(predictor, train_windows)
-    return parts, stats, predictor, train_windows, train_losses
+    return parts, predictor, train_losses
 
 
 def _history_csv(predictor) -> str:
@@ -220,11 +221,21 @@ def _losses_csv(losses) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_losses_csv(text: str) -> list:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "index,loss":
-        raise ConfigError("loss file must start with an index,loss header")
-    return [float(ln.split(",")[1]) for ln in lines[1:]]
+def _parse_losses_csv(text: str, path: str) -> list:
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != "index,loss":
+        raise ConfigError(f"{path}: loss file must start with an index,loss header")
+    losses = []
+    for lineno, line in lines[1:]:
+        cells = line.split(",")
+        try:
+            value = float(cells[1])
+        except (IndexError, ValueError):
+            value = math.nan
+        if len(cells) != 2 or not math.isfinite(value):
+            raise ConfigError(f"{path} line {lineno}: expected index,<finite loss>, got {line!r}")
+        losses.append(value)
+    return losses
 
 
 def cmd_ingest(args, config: RunConfig) -> int:
@@ -247,7 +258,7 @@ def cmd_inject(args, config: RunConfig) -> int:
 def cmd_train(args, config: RunConfig) -> int:
     out = _out_dir(config)
     series, inputs = _load_or_synth(config)
-    _, _, predictor, _, train_losses = _train_predictor(config, series, args.mode)
+    _, predictor, train_losses = _train_predictor(config, series, args.mode)
     fc.save_predictor(predictor, os.path.join(out, "model.ckpt"))
     _write_text(os.path.join(out, "history.csv"), _history_csv(predictor))
     _write_text(os.path.join(out, "train_losses.csv"), _losses_csv(train_losses))
@@ -257,6 +268,19 @@ def cmd_train(args, config: RunConfig) -> int:
         config,
         inputs,
         ["model.ckpt", "history.csv", "train_losses.csv"],
+    )
+
+
+def _detect_labeled(config: RunConfig, predictor, labeled: inj.LabeledSeries, train_losses):
+    """Normalize with the model's own statistics and run the one detection path."""
+    series = _maybe_normalize(labeled.series, predictor.norm_stats)
+    return run_detect(
+        ts.PredictorDetector(predictor),
+        series.features(),
+        train_losses=train_losses,
+        anomaly_ratio=config["anomaly_ratio"],
+        labels=labeled.labels,
+        threshold_source=config["threshold_source"],
     )
 
 
@@ -283,18 +307,9 @@ def cmd_detect(args, config: RunConfig) -> int:
     train_losses = None
     if args.train_losses:
         with open(args.train_losses, "r", encoding="utf-8") as fh:
-            train_losses = _parse_losses_csv(fh.read())
+            train_losses = _parse_losses_csv(fh.read(), args.train_losses)
         inputs["train_losses"] = args.train_losses
-    eval_series = _maybe_normalize(labeled.series, predictor.norm_stats)
-    eval_windows = tel.window(eval_series, predictor.config.seq_len, 1, "reconstruction")
-    result = run_detect(
-        predictor,
-        eval_windows,
-        train_losses=train_losses,
-        anomaly_ratio=config["anomaly_ratio"],
-        labels=labeled.labels,
-        threshold_source=config["threshold_source"],
-    )
+    result = _detect_labeled(config, predictor, labeled, train_losses)
     outputs = _detection_outputs(out, config, result)
     return _finish(out, "detect", config, inputs, outputs)
 
@@ -362,13 +377,13 @@ def _labeled_for_stream(config: RunConfig) -> tuple[inj.LabeledSeries, dict]:
 def cmd_simulate(args, config: RunConfig) -> int:
     out = _out_dir(config)
     labeled, inputs = _labeled_for_stream(config)
-    detector = ts.PersistenceDetector(config["anomaly_ratio"])
     stats, reports = ts.simulate_stream(
         labeled,
         config.tier(),
         config["batch_size"],
         config.latency_model(),
-        detector,
+        ts.PersistenceDetector(),
+        config["anomaly_ratio"],
         mission_id=f"mission-{config['seed']}",
     )
     payload = {
@@ -386,19 +401,9 @@ def cmd_simulate(args, config: RunConfig) -> int:
 def _run_detection_experiment(config: RunConfig, scheme: str):
     """Shared recipe: train on clean splits, inject into raw test, detect."""
     series, inputs = _load_or_synth(config)
-    parts, stats, predictor, _, train_losses = _train_predictor(config, series, "reconstruction")
+    parts, predictor, train_losses = _train_predictor(config, series, "reconstruction")
     labeled = _inject_series(parts.test, config, scheme)
-    eval_series = _maybe_normalize(labeled.series, stats)
-    eval_windows = tel.window(eval_series, predictor.config.seq_len, 1, "reconstruction")
-    result = run_detect(
-        predictor,
-        eval_windows,
-        train_losses=train_losses,
-        anomaly_ratio=config["anomaly_ratio"],
-        labels=labeled.labels,
-        threshold_source=config["threshold_source"],
-    )
-    return inputs, labeled, result
+    return inputs, labeled, _detect_labeled(config, predictor, labeled, train_losses)
 
 
 def _cmd_experiment_detection(config: RunConfig, scheme: str, command: str) -> int:
@@ -421,20 +426,10 @@ def cmd_experiment_poisson(args, config: RunConfig) -> int:
 def cmd_experiment_variance_sweep(args, config: RunConfig) -> int:
     out = _out_dir(config)
     series, inputs = _load_or_synth(config)
-    parts, stats, predictor, _, train_losses = _train_predictor(config, series, "reconstruction")
+    parts, predictor, train_losses = _train_predictor(config, series, "reconstruction")
 
     def evaluator(labeled: inj.LabeledSeries):
-        eval_series = _maybe_normalize(labeled.series, stats)
-        eval_windows = tel.window(eval_series, predictor.config.seq_len, 1, "reconstruction")
-        result = run_detect(
-            predictor,
-            eval_windows,
-            train_losses=train_losses,
-            anomaly_ratio=config["anomaly_ratio"],
-            labels=labeled.labels,
-            threshold_source=config["threshold_source"],
-        )
-        return result.metrics
+        return _detect_labeled(config, predictor, labeled, train_losses).metrics
 
     rows = inj.variance_sweep(
         parts.test, config["feature"], config.variance_target_list(), config["n"], evaluator
@@ -449,13 +444,13 @@ def cmd_experiment_variance_sweep(args, config: RunConfig) -> int:
 def cmd_experiment_batch_sweep(args, config: RunConfig) -> int:
     out = _out_dir(config)
     labeled, inputs = _labeled_for_stream(config)
-    detector = ts.PersistenceDetector(config["anomaly_ratio"])
     results = ts.run_batch_experiment(
         labeled,
         config.batch_list(),
         config.tier(),
         config.latency_model(),
-        detector,
+        ts.PersistenceDetector(),
+        config["anomaly_ratio"],
         mission_id=f"mission-{config['seed']}",
     )
     _write_text(os.path.join(out, "sweep.csv"), ts.batch_experiment_csv(results))

@@ -35,7 +35,6 @@ _SCHEMA: dict = {
     "seq_len": (int, 16),
     "stride": (int, 1),
     "horizon": (int, 1),
-    "model_dim": (int, 64),
     "fcn_dim": (int, 64),
     "epochs": (int, 3),
     "learning_rate": (float, 0.02),
@@ -155,7 +154,6 @@ class RunConfig:
         return PredictorConfig(
             seq_len=self["seq_len"],
             horizon=horizon,
-            model_dim=self["model_dim"],
             fcn_dim=self["fcn_dim"],
             epochs=self["epochs"],
             learning_rate=self["learning_rate"],
@@ -174,11 +172,9 @@ class RunConfig:
 
     def tiers(self) -> dict:
         tiers = {
-            "onboard": Tier(
-                "onboard", self["onboard_factor"], self["onboard_link_ms"], "small"
-            ),
-            "edge": Tier("edge", self["edge_factor"], self["edge_link_ms"], "medium"),
-            "cloud": Tier("cloud", self["cloud_factor"], self["cloud_link_ms"], "large"),
+            "onboard": Tier("onboard", self["onboard_factor"], self["onboard_link_ms"]),
+            "edge": Tier("edge", self["edge_factor"], self["edge_link_ms"]),
+            "cloud": Tier("cloud", self["cloud_factor"], self["cloud_link_ms"]),
         }
         validate_tiers(tiers)
         return tiers

@@ -1,10 +1,12 @@
-"""Reconstruction-loss anomaly detection: loss, threshold, flags, metrics.
+"""Anomaly detection: scorer losses, threshold, flags, metrics.
 
-The pipeline is: score every record with a per-record mean squared
-reconstruction (or forecast) error, pick a loss threshold as the
-(100 - anomaly_ratio) nearest-rank percentile of a reference loss set, flag
-records whose loss strictly exceeds it, and score the flags against ground
-truth with a standard confusion matrix.
+A scorer is any object with a ``losses(matrix)`` method that maps an
+``(N, D)`` feature matrix to ``(N,)`` finite per-record losses, such as
+``tiersim.PersistenceDetector`` or ``tiersim.PredictorDetector``.
+``detect`` is the one decision rule: score every record, pick a loss
+threshold as the (100 - anomaly_ratio) nearest-rank percentile of a
+reference loss pool, flag records whose loss strictly exceeds it, and score
+the flags against ground truth with a standard confusion matrix.
 """
 
 from __future__ import annotations
@@ -150,12 +152,13 @@ def record_losses(predictor, dataset: WindowedDataset) -> tuple[np.ndarray, np.n
         raise DimensionError(
             f"predictor output {preds.shape} does not match targets {dataset.targets.shape}"
         )
-    per_row = np.mean((preds - dataset.targets) ** 2, axis=2)
+    width = dataset.feature_count
+    per_row = pointwise_loss(preds.reshape(-1, width), dataset.targets.reshape(-1, width))
     rows = dataset.target_record_indices()
     size = int(rows.max()) + 1
     sums = np.zeros(size)
     counts = np.zeros(size)
-    np.add.at(sums, rows.ravel(), per_row.ravel())
+    np.add.at(sums, rows.ravel(), per_row)
     np.add.at(counts, rows.ravel(), 1.0)
     covered = counts > 0
     indices = np.nonzero(covered)[0]
@@ -198,23 +201,29 @@ class DetectionResult:
 
 
 def detect(
-    predictor,
-    eval_data: WindowedDataset,
+    scorer,
+    matrix,
     train_losses=None,
     anomaly_ratio: float = 20.0,
     *,
     labels=None,
     threshold_source: str = "train",
 ) -> DetectionResult:
-    """Score eval windows, pick the threshold, flag, and (optionally) evaluate.
+    """Score every record of matrix, pick the threshold, flag, and evaluate.
 
     threshold_source selects which loss pool feeds the percentile: "train"
     uses train_losses, "eval" the evaluation losses themselves, "pooled" the
-    concatenation of both.
+    concatenation of both.  With labels (one per record) the flags are
+    scored against them.
     """
     if threshold_source not in THRESHOLD_SOURCES:
         raise ConfigError(f"unknown threshold source {threshold_source!r}")
-    indices, losses = record_losses(predictor, eval_data)
+    n = len(matrix)
+    losses = np.asarray(scorer.losses(matrix), dtype=np.float64)
+    if losses.shape != (n,):
+        raise DimensionError(f"scorer returned {losses.shape}, expected ({n},)")
+    if not np.isfinite(losses).all():
+        raise NumericError("scorer produced non-finite losses")
     if threshold_source in ("train", "pooled"):
         ref = None if train_losses is None else np.asarray(train_losses, dtype=np.float64).ravel()
         if ref is None or ref.size == 0:
@@ -223,19 +232,11 @@ def detect(
     else:
         pool = losses
     threshold = percentile_threshold(pool, anomaly_ratio)
-    predicted = losses > threshold
-    truth = None
-    metrics = None
-    if labels is not None:
-        full = np.asarray(labels, dtype=bool).ravel()
-        if full.size <= int(indices.max()):
-            raise DimensionError(
-                f"label vector of length {full.size} does not cover record index {int(indices.max())}"
-            )
-        truth = full[indices]
-        metrics = evaluate(predicted, truth, anomaly_ratio)
+    predicted = flag(losses, threshold)
+    truth = None if labels is None else np.asarray(labels, dtype=bool).ravel()
+    metrics = None if truth is None else evaluate(predicted, truth, anomaly_ratio)
     return DetectionResult(
-        record_indices=indices,
+        record_indices=np.arange(n, dtype=np.int64),
         losses=losses,
         threshold=threshold,
         predicted=predicted,

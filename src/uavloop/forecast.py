@@ -27,7 +27,6 @@ CHECKPOINT_MAGIC = "uavloop-predictor-v1"
 class PredictorConfig:
     seq_len: int
     horizon: int
-    model_dim: int = 64
     fcn_dim: int = 64
     epochs: int = 3
     learning_rate: float = 0.02
@@ -35,7 +34,7 @@ class PredictorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("seq_len", "horizon", "model_dim", "fcn_dim", "batch_size"):
+        for name in ("seq_len", "horizon", "fcn_dim", "batch_size"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
@@ -300,7 +299,7 @@ def gradient_check(
 def save_predictor(predictor: Predictor, path: str) -> None:
     cfg = predictor.config
     lines = [CHECKPOINT_MAGIC]
-    for key in ("seq_len", "horizon", "model_dim", "fcn_dim", "epochs", "batch_size", "seed"):
+    for key in ("seq_len", "horizon", "fcn_dim", "epochs", "batch_size", "seed"):
         lines.append(f"{key}={getattr(cfg, key)}")
     lines.append(f"learning_rate={cfg.learning_rate!r}")
     lines.append(f"feature_count={predictor.feature_count}")
@@ -327,6 +326,7 @@ def load_predictor(path: str) -> Predictor:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path} is not a predictor checkpoint")
+    # Header keys nothing reads, such as older checkpoints' model_dim, are ignored.
     fields: dict[str, str] = {}
     i = 1
     while i < len(lines) and not lines[i].startswith("params="):
@@ -339,7 +339,6 @@ def load_predictor(path: str) -> Predictor:
         cfg = PredictorConfig(
             seq_len=int(fields["seq_len"]),
             horizon=int(fields["horizon"]),
-            model_dim=int(fields["model_dim"]),
             fcn_dim=int(fields["fcn_dim"]),
             epochs=int(fields["epochs"]),
             learning_rate=float(fields["learning_rate"]),

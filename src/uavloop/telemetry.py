@@ -71,58 +71,6 @@ def column_index(name: str) -> int:
 
 
 @dataclass(frozen=True)
-class SensorRecord:
-    """One row of combined gyro plus accelerometer telemetry."""
-
-    timestamp: int
-    gyro: tuple[float, float, float]
-    gyro_integral_dt: int
-    accel_timestamp_relative: int
-    accel: tuple[float, float, float]
-    accel_integral_dt: int
-    accel_clipping: int
-
-    def __post_init__(self) -> None:
-        if self.gyro_integral_dt <= 0:
-            raise ValueError(f"gyro_integral_dt must be positive, got {self.gyro_integral_dt}")
-        if self.accel_integral_dt <= 0:
-            raise ValueError(
-                f"accelerometer_integral_dt must be positive, got {self.accel_integral_dt}"
-            )
-        if self.accel_clipping < 0:
-            raise ValueError(f"accelerometer_clipping must be non-negative, got {self.accel_clipping}")
-        for value in (*self.gyro, *self.accel):
-            if not math.isfinite(value):
-                raise ValueError("gyro/accel components must be finite")
-
-    @classmethod
-    def from_row(cls, row) -> "SensorRecord":
-        r = [float(v) for v in row]
-        if len(r) != len(COLUMNS):
-            raise DimensionError(f"expected {len(COLUMNS)} cells, got {len(r)}")
-        return cls(
-            timestamp=int(r[0]),
-            gyro=(r[1], r[2], r[3]),
-            gyro_integral_dt=int(r[4]),
-            accel_timestamp_relative=int(r[5]),
-            accel=(r[6], r[7], r[8]),
-            accel_integral_dt=int(r[9]),
-            accel_clipping=int(r[10]),
-        )
-
-    def to_row(self) -> tuple[float, ...]:
-        return (
-            float(self.timestamp),
-            *self.gyro,
-            float(self.gyro_integral_dt),
-            float(self.accel_timestamp_relative),
-            *self.accel,
-            float(self.accel_integral_dt),
-            float(self.accel_clipping),
-        )
-
-
-@dataclass(frozen=True)
 class TelemetrySeries:
     """A mission's records as a read-only ``(N, 11)`` matrix in COLUMNS order."""
 
@@ -185,16 +133,6 @@ class TelemetrySeries:
         out = np.array(self.values)
         out[:, list(self.feature_indices)] = matrix
         return self.with_values(out)
-
-    def record(self, index: int) -> SensorRecord:
-        row = self.values[index]
-        if np.isnan(row).any():
-            raise ImputationError(f"record {index} has missing cells; impute first")
-        return SensorRecord.from_row(row)
-
-    @property
-    def records(self) -> list[SensorRecord]:
-        return [self.record(i) for i in range(len(self))]
 
     def has_missing(self) -> bool:
         return bool(np.isnan(self.values).any())
@@ -362,11 +300,6 @@ class NormStats:
         z[:, degenerate] = 0.0
         return z
 
-    def inverse(self, matrix: np.ndarray) -> np.ndarray:
-        z = np.asarray(matrix, dtype=np.float64)
-        degenerate = self.std < _STD_EPS
-        return z * np.where(degenerate, 0.0, self.std) + self.mean
-
 
 def fit_normalize(series: TelemetrySeries) -> NormStats:
     if len(series) == 0:
@@ -381,12 +314,6 @@ def apply_normalize(series: TelemetrySeries, stats: NormStats) -> TelemetrySerie
     if stats.feature_names != series.feature_names:
         raise DimensionError("normalization statistics were fitted for different features")
     return series.with_features(stats.transform(series.features()))
-
-
-def denormalize(series: TelemetrySeries, stats: NormStats) -> TelemetrySeries:
-    if stats.feature_names != series.feature_names:
-        raise DimensionError("normalization statistics were fitted for different features")
-    return series.with_features(stats.inverse(series.features()))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from uavloop.telemetry import (
 from uavloop.tiersim import (
     LatencyModel,
     PersistenceDetector,
+    PredictorDetector,
     Tier,
     fit_latency_model,
     run_batch_experiment,
@@ -125,10 +126,10 @@ def test_criterion_3_separable_injection_detected():
     train_windows = window(apply_normalize(parts.train, stats), 16, 1, "reconstruction")
     predictor = train(init_predictor(config, 6, norm_stats=stats), train_windows)
     labeled = inject_every_nth(parts.test, 5)
-    eval_windows = window(apply_normalize(labeled.series, stats), 16, 1, "reconstruction")
+    eval_matrix = apply_normalize(labeled.series, stats).features()
     result = detect(
-        predictor,
-        eval_windows,
+        PredictorDetector(predictor),
+        eval_matrix,
         anomaly_ratio=20.0,
         labels=labeled.labels,
         threshold_source="eval",
@@ -219,7 +220,8 @@ def test_criterion_6_latency_fit_and_monotone_sweep():
         recorded_sizes,
         edge,
         LatencyModel(a=6.42, b=0.011, c=1e-05),
-        PersistenceDetector(anomaly_ratio=20.0),
+        PersistenceDetector(),
+        anomaly_ratio=20.0,
     )
     elapsed_times = [stats.elapsed_s for stats, _ in results]
     assert all(a > b for a, b in zip(elapsed_times, elapsed_times[1:]))
@@ -276,7 +278,6 @@ def test_criterion_8_cli_determinism(tmp_path):
                 "--epochs", "1",
                 "--seq-len", "8",
                 "--fcn-dim", "16",
-                "--model-dim", "16",
                 "--seed", "4",
                 "--out", str(out),
             ]

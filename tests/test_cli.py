@@ -8,10 +8,7 @@ from uavloop.cli import main
 from uavloop.synthetic import synth_packet_log
 from uavloop.telemetry import load_sensor_csv
 
-TINY_TRAIN = [
-    "--records", "600", "--seq-len", "8", "--fcn-dim", "8",
-    "--model-dim", "8", "--epochs", "1",
-]
+TINY_TRAIN = ["--records", "600", "--seq-len", "8", "--fcn-dim", "8", "--epochs", "1"]
 
 
 def run(*argv):
@@ -134,6 +131,56 @@ class TestTrainDetectForecast:
         text = (fc_out / "forecast_report.txt").read_text()
         assert text.startswith("mse: ")
         assert "persistence_mse: " in text
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A tiny reconstruction model, a forecast model and a labeled CSV."""
+    root = tmp_path_factory.mktemp("trained")
+    assert run("train", *TINY_TRAIN, "--out", str(root / "recon")) == 0
+    assert run("train", "--mode", "forecast", "--horizon", "2", *TINY_TRAIN,
+               "--out", str(root / "fc")) == 0
+    assert run("inject", "--scheme", "nth", "--records", "600", "--n", "5",
+               "--out", str(root / "labeled")) == 0
+    return root
+
+
+class TestDetectInputs:
+    @staticmethod
+    def detect_with_losses(trained, tmp_path, text):
+        losses = tmp_path / "losses.csv"
+        losses.write_text(text)
+        out = tmp_path / "o"
+        code = run("detect", "--model", str(trained / "recon" / "model.ckpt"),
+                   "--train-losses", str(losses),
+                   "--data", str(trained / "labeled" / "labeled.csv"), "--out", str(out))
+        return code, str(losses), out
+
+    def test_non_numeric_loss_rejected(self, trained, tmp_path, capsys):
+        code, path, _ = self.detect_with_losses(trained, tmp_path, "index,loss\n0,0.5\n1,abc\n")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert path in err and "line 3" in err
+
+    def test_short_loss_line_rejected(self, trained, tmp_path, capsys):
+        code, path, _ = self.detect_with_losses(trained, tmp_path, "index,loss\n0\n")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert path in err and "line 2" in err
+
+    def test_non_finite_losses_rejected(self, trained, tmp_path, capsys):
+        code, path, out = self.detect_with_losses(trained, tmp_path, "index,loss\n0,nan\n1,nan\n")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert path in err and "line 2" in err
+        assert not (out / "metrics.json").exists()
+
+    def test_forecast_checkpoint_rejected(self, trained, tmp_path, capsys):
+        code = run("detect", "--model", str(trained / "fc" / "model.ckpt"),
+                   "--data", str(trained / "labeled" / "labeled.csv"),
+                   "--threshold-source", "eval", "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert "needs a reconstruction predictor" in capsys.readouterr().err
 
 
 class TestPacketset:

@@ -27,6 +27,13 @@ class ZeroPredictor:
         return np.zeros_like(w)
 
 
+class SquareScorer:
+    """Stub scorer: a record's loss is the mean of its squared features."""
+
+    def losses(self, matrix):
+        return np.mean(np.square(matrix), axis=1)
+
+
 class TestPointwiseLoss:
     def test_mean_over_features(self):
         out = pointwise_loss([[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 4.0]])
@@ -196,53 +203,54 @@ class TestRecordLosses:
 class TestDetect:
     @staticmethod
     def eval_data():
-        # record value 9 is the outlier; zero predictor scores value^2
+        # record value 9 is the outlier; the square scorer scores value^2
         values = np.array([1.0, 1.0, 1.0, 1.0, 9.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-        return window_matrix(values, seq_len=2)
+        return values[:, None]
 
     def test_eval_threshold_flags_outlier(self):
-        result = detect(ZeroPredictor(), self.eval_data(), anomaly_ratio=20.0,
+        result = detect(SquareScorer(), self.eval_data(), anomaly_ratio=20.0,
                         threshold_source="eval")
         assert result.record_indices[result.predicted].tolist() == [4]
         assert result.threshold_source == "eval"
 
     def test_train_source_needs_losses(self):
         with pytest.raises(ConfigError):
-            detect(ZeroPredictor(), self.eval_data(), threshold_source="train")
+            detect(SquareScorer(), self.eval_data(), threshold_source="train")
 
     def test_train_threshold_from_reference_pool(self):
         train_losses = np.arange(100, dtype=float)
-        result = detect(ZeroPredictor(), self.eval_data(), train_losses,
+        result = detect(SquareScorer(), self.eval_data(), train_losses,
                         anomaly_ratio=5.0, threshold_source="train")
         assert result.threshold == 94.0
 
     def test_pooled_concatenates(self):
         data = self.eval_data()
         train_losses = np.full(90, 0.5)
-        pooled = detect(ZeroPredictor(), data, train_losses, anomaly_ratio=20.0,
+        pooled = detect(SquareScorer(), data, train_losses, anomaly_ratio=20.0,
                         threshold_source="pooled")
         expected = percentile_threshold(
-            np.concatenate([train_losses, record_losses(ZeroPredictor(), data)[1]]), 20.0
+            np.concatenate([train_losses, SquareScorer().losses(data)]), 20.0
         )
         assert pooled.threshold == expected
 
     def test_unknown_source(self):
         with pytest.raises(ConfigError):
-            detect(ZeroPredictor(), self.eval_data(), threshold_source="magic")
+            detect(SquareScorer(), self.eval_data(), threshold_source="magic")
 
     def test_labels_give_metrics(self):
         labels = np.zeros(10, dtype=bool)
         labels[4] = True
-        result = detect(ZeroPredictor(), self.eval_data(), anomaly_ratio=20.0,
+        result = detect(SquareScorer(), self.eval_data(), anomaly_ratio=20.0,
                         labels=labels, threshold_source="eval")
         assert result.metrics is not None
         assert result.metrics.recall == 1.0
         assert result.truth.tolist() == labels.tolist()
 
     def test_short_label_vector_rejected(self):
-        with pytest.raises(DimensionError):
-            detect(ZeroPredictor(), self.eval_data(), anomaly_ratio=20.0,
-                   labels=[0, 1], threshold_source="eval")
+        for labels in ([0, 1], [0] * 11):
+            with pytest.raises(DimensionError):
+                detect(SquareScorer(), self.eval_data(), anomaly_ratio=20.0,
+                       labels=labels, threshold_source="eval")
 
     def test_result_consistency_enforced(self):
         with pytest.raises(NumericError):
@@ -263,7 +271,7 @@ class TestSerialization:
     def result():
         labels = np.zeros(10, dtype=bool)
         labels[4] = True
-        return detect(ZeroPredictor(), TestDetect.eval_data(), anomaly_ratio=20.0,
+        return detect(SquareScorer(), TestDetect.eval_data(), anomaly_ratio=20.0,
                       labels=labels, threshold_source="eval")
 
     def test_metrics_json_fields(self):
@@ -274,7 +282,7 @@ class TestSerialization:
         assert payload["threshold"] == self.result().threshold
 
     def test_metrics_json_without_labels(self):
-        result = detect(ZeroPredictor(), TestDetect.eval_data(), anomaly_ratio=20.0,
+        result = detect(SquareScorer(), TestDetect.eval_data(), anomaly_ratio=20.0,
                         threshold_source="eval")
         payload = json.loads(metrics_json(result))
         assert payload["accuracy"] is None
@@ -284,11 +292,11 @@ class TestSerialization:
         lines = records_csv(self.result()).splitlines()
         assert lines[0] == "index,loss,predicted,truth"
         assert lines[1] == "0,1.0,0,0"
-        # record 4 (value 9) appears in two windows, both scoring 81
+        # record 4 (value 9) scores 81
         assert lines[5] == "4,81.0,1,1"
 
     def test_records_csv_blank_truth_when_unlabeled(self):
-        result = detect(ZeroPredictor(), TestDetect.eval_data(), anomaly_ratio=20.0,
+        result = detect(SquareScorer(), TestDetect.eval_data(), anomaly_ratio=20.0,
                         threshold_source="eval")
         lines = records_csv(result).splitlines()
         assert lines[1].endswith(",")

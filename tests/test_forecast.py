@@ -245,6 +245,19 @@ class TestCheckpoint:
         save_predictor(p, str(path))
         assert load_predictor(str(path)).norm_stats is None
 
+    def test_legacy_model_dim_line_ignored(self, tmp_path):
+        cfg = PredictorConfig(seq_len=2, horizon=2, fcn_dim=3)
+        p = init_predictor(cfg, 1)
+        path = tmp_path / "m.ckpt"
+        save_predictor(p, str(path))
+        lines = path.read_text().splitlines()
+        assert not any(line.startswith("model_dim=") for line in lines)
+        legacy = tmp_path / "legacy.ckpt"
+        legacy.write_text("\n".join(lines[:3] + ["model_dim=64"] + lines[3:]) + "\n")
+        q = load_predictor(str(legacy))
+        assert q.config == p.config
+        assert np.array_equal(q.params, p.params)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_text("not-a-checkpoint\n")

@@ -16,11 +16,9 @@ from uavloop.telemetry import (
     DEFAULT_FEATURES,
     HEADER,
     NormStats,
-    SensorRecord,
     SplitSpec,
     TelemetrySeries,
     apply_normalize,
-    denormalize,
     fit_normalize,
     impute_missing,
     parse_sensor_csv,
@@ -117,40 +115,6 @@ class TestParsing:
             parse_sensor_csv(text)
 
 
-class TestSensorRecord:
-    def test_record_accessors(self):
-        series = make_series(3, feature_values=[0.5, 0.6, 0.7])
-        rec = series.record(1)
-        assert rec.timestamp == 216000
-        assert rec.gyro[0] == 0.6
-        assert rec.accel_integral_dt == 4000
-
-    def test_row_round_trip(self):
-        series = make_series(2)
-        rec = series.record(0)
-        assert SensorRecord.from_row(rec.to_row()) == rec
-
-    def test_record_rejects_nan(self):
-        series = make_series(2)
-        values = series.values.copy()
-        values[0, COLUMNS.index("gyro_rad_1")] = np.nan
-        dirty = TelemetrySeries(values, DEFAULT_FEATURES)
-        with pytest.raises(ImputationError):
-            dirty.record(0)
-
-    def test_physical_validation(self):
-        with pytest.raises(ValueError):
-            SensorRecord(
-                timestamp=1,
-                gyro=(0.0, 0.0, 0.0),
-                gyro_integral_dt=0,
-                accel_timestamp_relative=0,
-                accel=(0.0, 0.0, 0.0),
-                accel_integral_dt=4000,
-                accel_clipping=0,
-            )
-
-
 class TestImputation:
     def test_linear_interior(self):
         # gaps at t=1,2 between 1.0 and 4.0: interpolate to 2.0 and 3.0
@@ -205,7 +169,8 @@ class TestNormalization:
         rng = np.random.default_rng(3)
         series = make_series(50, feature_values=rng.normal(0, 2, 50))
         stats = fit_normalize(series)
-        back = denormalize(apply_normalize(series, stats), stats)
+        normed = apply_normalize(series, stats)
+        back = series.with_features(normed.features() * stats.std + stats.mean)
         assert np.allclose(back.values, series.values, atol=1e-12)
 
     def test_constant_feature_maps_to_zero(self):

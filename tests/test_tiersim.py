@@ -5,27 +5,23 @@ import pytest
 
 from test_telemetry import make_series
 
-from uavloop.detect import DetectionResult, Metrics
+from uavloop.config import RunConfig
+from uavloop.detect import DetectionResult, Metrics, detect
 from uavloop.errors import ConfigError, DimensionError, NumericError
 from uavloop.forecast import PredictorConfig, init_predictor, param_count
 from uavloop.inject import InjectionMeta, LabeledSeries
 from uavloop.tiersim import (
-    DEFAULT_POLICY,
-    TASKS,
     TIER_NAMES,
     AnomalyReport,
-    LatencyFit,
     LatencyModel,
     PersistenceDetector,
     PredictorDetector,
     StreamStats,
     Tier,
     batch_experiment_csv,
-    default_tiers,
     emit_report,
     fit_latency_model,
     flag_runs,
-    place,
     report_from_json,
     run_batch_experiment,
     simulate_stream,
@@ -41,7 +37,7 @@ def stream_series(values):
 
 class TestTiers:
     def test_defaults(self):
-        tiers = default_tiers()
+        tiers = RunConfig.default().tiers()
         assert set(tiers) == set(TIER_NAMES)
         assert tiers["onboard"].compute_factor == 4.0
         assert tiers["onboard"].link_latency_ms == 0.0
@@ -49,7 +45,6 @@ class TestTiers:
         assert tiers["edge"].link_latency_ms == 10.0
         assert tiers["cloud"].compute_factor == 1.0
         assert tiers["cloud"].link_latency_ms == 150.0
-        assert tiers["cloud"].model_class == "large"
         validate_tiers(tiers)
 
     def test_tier_validation(self):
@@ -61,33 +56,12 @@ class TestTiers:
             Tier("edge", compute_factor=1.0, link_latency_ms=-1.0)
 
     def test_cost_ordering_enforced(self):
-        tiers = default_tiers()
+        tiers = RunConfig.default().tiers()
         tiers["cloud"] = Tier("cloud", compute_factor=9.0, link_latency_ms=150.0)
         with pytest.raises(ConfigError):
             validate_tiers(tiers)
         with pytest.raises(ConfigError):
             validate_tiers({"onboard": tiers["onboard"]})
-
-
-class TestPlacement:
-    def test_default_policy(self):
-        assert place("inference").name == "onboard"
-        assert place("detection").name == "edge"
-        assert place("forecasting").name == "cloud"
-        assert place("finetuning").name == "cloud"
-        assert set(DEFAULT_POLICY) == set(TASKS)
-
-    def test_custom_policy(self):
-        tier = place("detection", policy={"detection": "cloud"})
-        assert tier.name == "cloud"
-
-    def test_placement_errors(self):
-        with pytest.raises(ConfigError):
-            place("gardening")
-        with pytest.raises(ConfigError):
-            place("detection", policy={})
-        with pytest.raises(ConfigError):
-            place("detection", policy={"detection": "edge"}, tiers={})
 
 
 class TestLatencyModel:
@@ -138,23 +112,6 @@ class TestLatencyFit:
         with pytest.raises(ConfigError):
             fit_latency_model([8, 16], [1.0, 0.0])
 
-    def test_to_latency_model(self):
-        fit = LatencyFit(
-            a_prime=2.0, b_prime=48.0, batch_sizes=(4.0, 8.0),
-            elapsed_s=(14.0, 8.0), residuals=(0.0, 0.0),
-        )
-        model = fit.to_latency_model(1000)
-        assert model.a == 2.0 and model.b == 0.048 and model.c == 0.0
-        with pytest.raises(ConfigError):
-            fit.to_latency_model(0)
-
-    def test_negative_intercept_clamped(self):
-        fit = LatencyFit(
-            a_prime=-0.5, b_prime=48.0, batch_sizes=(4.0, 8.0),
-            elapsed_s=(11.5, 5.5), residuals=(0.0, 0.0),
-        )
-        assert fit.to_latency_model(100).a == 0.0
-
 
 class TestDetectors:
     def test_persistence_losses_oracle(self):
@@ -168,8 +125,6 @@ class TestDetectors:
         assert losses.tolist() == [0.0, 5.0]
 
     def test_persistence_validation(self):
-        with pytest.raises(ConfigError):
-            PersistenceDetector(anomaly_ratio=0.0)
         with pytest.raises(DimensionError):
             PersistenceDetector().losses(np.zeros(5))
 
@@ -181,7 +136,7 @@ class TestDetectors:
     def test_predictor_detector_covers_every_record(self):
         cfg = PredictorConfig(seq_len=4, horizon=4, fcn_dim=4)
         zero = init_predictor(cfg, 1).with_params(np.zeros(param_count(cfg, 1)))
-        det = PredictorDetector(zero, anomaly_ratio=10.0)
+        det = PredictorDetector(zero)
         matrix = np.arange(12, dtype=float)[:, None]
         losses = det.losses(matrix)
         assert losses.shape == (12,)
@@ -322,6 +277,33 @@ class TestStream:
         assert stats.metrics.accuracy == 1.0
         assert stats.metrics.precision == 1.0
 
+    def test_flags_equal_batch_detect(self):
+        rng = np.random.default_rng(5)
+        values = rng.normal(0.0, 1.0, 60)
+        values[[7, 31, 32, 50]] += 8.0
+        labels = np.zeros(60, dtype=bool)
+        labels[[7, 31, 32, 50]] = True
+        data = LabeledSeries(
+            series=stream_series(values),
+            labels=labels,
+            meta=InjectionMeta(scheme="manual", params={}, seed=0),
+        )
+        ratio = 10.0
+        batch = detect(
+            PersistenceDetector(),
+            data.series.features(),
+            anomaly_ratio=ratio,
+            labels=labels,
+            threshold_source="eval",
+        )
+        for b in (1, 7, 16, 60, 100):
+            stats, reports = simulate_stream(
+                data, EDGE, b, self.MODEL, PersistenceDetector(), ratio
+            )
+            assert [r.ranges[0] for r in reports] == flag_runs(batch.predicted)
+            assert {r.threshold for r in reports} == {batch.threshold}
+            assert stats.metrics == batch.metrics
+
     def test_input_validation(self):
         series = stream_series([0.0] * 4)
         with pytest.raises(ConfigError):
@@ -362,7 +344,7 @@ class TestBatchExperiment:
             meta=InjectionMeta(scheme="manual", params={}, seed=0),
         )
         results = run_batch_experiment(
-            data, [4, 8, 16], EDGE, TestStream.MODEL, PersistenceDetector(anomaly_ratio=10.0)
+            data, [4, 8, 16], EDGE, TestStream.MODEL, PersistenceDetector(), 10.0
         )
         assert [s.batch_size for s, _ in results] == [4, 8, 16]
         text = batch_experiment_csv(results)
