@@ -228,6 +228,8 @@ def detect(
         ref = None if train_losses is None else np.asarray(train_losses, dtype=np.float64).ravel()
         if ref is None or ref.size == 0:
             raise ConfigError(f"threshold_source={threshold_source!r} needs non-empty train_losses")
+        if not np.isfinite(ref).all():
+            raise NumericError("train_losses hold non-finite values")
         pool = ref if threshold_source == "train" else np.concatenate([ref, losses])
     else:
         pool = losses

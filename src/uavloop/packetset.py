@@ -6,11 +6,19 @@ context packets plus the packet that actually followed, and every window
 yields a preference pair: the true next packet as the chosen continuation
 and a single-field corruption of it as the rejected one.  Pairs render to a
 plain-text format with one key:value line per field and parse back losslessly.
+
+Each packet is written once per window it appears in, so a dataset repeats
+most blocks many times.  Within one call, ``render_dataset`` renders each
+distinct packet's block once, and ``parse_dataset`` parses and validates each
+distinct block text once: identical blocks return one shared frozen
+``PacketRecord``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +52,7 @@ _PREDICTED_TAG = "#Predicted_Packet"
 _BLOCK_TAG = "#BLOCK"
 
 
+@lru_cache(maxsize=256)
 def canonical_flags(flags: str) -> str:
     """Deduplicate and order flag letters by the canonical alphabet."""
     present = set(flags)
@@ -68,6 +77,8 @@ class PacketRecord:
     index_in_session: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.timestamp):
+            raise ParseError(f"timestamp must be finite: {self.timestamp}")
         for name in ("sport", "dport"):
             v = getattr(self, name)
             if not (0 <= v <= 65535):
@@ -286,28 +297,48 @@ def _render_block(packet: PacketRecord) -> str:
     return "\n".join(lines)
 
 
-def render_document(context: Sequence[PacketRecord], prompt: PacketRecord, predicted: PacketRecord) -> str:
+def _cached_block(packet: PacketRecord, blocks: dict) -> str:
+    """The block of packet, rendered once per blocks dict: equal packets render equal blocks."""
+    text = blocks.get(packet)
+    if text is None:
+        text = blocks[packet] = _render_block(packet)
+    return text
+
+
+def _document_prefix(context: Sequence[PacketRecord], prompt: PacketRecord, blocks: dict) -> str:
+    """Every line of a document up to and including the predicted tag."""
     parts = [_CONTEXT_TAG]
-    parts.extend(_render_block(p) for p in context)
+    parts.extend(_cached_block(p, blocks) for p in context)
     parts.append(_PREVIOUS_TAG)
-    parts.append(_render_block(prompt))
+    parts.append(_cached_block(prompt, blocks))
     parts.append(_PREDICTED_TAG)
-    parts.append(_render_block(predicted))
+    parts.append("")
     return "\n".join(parts)
+
+
+def render_document(context: Sequence[PacketRecord], prompt: PacketRecord, predicted: PacketRecord) -> str:
+    return _document_prefix(context, prompt, {}) + _render_block(predicted)
+
+
+def _render_sample(sample: FinetuneSample, blocks: dict) -> str:
+    # A rejected packet is a fresh corruption, so its block is not kept.
+    w = sample.window
+    prefix = _document_prefix(w.context, w.prompt, blocks)
+    chosen = prefix + _cached_block(sample.chosen, blocks)
+    rejected = prefix + _render_block(sample.rejected)
+    return chosen + "\n\n" + rejected + "\n"
 
 
 def render_sample(sample: FinetuneSample) -> str:
     """Chosen document, blank line, rejected document."""
-    w = sample.window
-    chosen = render_document(w.context, w.prompt, sample.chosen)
-    rejected = render_document(w.context, w.prompt, sample.rejected)
-    return chosen + "\n\n" + rejected + "\n"
+    return _render_sample(sample, {})
 
 
 def render_dataset(samples: Sequence[FinetuneSample]) -> str:
     if not samples:
         raise ConfigError("cannot render an empty sample list")
-    return "\n".join(render_sample(s) for s in samples)
+    blocks: dict = {}
+    return "\n".join(_render_sample(s, blocks) for s in samples)
 
 
 def _parse_block(lines: list[str], pos: int) -> tuple[dict, int]:
@@ -332,26 +363,47 @@ def _block_packet(values: dict) -> PacketRecord:
     )
 
 
-def parse_document(lines: list[str], pos: int = 0):
-    """Parse one rendered document; returns (context, prompt, predicted, pos)."""
+_BLOCK_LINES = 1 + len(KEY_FIELDS)
+
+
+def _block_at(lines: list[str], pos: int, packets: dict) -> tuple[PacketRecord, int]:
+    """The packet of the block at lines[pos], and the position after it.
+
+    packets maps the exact lines of every block parsed so far to its record,
+    so a repeated block reuses the record; anything else, malformed blocks
+    included, goes through _parse_block.
+    """
+    key = tuple(lines[pos : pos + _BLOCK_LINES])
+    packet = packets.get(key)
+    if packet is not None:
+        return packet, pos + _BLOCK_LINES
+    values, end = _parse_block(lines, pos)
+    packet = packets[key] = _block_packet(values)
+    return packet, end
+
+
+def _parse_document(lines: list[str], pos: int, packets: dict):
     if pos >= len(lines) or lines[pos] != _CONTEXT_TAG:
         raise ParseError(f"expected {_CONTEXT_TAG}", line=pos + 1)
     pos += 1
     context: list[PacketRecord] = []
     while pos < len(lines) and lines[pos] == _BLOCK_TAG:
-        values, pos = _parse_block(lines, pos)
-        context.append(_block_packet(values))
+        packet, pos = _block_at(lines, pos, packets)
+        context.append(packet)
     if not context:
         raise ParseError("document has an empty context", line=pos + 1)
     if pos >= len(lines) or lines[pos] != _PREVIOUS_TAG:
         raise ParseError(f"expected {_PREVIOUS_TAG}", line=pos + 1)
-    values, pos = _parse_block(lines, pos + 1)
-    prompt = _block_packet(values)
+    prompt, pos = _block_at(lines, pos + 1, packets)
     if pos >= len(lines) or lines[pos] != _PREDICTED_TAG:
         raise ParseError(f"expected {_PREDICTED_TAG}", line=pos + 1)
-    values, pos = _parse_block(lines, pos + 1)
-    predicted = _block_packet(values)
+    predicted, pos = _block_at(lines, pos + 1, packets)
     return tuple(context), prompt, predicted, pos
+
+
+def parse_document(lines: list[str], pos: int = 0):
+    """Parse one rendered document; returns (context, prompt, predicted, pos)."""
+    return _parse_document(lines, pos, {})
 
 
 @dataclass(frozen=True)
@@ -366,12 +418,13 @@ def parse_dataset(text: str) -> list[ParsedSample]:
     """Inverse of render_dataset; validates pairing and the one-field rule."""
     docs: list[tuple] = []
     lines = text.splitlines()
+    packets: dict = {}
     pos = 0
     while pos < len(lines):
         if not lines[pos].strip():
             pos += 1
             continue
-        context, prompt, predicted, pos = parse_document(lines, pos)
+        context, prompt, predicted, pos = _parse_document(lines, pos, packets)
         docs.append((context, prompt, predicted))
     if len(docs) % 2 != 0:
         raise ParseError(f"dataset holds {len(docs)} documents, expected an even count")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -199,6 +200,19 @@ class TestPacketset:
         text = (out / "score_report.txt").read_text()
         assert "sport: 100.00" in text
         assert "0 errors: 100.00" in text
+
+    def test_build_defaults_golden(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("packetset", "build", "--out", str(out)) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("samples.txt", "run_manifest.json")
+        }
+        assert digests == {
+            "samples.txt": "62b16c3e516e314fa989103c7542e59eade25488bea9e516c8c22a36f450e6d9",
+            "run_manifest.json":
+                "a80c1dd4c91aae6f063e175740c77acb8b7d0e5418f3f4f36aee447e8c5a6e7b",
+        }
 
 
 class TestSimulateAndSweeps:

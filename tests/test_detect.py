@@ -237,6 +237,14 @@ class TestDetect:
         with pytest.raises(ConfigError):
             detect(SquareScorer(), self.eval_data(), threshold_source="magic")
 
+    def test_non_finite_train_losses_rejected(self):
+        for bad in (np.nan, np.inf):
+            train_losses = np.append(np.ones(9), bad)
+            for source in ("train", "pooled"):
+                with pytest.raises(NumericError):
+                    detect(SquareScorer(), self.eval_data(), train_losses,
+                           threshold_source=source)
+
     def test_labels_give_metrics(self):
         labels = np.zeros(10, dtype=bool)
         labels[4] = True

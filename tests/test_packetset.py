@@ -123,6 +123,16 @@ class TestParsing:
         assert "line 2" in str(err.value)
         assert "sport out of range: 70000" in str(err.value)
 
+    def test_non_finite_timestamp_reports_line(self):
+        for token in ("nan", "inf", "-inf"):
+            text = PACKET_HEADER + f"\n1.0,a,b,1,2,A,3,4,5\n{token},a,b,1,2,A,3,4,5\n"
+            with pytest.raises(ParseError) as err:
+                parse_packet_csv(text)
+            assert err.value.line == 3
+            assert "timestamp must be finite" in str(err.value)
+            with pytest.raises(ParseError):
+                extract_sessions(text)
+
     def test_synthetic_log_parses(self):
         packets = parse_packet_csv(synth_packet_log(n_packets=50, seed=1))
         assert len(packets) == 50
@@ -308,6 +318,10 @@ class TestRendering:
         with pytest.raises(ConfigError):
             render_dataset([])
 
+    def test_dataset_is_joined_samples(self):
+        samples = TestParseDataset.small_dataset()
+        assert render_dataset(samples) == "\n".join(render_sample(s) for s in samples)
+
 
 class TestParseDataset:
     @staticmethod
@@ -352,6 +366,36 @@ class TestParseDataset:
     def test_bad_tag_rejected(self):
         with pytest.raises(ParseError):
             parse_dataset("#Context\n#BLOCK\nsport:1\nwrong:2\n")
+
+    def test_repeated_block_is_one_record(self):
+        samples = self.small_dataset()
+        parsed = parse_dataset(render_dataset(samples))
+        shared = 0
+        for k in range(len(samples) - 1):
+            before, after = samples[k].window, samples[k + 1].window
+            if before.prompt.session_id != after.prompt.session_id:
+                continue
+            # The next window slides by one packet: its context starts one later.
+            assert parsed[k + 1].context[:-1] == parsed[k].context[1:]
+            assert parsed[k + 1].context[-1] == parsed[k].prompt
+            assert parsed[k + 1].prompt == parsed[k].chosen
+            assert parsed[k + 1].prompt is parsed[k].chosen
+            shared += 1
+        assert shared > 20
+        first = parsed[0].context[0]
+        assert first == PacketRecord(timestamp=0.0, src="", dst="",
+                                     **samples[0].window.context[0].key_values())
+
+    def test_corrupted_repeat_reports_its_line(self):
+        lines = render_dataset(self.small_dataset()).split("\n")
+        block = lines[1:8]
+        assert block[0] == "#BLOCK" and block[2].startswith("dport:")
+        repeat = next(j for j in range(8, len(lines)) if lines[j : j + 7] == block)
+        lines[repeat + 2] = lines[repeat + 2].replace("dport:", "dprt:")
+        with pytest.raises(ParseError) as err:
+            parse_dataset("\n".join(lines))
+        assert err.value.line == repeat + 3
+        assert "expected field 'dport'" in str(err.value)
 
 
 class TestScoring:
