@@ -6,13 +6,15 @@ run_manifest.json recording the command, the effective config (paths
 excluded), input digests, and output names.  All outputs are deterministic
 for a given config and input data; nothing depends on wall-clock time.
 
-Exit codes: 0 success, 2 missing input file, 3 configuration problem,
+Exit codes: 0 success, 2 unreadable input file (missing, a directory or
+not UTF-8), 3 configuration problem (an --out that is a file included),
 4 runtime failure inside the pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -55,6 +57,7 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="uavloop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -136,7 +139,10 @@ def _finish(out_dir: str, command: str, config: RunConfig, inputs: dict, outputs
 
 def _out_dir(config: RunConfig) -> str:
     path = config["out"]
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"--out {path!r} is not a directory") from exc
     return path
 
 
@@ -451,7 +457,6 @@ def cmd_experiment_batch_sweep(args, config: RunConfig) -> int:
         config.latency_model(),
         ts.PersistenceDetector(),
         config["anomaly_ratio"],
-        mission_id=f"mission-{config['seed']}",
     )
     _write_text(os.path.join(out, "sweep.csv"), ts.batch_experiment_csv(results))
     return _finish(out, "experiment batch-sweep", config, inputs, ["sweep.csv"])
@@ -481,8 +486,11 @@ def main(argv=None) -> int:
             name = f"{args.command} {args.subcommand}"
         config = _effective_config(args)
         return _COMMANDS[name](args, config)
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        print(f"error: cannot read input file: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input file is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

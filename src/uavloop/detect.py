@@ -170,7 +170,6 @@ def record_losses(predictor, dataset: WindowedDataset) -> tuple[np.ndarray, np.n
 
 @dataclass(frozen=True)
 class DetectionResult:
-    record_indices: np.ndarray
     losses: np.ndarray
     threshold: float
     predicted: np.ndarray
@@ -182,9 +181,8 @@ class DetectionResult:
     def __post_init__(self) -> None:
         losses = np.asarray(self.losses, dtype=np.float64)
         predicted = np.asarray(self.predicted, dtype=bool)
-        indices = np.asarray(self.record_indices, dtype=np.int64)
-        if not (losses.shape == predicted.shape == indices.shape):
-            raise DimensionError("losses, predictions and indices must have equal length")
+        if losses.shape != predicted.shape:
+            raise DimensionError("losses and predictions must have equal length")
         if not np.array_equal(predicted, losses > self.threshold):
             raise NumericError("predicted labels are inconsistent with losses > threshold")
         if self.truth is not None:
@@ -193,11 +191,10 @@ class DetectionResult:
                 raise DimensionError("truth length does not match predictions")
             truth.setflags(write=False)
             object.__setattr__(self, "truth", truth)
-        for arr in (losses, predicted, indices):
+        for arr in (losses, predicted):
             arr.setflags(write=False)
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "predicted", predicted)
-        object.__setattr__(self, "record_indices", indices)
 
 
 def detect(
@@ -238,7 +235,6 @@ def detect(
     truth = None if labels is None else np.asarray(labels, dtype=bool).ravel()
     metrics = None if truth is None else evaluate(predicted, truth, anomaly_ratio)
     return DetectionResult(
-        record_indices=np.arange(n, dtype=np.int64),
         losses=losses,
         threshold=threshold,
         predicted=predicted,
@@ -274,8 +270,5 @@ def records_csv(result: DetectionResult) -> str:
     truth = result.truth
     for i in range(result.losses.size):
         t = "" if truth is None else str(int(truth[i]))
-        lines.append(
-            f"{int(result.record_indices[i])},{float(result.losses[i])!r},"
-            f"{int(result.predicted[i])},{t}"
-        )
+        lines.append(f"{i},{float(result.losses[i])!r},{int(result.predicted[i])},{t}")
     return "\n".join(lines) + "\n"

@@ -62,6 +62,17 @@ def canonical_flags(flags: str) -> str:
     return "".join(c for c in FLAG_ALPHABET if c in present)
 
 
+# Exclusive upper bound of each integer key field; all are non-negative.
+_INT_LIMITS = {"sport": 2**16, "dport": 2**16, "seq": 2**32, "ack": 2**32, "length": math.inf}
+
+
+def _in_range(name: str, value: int) -> int:
+    """value, if it is in range for the integer key field name; else ParseError."""
+    if not 0 <= value < _INT_LIMITS[name]:
+        raise ParseError(f"{name} out of range: {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class PacketRecord:
     timestamp: float
@@ -79,16 +90,8 @@ class PacketRecord:
     def __post_init__(self) -> None:
         if not math.isfinite(self.timestamp):
             raise ParseError(f"timestamp must be finite: {self.timestamp}")
-        for name in ("sport", "dport"):
-            v = getattr(self, name)
-            if not (0 <= v <= 65535):
-                raise ParseError(f"{name} out of range: {v}")
-        for name in ("seq", "ack"):
-            v = getattr(self, name)
-            if not (0 <= v < 2**32):
-                raise ParseError(f"{name} out of range: {v}")
-        if self.length < 0:
-            raise ParseError(f"length must be non-negative: {self.length}")
+        for name in _INT_LIMITS:
+            _in_range(name, getattr(self, name))
         object.__setattr__(self, "flags", canonical_flags(self.flags))
 
     def key_values(self) -> dict:
@@ -352,7 +355,10 @@ def _parse_block(lines: list[str], pos: int) -> tuple[dict, int]:
         key, sep, raw = lines[pos].partition(":")
         if not sep or key != name:
             raise ParseError(f"expected field {name!r}, got {lines[pos]!r}", line=pos + 1)
-        values[name] = raw if name == "flags" else int(raw)
+        try:
+            values[name] = canonical_flags(raw) if name == "flags" else _in_range(name, int(raw))
+        except (ValueError, ParseError) as exc:
+            raise ParseError(f"bad {name!r} field: {exc}", line=pos + 1) from exc
         pos += 1
     return values, pos
 

@@ -4,7 +4,9 @@ Execution locations (onboard, edge, cloud) trade per-record compute cost
 against link latency; the CLI's --tier picks the one that runs detection.
 A logical-clock simulator streams a telemetry series through a scorer in
 batches, charging each batch a fixed overhead, a per-record cost scaled by
-the tier's compute factor, and one link traversal.
+the tier's compute factor, and one link traversal.  The flags do not depend
+on the batch size, so the stream is scored once and the batch size only
+sets the clock: a batch sweep runs detection once for all its sizes.
 Elapsed time for a stream therefore follows t = a + (b + link) * ceil(N/B)
 + c * N * factor, which amortizes toward t = a' + b'/B for large batches;
 that two-parameter form is also what fit_latency_model recovers from
@@ -73,23 +75,9 @@ class LatencyModel:
             if not (v >= 0 and math.isfinite(v)):
                 raise ConfigError(f"latency coefficient {name} must be >= 0, got {v!r}")
 
-    def batch_cost(
-        self, n_records: int, compute_factor: float = 1.0, link_latency_ms: float = 0.0
-    ) -> float:
+    def batch_cost(self, n_records, compute_factor: float = 1.0, link_latency_ms: float = 0.0):
+        """Cost of one batch of n_records; elementwise for an array of counts."""
         return self.b + self.c * n_records * compute_factor + link_latency_ms / 1000.0
-
-    def elapsed(
-        self,
-        n_records: int,
-        batch_size: float,
-        compute_factor: float = 1.0,
-        link_latency_ms: float = 0.0,
-    ) -> float:
-        """Amortized (continuous) form, treating N/B as exact."""
-        if batch_size <= 0:
-            raise ConfigError(f"batch_size must be positive, got {batch_size}")
-        per_batch = self.b + link_latency_ms / 1000.0
-        return self.a + per_batch * n_records / batch_size + self.c * n_records * compute_factor
 
 
 @dataclass(frozen=True)
@@ -163,19 +151,15 @@ class PredictorDetector:
         return record_losses(self.predictor, data)[1]
 
 
-def _index_runs(indices: np.ndarray) -> list[tuple[int, int]]:
+def flag_runs(flags) -> list[tuple[int, int]]:
+    """Contiguous True runs as inclusive (start, end) index pairs."""
+    indices = np.nonzero(np.asarray(flags, dtype=bool).ravel())[0]
     if indices.size == 0:
         return []
     breaks = np.diff(indices) > 1
     starts = indices[np.concatenate([[True], breaks])]
     ends = indices[np.concatenate([breaks, [True]])]
     return [(int(s), int(e)) for s, e in zip(starts, ends)]
-
-
-def flag_runs(flags) -> list[tuple[int, int]]:
-    """Contiguous True runs as inclusive (start, end) index pairs."""
-    f = np.asarray(flags, dtype=bool).ravel()
-    return _index_runs(np.nonzero(f)[0])
 
 
 @dataclass(frozen=True)
@@ -231,12 +215,10 @@ def emit_report(
     timestamp: float = 0.0,
 ) -> AnomalyReport:
     """One report covering a whole detection pass; empty range list is valid."""
-    flagged = detection.record_indices[detection.predicted]
-    ranges = tuple(_index_runs(flagged))
     return AnomalyReport(
         mission_id=mission_id,
         tier=tier,
-        ranges=ranges,
+        ranges=tuple(flag_runs(detection.predicted)),
         threshold=detection.threshold,
         metrics=detection.metrics,
         timestamp=timestamp,
@@ -250,6 +232,46 @@ class StreamStats:
     n_batches: int
     elapsed_s: float
     metrics: Metrics | None
+
+
+def _detect_stream(data, scorer, anomaly_ratio: float) -> DetectionResult:
+    """Score a whole series once, thresholding on its own losses."""
+    labels = None
+    if isinstance(data, LabeledSeries):
+        labels = data.labels
+        series = data.series
+    elif isinstance(data, TelemetrySeries):
+        series = data
+    else:
+        raise ConfigError(f"cannot stream a {type(data).__name__}")
+    return detect(
+        scorer,
+        series.features(),
+        anomaly_ratio=anomaly_ratio,
+        labels=labels,
+        threshold_source="eval",
+    )
+
+
+def _batch_end_clock(n: int, batch_size: int, tier: Tier, latency_model: LatencyModel):
+    """Logical clock at the end of each batch of an n-record stream.
+
+    A sequential cumulative sum starting from the one-off cost a, so each
+    value is the same float a batch-by-batch loop would reach.
+    """
+    counts = np.minimum(batch_size, n - np.arange(0, n, batch_size))
+    costs = latency_model.batch_cost(counts, tier.compute_factor, tier.link_latency_ms)
+    return np.cumsum(np.concatenate([[latency_model.a], costs]))[1:]
+
+
+def _stream_stats(result: DetectionResult, batch_size: int, clock: np.ndarray) -> StreamStats:
+    return StreamStats(
+        batch_size=int(batch_size),
+        records=result.losses.size,
+        n_batches=clock.size,
+        elapsed_s=float(clock[-1]),
+        metrics=result.metrics,
+    )
 
 
 def simulate_stream(
@@ -269,53 +291,22 @@ def simulate_stream(
     contiguous flagged run, stamped with the clock at the end of the batch
     that carried the run's last record.
     """
-    labels = None
-    if isinstance(data, LabeledSeries):
-        labels = data.labels
-        series = data.series
-    elif isinstance(data, TelemetrySeries):
-        series = data
-    else:
-        raise ConfigError(f"cannot stream a {type(data).__name__}")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be positive, got {batch_size}")
-    # matrix stays referenced until return: releasing it before the clock
-    # loop raised the 200k-record batch-sweep's peak RSS from 268 to 297 MB.
-    matrix = series.features()
-    result = detect(
-        scorer,
-        matrix,
-        anomaly_ratio=anomaly_ratio,
-        labels=labels,
-        threshold_source="eval",
-    )
-    n = matrix.shape[0]
-    clock = latency_model.a
-    batch_end_clock = []
-    for start in range(0, n, batch_size):
-        count = min(batch_size, n - start)
-        clock += latency_model.batch_cost(count, tier.compute_factor, tier.link_latency_ms)
-        batch_end_clock.append(clock)
-    reports = []
-    for s, e in flag_runs(result.predicted):
-        reports.append(
-            AnomalyReport(
-                mission_id=mission_id,
-                tier=tier.name,
-                ranges=((s, e),),
-                threshold=result.threshold,
-                metrics=None,
-                timestamp=batch_end_clock[e // batch_size],
-            )
+    result = _detect_stream(data, scorer, anomaly_ratio)
+    clock = _batch_end_clock(result.losses.size, batch_size, tier, latency_model)
+    reports = [
+        AnomalyReport(
+            mission_id=mission_id,
+            tier=tier.name,
+            ranges=((s, e),),
+            threshold=result.threshold,
+            metrics=None,
+            timestamp=float(clock[e // batch_size]),
         )
-    stats = StreamStats(
-        batch_size=int(batch_size),
-        records=n,
-        n_batches=len(batch_end_clock),
-        elapsed_s=clock,
-        metrics=result.metrics,
-    )
-    return stats, reports
+        for s, e in flag_runs(result.predicted)
+    ]
+    return _stream_stats(result, batch_size, clock), reports
 
 
 def run_batch_experiment(
@@ -325,23 +316,22 @@ def run_batch_experiment(
     latency_model: LatencyModel,
     scorer,
     anomaly_ratio: float = 20.0,
-    mission_id: str = "mission",
-) -> list[tuple[StreamStats, list[AnomalyReport]]]:
+) -> list[StreamStats]:
+    """Stream stats for each batch size; the stream is scored once for all."""
     sizes = [int(b) for b in batch_sizes]
     if not sizes:
         raise ConfigError("batch size list is empty")
     if any(b < 1 for b in sizes):
         raise ConfigError("batch sizes must be >= 1")
-    return [
-        simulate_stream(data, tier, b, latency_model, scorer, anomaly_ratio, mission_id=mission_id)
-        for b in sizes
-    ]
+    result = _detect_stream(data, scorer, anomaly_ratio)
+    n = result.losses.size
+    return [_stream_stats(result, b, _batch_end_clock(n, b, tier, latency_model)) for b in sizes]
 
 
 def batch_experiment_csv(results) -> str:
     """CSV rows for a batch sweep, one line per batch size."""
     lines = ["batch_size,elapsed_s,accuracy,precision,recall,f_score"]
-    for stats, _ in results:
+    for stats in results:
         m = stats.metrics
         if m is None:
             cells = ["", "", "", ""]

@@ -223,10 +223,10 @@ def test_criterion_6_latency_fit_and_monotone_sweep():
         PersistenceDetector(),
         anomaly_ratio=20.0,
     )
-    elapsed_times = [stats.elapsed_s for stats, _ in results]
+    elapsed_times = [stats.elapsed_s for stats in results]
     assert all(a > b for a, b in zip(elapsed_times, elapsed_times[1:]))
     metric_tuples = {
-        (s.metrics.tp, s.metrics.tn, s.metrics.fp, s.metrics.fn) for s, _ in results
+        (s.metrics.tp, s.metrics.tn, s.metrics.fp, s.metrics.fn) for s in results
     }
     assert len(metric_tuples) == 1
     elapsed = time.perf_counter() - started

@@ -35,6 +35,28 @@ class TestExitCodes:
         assert run("inject", "--scheme", "sideways", "--out", str(tmp_path / "o")) == 3
         assert run("ingest", "--no-such-flag", "1") == 3
 
+    def test_usage_error_then_valid_command(self, tmp_path):
+        assert run("ingest", "--no-such-flag", "1") == 3
+        assert run("ingest", "--records", "50", "--out", str(tmp_path / "o")) == 0
+
+    @pytest.mark.parametrize(
+        "case, code", [("data-dir", 2), ("data-not-utf8", 2), ("out-file", 3)]
+    )
+    def test_unreadable_input_or_output(self, tmp_path, capsys, case, code):
+        blocker = tmp_path / "blocker"
+        if case == "data-dir":
+            blocker.mkdir()
+        else:
+            blocker.write_bytes(b"timestamp\xff\n")
+        if case == "out-file":
+            argv = ["--records", "50", "--out", str(blocker)]
+        else:
+            argv = ["--data", str(blocker), "--out", str(tmp_path / "o")]
+        assert run("ingest", *argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
     def test_divergence(self, tmp_path):
         code = run("train", *TINY_TRAIN, "--epochs", "2",
                    "--learning-rate", "1000000", "--out", str(tmp_path / "o"))
@@ -237,6 +259,32 @@ class TestSimulateAndSweeps:
         assert elapsed[0] > elapsed[1] > elapsed[2]
         metric_cells = {line.split(",", 2)[2] for line in lines[1:]}
         assert len(metric_cells) == 1
+
+    @staticmethod
+    def digests(out, names):
+        return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+    def test_batch_sweep_golden(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("experiment", "batch-sweep", "--records", "3000", "--seed", "2",
+                   "--out", str(out)) == 0
+        assert self.digests(out, ("sweep.csv", "run_manifest.json")) == {
+            "sweep.csv": "4e8e78991d1ff8467c9303dfddc8bf77ecb4d3df99a2d624738663d1ab9e7e85",
+            "run_manifest.json":
+                "26e559a0118be1f5c60470044bd22a0b26f8e8889201f9b21d0a1c7194df01d4",
+        }
+
+    def test_simulate_golden(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("simulate", "--records", "3000", "--seed", "2", "--batch-size", "7",
+                   "--out", str(out)) == 0
+        assert len((out / "report.jsonl").read_text().splitlines()) == 307
+        assert self.digests(out, ("report.jsonl", "stats.json", "run_manifest.json")) == {
+            "report.jsonl": "8e78d962bcba7f0f81b77806c5be6ae9f75312cecb44d92461a03f0be0b25d9a",
+            "stats.json": "83b0aecfc2ec9973b95f88f369697a3244544a24a8d4dfb6a2cd3ceb2312eb31",
+            "run_manifest.json":
+                "d508512d5e5c052b2001a125fcfdfdb5df636476225a52c4aa657d2e7c85fcb8",
+        }
 
     def test_variance_sweep_csv(self, tmp_path):
         out = tmp_path / "o"

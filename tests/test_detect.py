@@ -210,7 +210,7 @@ class TestDetect:
     def test_eval_threshold_flags_outlier(self):
         result = detect(SquareScorer(), self.eval_data(), anomaly_ratio=20.0,
                         threshold_source="eval")
-        assert result.record_indices[result.predicted].tolist() == [4]
+        assert np.nonzero(result.predicted)[0].tolist() == [4]
         assert result.threshold_source == "eval"
 
     def test_train_source_needs_losses(self):
@@ -263,7 +263,6 @@ class TestDetect:
     def test_result_consistency_enforced(self):
         with pytest.raises(NumericError):
             DetectionResult(
-                record_indices=np.arange(2),
                 losses=np.array([1.0, 2.0]),
                 threshold=0.0,
                 predicted=np.array([False, False]),  # inconsistent with > 0

@@ -397,6 +397,16 @@ class TestParseDataset:
         assert err.value.line == repeat + 3
         assert "expected field 'dport'" in str(err.value)
 
+    def test_bad_field_value_reports_its_line(self):
+        lines = render_dataset(self.small_dataset()).split("\n")
+        assert lines[2].startswith("sport:") and lines[4].startswith("flags:")
+        for index, bad in ((2, "sport:abc"), (2, "sport:70000"), (4, "flags:Z")):
+            mutated = lines.copy()
+            mutated[index] = bad
+            with pytest.raises(ParseError) as err:
+                parse_dataset("\n".join(mutated))
+            assert err.value.line == index + 1
+
 
 class TestScoring:
     def test_identity_scores_everything_100(self):

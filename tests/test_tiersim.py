@@ -69,17 +69,11 @@ class TestLatencyModel:
         model = LatencyModel(a=1.0, b=0.5, c=0.01)
         assert model.batch_cost(10, 2.0, 100.0) == 0.5 + 0.2 + 0.1
 
-    def test_elapsed_continuous_form(self):
-        model = LatencyModel(a=1.0, b=0.5, c=0.01)
-        assert model.elapsed(100, 10, 2.0, 100.0) == 1.0 + 6.0 + 2.0
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             LatencyModel(a=-0.1, b=0.0, c=0.0)
         with pytest.raises(ConfigError):
             LatencyModel(a=0.0, b=float("nan"), c=0.0)
-        with pytest.raises(ConfigError):
-            LatencyModel(a=1.0, b=0.5, c=0.01).elapsed(10, 0)
 
 
 class TestLatencyFit:
@@ -163,7 +157,6 @@ def small_detection(losses, threshold, labels=None):
 
         metrics = evaluate(predicted, truth)
     return DetectionResult(
-        record_indices=np.arange(losses.size),
         losses=losses,
         threshold=float(threshold),
         predicted=predicted,
@@ -304,6 +297,28 @@ class TestStream:
             assert {r.threshold for r in reports} == {batch.threshold}
             assert stats.metrics == batch.metrics
 
+    def test_clock_equals_batch_loop(self):
+        # The reference is the batch-by-batch loop; the clock must match it
+        # bit for bit, in simulate_stream and in a one-size sweep alike.
+        values = np.random.default_rng(3).normal(0.0, 1.0, 103)
+        values[[10, 50, 51, 99]] += 9.0
+        series = stream_series(values)
+        model = LatencyModel(a=0.3, b=0.011, c=1.7e-5)
+        tier = Tier("cloud", compute_factor=0.7, link_latency_ms=35.0)
+        for b in (1, 6, 10, 103, 500):
+            clock, ends = model.a, []
+            for start in range(0, 103, b):
+                clock += model.batch_cost(min(b, 103 - start), 0.7, 35.0)
+                ends.append(clock)
+            stats, reports = simulate_stream(series, tier, b, model, PersistenceDetector(), 5.0)
+            assert stats.elapsed_s == clock
+            assert stats.n_batches == len(ends)
+            assert reports
+            assert [r.timestamp for r in reports] == [ends[r.ranges[0][1] // b] for r in reports]
+            assert run_batch_experiment(
+                series, [b], tier, model, PersistenceDetector(), 5.0
+            ) == [stats]
+
     def test_input_validation(self):
         series = stream_series([0.0] * 4)
         with pytest.raises(ConfigError):
@@ -346,15 +361,15 @@ class TestBatchExperiment:
         results = run_batch_experiment(
             data, [4, 8, 16], EDGE, TestStream.MODEL, PersistenceDetector(), 10.0
         )
-        assert [s.batch_size for s, _ in results] == [4, 8, 16]
+        assert [s.batch_size for s in results] == [4, 8, 16]
         text = batch_experiment_csv(results)
         lines = text.splitlines()
         assert lines[0] == "batch_size,elapsed_s,accuracy,precision,recall,f_score"
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[0] == "4"
-        assert float(first[1]) == results[0][0].elapsed_s
-        assert float(first[2]) == results[0][0].metrics.accuracy
+        assert float(first[1]) == results[0].elapsed_s
+        assert float(first[2]) == results[0].metrics.accuracy
 
     def test_unlabeled_rows_leave_metric_cells_empty(self):
         results = run_batch_experiment(
