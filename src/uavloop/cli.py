@@ -29,8 +29,8 @@ from . import telemetry as tel
 from . import tiersim as ts
 from .config import RunConfig, schema_keys
 from .detect import detect as run_detect
-from .detect import metrics_json, record_losses, records_csv
-from .errors import ConfigError, PipelineError
+from .detect import RATIO_NAMES, metrics_json, record_losses, records_csv
+from .errors import ConfigError, InputError, ParseError, PipelineError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -213,35 +213,27 @@ def _train_predictor(config: RunConfig, series: tel.TelemetrySeries, mode: str):
     return parts, predictor, train_losses
 
 
+_LOSS_COLUMNS = ("index", "loss")
+_INDEX_COLUMNS = frozenset(("index", "epoch"))
+
+
 def _history_csv(predictor) -> str:
-    lines = ["epoch,train_mse,val_mse"]
-    for i, stat in enumerate(predictor.history, start=1):
-        val = "" if stat.val_mse is None else repr(stat.val_mse)
-        lines.append(f"{i},{stat.train_mse!r},{val}")
-    return "\n".join(lines) + "\n"
+    train = [stat.train_mse for stat in predictor.history]
+    val = [math.nan if stat.val_mse is None else stat.val_mse for stat in predictor.history]
+    cells = (range(1, len(train) + 1), train, val)
+    return tel.format_table(("epoch", "train_mse", "val_mse"), cells, _INDEX_COLUMNS)
 
 
 def _losses_csv(losses) -> str:
-    lines = ["index,loss"]
-    lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(losses))
-    return "\n".join(lines) + "\n"
+    return tel.format_table(_LOSS_COLUMNS, (range(len(losses)), losses), _INDEX_COLUMNS)
 
 
-def _parse_losses_csv(text: str, path: str) -> list:
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or lines[0][1] != "index,loss":
-        raise ConfigError(f"{path}: loss file must start with an index,loss header")
-    losses = []
-    for lineno, line in lines[1:]:
-        cells = line.split(",")
-        try:
-            value = float(cells[1])
-        except (IndexError, ValueError):
-            value = math.nan
-        if len(cells) != 2 or not math.isfinite(value):
-            raise ConfigError(f"{path} line {lineno}: expected index,<finite loss>, got {line!r}")
-        losses.append(value)
-    return losses
+def _load_losses_csv(path: str):
+    try:
+        values, _ = tel.parse_table(tel.read_text(path), _LOSS_COLUMNS, _INDEX_COLUMNS)
+    except ParseError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return values[:, 1]
 
 
 def cmd_ingest(args, config: RunConfig) -> int:
@@ -312,8 +304,7 @@ def cmd_detect(args, config: RunConfig) -> int:
     inputs = {"data": config["data"], "model": args.model}
     train_losses = None
     if args.train_losses:
-        with open(args.train_losses, "r", encoding="utf-8") as fh:
-            train_losses = _parse_losses_csv(fh.read(), args.train_losses)
+        train_losses = _load_losses_csv(args.train_losses)
         inputs["train_losses"] = args.train_losses
     result = _detect_labeled(config, predictor, labeled, train_losses)
     outputs = _detection_outputs(out, config, result)
@@ -345,8 +336,7 @@ def cmd_packetset_build(args, config: RunConfig) -> int:
     out = _out_dir(config)
     path = config["data"]
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = tel.read_text(path)
         inputs = {"data": path}
     else:
         text = syn.synth_packet_log(seed=config["seed"])
@@ -440,10 +430,10 @@ def cmd_experiment_variance_sweep(args, config: RunConfig) -> int:
     rows = inj.variance_sweep(
         parts.test, config["feature"], config.variance_target_list(), config["n"], evaluator
     )
-    lines = ["target_value,accuracy,precision,recall,f_score"]
-    for target, m in rows:
-        lines.append(f"{target!r},{m.accuracy!r},{m.precision!r},{m.recall!r},{m.f_score!r}")
-    _write_text(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
+    cells = [[target for target, _ in rows]]
+    cells += [[getattr(m, name) for _, m in rows] for name in RATIO_NAMES]
+    text = tel.format_table(("target_value", *RATIO_NAMES), cells, frozenset())
+    _write_text(os.path.join(out, "sweep.csv"), text)
     return _finish(out, "experiment variance-sweep", config, inputs, ["sweep.csv"])
 
 
@@ -486,11 +476,8 @@ def main(argv=None) -> int:
             name = f"{args.command} {args.subcommand}"
         config = _effective_config(args)
         return _COMMANDS[name](args, config)
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: cannot read input file: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"error: input file is not UTF-8 text: {exc}", file=sys.stderr)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from types import MappingProxyType
 from .errors import ConfigError
 from .forecast import PredictorConfig
 from .inject import PerturbSpec
-from .telemetry import SplitSpec
+from .telemetry import SplitSpec, read_text
 from .tiersim import LatencyModel, Tier, validate_tiers
 
 # key -> (type, default).  Path-valued keys are listed separately so output
@@ -111,8 +111,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.parse(fh.read())
+        return cls.parse(read_text(path))
 
     def override(self, key: str, raw) -> "RunConfig":
         values = dict(self.values)
@@ -132,13 +131,6 @@ class RunConfig:
             if include_paths or k not in PATH_KEYS
         }
 
-    def as_text(self) -> str:
-        lines = []
-        for key, value in sorted(self.values.items()):
-            rendered = repr(value) if isinstance(value, float) else str(value)
-            lines.append(f"{key}={rendered}")
-        return "\n".join(lines) + "\n"
-
     def split_spec(self) -> SplitSpec:
         return SplitSpec(
             train=self["split_train"], val=self["split_val"], test=self["split_test"]
@@ -149,6 +141,8 @@ class RunConfig:
             horizon = self["seq_len"]
         elif mode == "forecast":
             horizon = self["horizon"]
+            if horizon == self["seq_len"]:  # such a checkpoint loads as a reconstructor
+                raise ConfigError(f"forecast horizon must differ from seq_len, both are {horizon}")
         else:
             raise ConfigError(f"unknown predictor mode {mode!r}")
         return PredictorConfig(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-from .telemetry import WindowedDataset
+from .telemetry import WindowedDataset, format_table
 
 # anomaly_ratio is read at micro-percent resolution so the nearest-rank index
 # can be computed in exact integer arithmetic; ceil(0.8 * 4000) = 3201 in
@@ -25,6 +25,7 @@ from .telemetry import WindowedDataset
 _RATIO_SCALE = 10**6
 
 THRESHOLD_SOURCES = ("train", "eval", "pooled")
+RATIO_NAMES = ("accuracy", "precision", "recall", "f_score")
 
 
 def pointwise_loss(predicted, truth) -> np.ndarray:
@@ -266,9 +267,10 @@ def metrics_json(result: DetectionResult) -> str:
 
 def records_csv(result: DetectionResult) -> str:
     """Per-record dump: index, loss, predicted, truth (truth blank if unknown)."""
-    lines = ["index,loss,predicted,truth"]
-    truth = result.truth
-    for i in range(result.losses.size):
-        t = "" if truth is None else str(int(truth[i]))
-        lines.append(f"{i},{float(result.losses[i])!r},{int(result.predicted[i])},{t}")
-    return "\n".join(lines) + "\n"
+    n = result.losses.size
+    truth = np.full(n, np.nan) if result.truth is None else result.truth
+    return format_table(
+        ("index", "loss", "predicted", "truth"),
+        (np.arange(n), result.losses, result.predicted, truth),
+        frozenset(("index", "predicted", "truth")),
+    )

@@ -7,6 +7,10 @@ class PipelineError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
+class InputError(PipelineError):
+    """An input file that is missing, unreadable or not UTF-8 text (CLI exit 2)."""
+
+
 class ConfigError(PipelineError):
     """Bad configuration value or parameter combination (CLI exit 3)."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, NumericError
-from .telemetry import NormStats, WindowedDataset
+from .telemetry import NormStats, WindowedDataset, read_text
 
 CHECKPOINT_MAGIC = "uavloop-predictor-v1"
 
@@ -322,8 +322,7 @@ def save_predictor(predictor: Predictor, path: str) -> None:
 
 
 def load_predictor(path: str) -> Predictor:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path} is not a predictor checkpoint")
     # Header keys nothing reads, such as older checkpoints' model_dim, are ignored.

@@ -21,7 +21,6 @@ from .telemetry import TelemetrySeries
 
 LABEL_COLUMN = "label"
 LABELED_COLUMNS = telemetry.COLUMNS + (LABEL_COLUMN,)
-LABELED_HEADER = ",".join(LABELED_COLUMNS)
 _LABELED_INT_COLUMNS = telemetry.INT_COLUMNS | {LABEL_COLUMN}
 
 
@@ -232,13 +231,14 @@ def inject_poisson(
 
 
 def serialize_labeled_csv(labeled: LabeledSeries) -> str:
-    matrix = np.column_stack([labeled.series.values, labeled.labels.astype(np.float64)])
-    return telemetry._serialize_table(matrix, LABELED_COLUMNS)
+    # The label is not in telemetry.INT_COLUMNS, so it is written as 0.0/1.0.
+    cells = [*labeled.series.values.T, labeled.labels]
+    return telemetry.format_table(LABELED_COLUMNS, cells, telemetry.INT_COLUMNS)
 
 
 def parse_labeled_csv(text: str, meta: InjectionMeta | None = None) -> LabeledSeries:
-    values, locs = telemetry._parse_table(text, LABELED_COLUMNS, LABELED_HEADER, _LABELED_INT_COLUMNS)
-    telemetry._check_physical(values[:, :-1], locs)
+    values, locs = telemetry.parse_table(text, LABELED_COLUMNS, _LABELED_INT_COLUMNS)
+    telemetry.check_physical(values[:, :-1], locs)
     label_col = values[:, -1]
     bad = np.nonzero((label_col != 0) & (label_col != 1))[0]
     if bad.size:
@@ -264,7 +264,5 @@ def load_labeled_csv(csv_path, meta_path=None) -> LabeledSeries:
     meta = None
     candidate = meta_path or default_meta_path(csv_path)
     if os.path.exists(candidate):
-        with open(candidate, "r", encoding="utf-8") as fh:
-            meta = InjectionMeta.from_json(fh.read())
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        return parse_labeled_csv(fh.read(), meta)
+        meta = InjectionMeta.from_json(telemetry.read_text(candidate))
+    return parse_labeled_csv(telemetry.read_text(csv_path), meta)

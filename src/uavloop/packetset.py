@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ParseError
+from .telemetry import read_text
 
 PACKET_COLUMNS = (
     "timestamp",
@@ -138,8 +139,7 @@ def parse_packet_csv(text: str) -> list[PacketRecord]:
 
 
 def load_packet_csv(path: str) -> list[PacketRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_packet_csv(fh.read())
+    return parse_packet_csv(read_text(path))
 
 
 def extract_sessions(
@@ -389,6 +389,7 @@ def _block_at(lines: list[str], pos: int, packets: dict) -> tuple[PacketRecord, 
 
 
 def _parse_document(lines: list[str], pos: int, packets: dict):
+    """Parse the document at pos; returns (context, prompt, predicted, next pos)."""
     if pos >= len(lines) or lines[pos] != _CONTEXT_TAG:
         raise ParseError(f"expected {_CONTEXT_TAG}", line=pos + 1)
     pos += 1
@@ -405,11 +406,6 @@ def _parse_document(lines: list[str], pos: int, packets: dict):
         raise ParseError(f"expected {_PREDICTED_TAG}", line=pos + 1)
     predicted, pos = _block_at(lines, pos + 1, packets)
     return tuple(context), prompt, predicted, pos
-
-
-def parse_document(lines: list[str], pos: int = 0):
-    """Parse one rendered document; returns (context, prompt, predicted, pos)."""
-    return _parse_document(lines, pos, {})
 
 
 @dataclass(frozen=True)

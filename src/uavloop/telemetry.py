@@ -1,9 +1,14 @@
-"""Sensor telemetry ingestion: parse, impute, normalize, split, and window.
+"""Sensor telemetry and the package's one numeric CSV format.
 
-The on-disk format is a plain CSV whose column layout follows PX4-style
-combined gyro/accelerometer exports (see ``COLUMNS``).  In memory a mission is
-an ``(N, 11)`` float64 matrix; missing cells are NaN and are only legal in the
-six sensor-axis columns.
+Every numeric CSV uavloop reads or writes goes through ``format_table`` and
+``parse_table``: a header of column names, integer columns as integers,
+other values by ``repr`` (the shortest text that parses back to the same
+float), and a blank cell, the only non-finite value, for a missing one.
+``read_text`` reads every input file.  A sensor log's columns follow PX4
+gyro/accelerometer exports (``COLUMNS``); in memory a mission is an
+``(N, 11)`` float64 matrix whose NaN cells may sit only in the six
+sensor-axis columns.  The rest of the module imputes, normalizes, splits
+and windows it.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .errors import (
     ConfigError,
     DimensionError,
     ImputationError,
+    InputError,
     NumericError,
     OrderingError,
     ParseError,
@@ -138,19 +144,59 @@ class TelemetrySeries:
         return bool(np.isnan(self.values).any())
 
 
-def _parse_table(
-    text: str, columns: tuple[str, ...], header: str, int_columns: frozenset[str]
+def read_text(path) -> str:
+    """The text of a UTF-8 input file; any failure is an InputError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return data.decode("utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read input file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        bad = f"byte 0x{data[exc.start]:02x}"
+        raise InputError(f"{path} line {line}: not UTF-8 text ({bad})") from None
+
+
+def format_table(columns: tuple[str, ...], cells, int_columns: frozenset[str]) -> str:
+    """Numeric CSV text from one value sequence per column, built column-wise.
+
+    ``int_columns`` cells are written as integers and every other cell by
+    ``repr``, so ``parse_table`` reads back the same floats; NaN is a blank.
+    """
+    rendered = []
+    for name, column in zip(columns, cells, strict=True):
+        values = np.asarray(column, dtype=np.float64).tolist()
+        if name in int_columns:
+            rendered.append(["" if v != v else str(int(v)) for v in values])
+        else:
+            rendered.append(["" if v != v else repr(v) for v in values])
+    lines = [",".join(columns)]
+    lines.extend(map(",".join, zip(*rendered, strict=True)))
+    return "\n".join(lines) + "\n"
+
+
+def parse_table(
+    text: str, columns: tuple[str, ...], int_columns: frozenset[str]
 ) -> tuple[np.ndarray, list[int]]:
-    """Parse strict numeric CSV into a matrix plus per-row source line numbers."""
+    """Parse numeric CSV into a matrix plus each row's source line number.
+
+    The header must list ``columns``.  A blank cell is NaN, except in
+    ``int_columns``, where it is an error; every other cell must be a finite
+    number, and a whole number in ``int_columns``.  The first column must
+    strictly increase.
+    """
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty input: missing header row", line=1)
+    header = ",".join(columns)
     if lines[0].strip() != header:
         raise ParseError(f"expected header {header!r}, got {lines[0].strip()!r}", line=1)
     n_cols = len(columns)
+    is_int = [name in int_columns for name in columns]
     rows: list[list[float]] = []
     locs: list[int] = []
-    prev_ts: float | None = None
+    prev: float | None = None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -158,28 +204,34 @@ def _parse_table(
         if len(parts) != n_cols:
             raise ParseError(f"expected {n_cols} fields, got {len(parts)}", line=lineno)
         row: list[float] = []
-        for name, token in zip(columns, parts):
-            token = token.strip()
-            if token == "":
-                if name in int_columns:
-                    raise ParseError(f"column {name} may not be empty", line=lineno)
-                row.append(float("nan"))
-                continue
+        for name, integral, token in zip(columns, is_int, parts):
             try:
                 value = float(token)
             except ValueError:
+                token = token.strip()
+                if token:
+                    raise ParseError(
+                        f"non-numeric value {token!r} in column {name}", line=lineno
+                    ) from None
+                if integral:
+                    raise ParseError(f"column {name} may not be empty", line=lineno) from None
+                row.append(math.nan)
+                continue
+            if not math.isfinite(value):
                 raise ParseError(
-                    f"non-numeric value {token!r} in column {name}", line=lineno
-                ) from None
-            if name in int_columns and value != int(value):
-                raise ParseError(f"column {name} must be an integer, got {token!r}", line=lineno)
+                    f"non-finite value {token.strip()!r} in column {name}", line=lineno
+                )
+            if integral and value != int(value):
+                raise ParseError(
+                    f"column {name} must be an integer, got {token.strip()!r}", line=lineno
+                )
             row.append(value)
-        if prev_ts is not None and row[0] <= prev_ts:
+        if prev is not None and row[0] <= prev:
             raise OrderingError(
-                f"timestamp {int(row[0])} is not greater than predecessor {int(prev_ts)}",
+                f"{columns[0]} {int(row[0])} is not greater than predecessor {int(prev)}",
                 line=lineno,
             )
-        prev_ts = row[0]
+        prev = row[0]
         rows.append(row)
         locs.append(lineno)
     if not rows:
@@ -187,7 +239,8 @@ def _parse_table(
     return np.array(rows, dtype=np.float64), locs
 
 
-def _check_physical(values: np.ndarray, locs: list[int]) -> None:
+def check_physical(values: np.ndarray, locs: list[int]) -> None:
+    """Reject sensor rows with a non-positive integration step or negative clipping."""
     for name in ("gyro_integral_dt", "accelerometer_integral_dt"):
         bad = np.nonzero(values[:, _COL_INDEX[name]] <= 0)[0]
         if bad.size:
@@ -198,38 +251,20 @@ def _check_physical(values: np.ndarray, locs: list[int]) -> None:
         raise ParseError("column accelerometer_clipping must be non-negative", line=locs[int(bad[0])])
 
 
-def _format_cell(name: str, value: float) -> str:
-    if np.isnan(value):
-        return ""
-    if name in INT_COLUMNS:
-        return str(int(value))
-    # repr() is the shortest round-trip form, so parse(serialize(x)) is bit-exact.
-    return repr(float(value))
-
-
-def _serialize_table(values: np.ndarray, columns: tuple[str, ...]) -> str:
-    lines = [",".join(columns)]
-    for row in values:
-        lines.append(",".join(_format_cell(name, v) for name, v in zip(columns, row)))
-    return "\n".join(lines) + "\n"
-
-
 def parse_sensor_csv(
-    raw: str | bytes, feature_names: tuple[str, ...] = DEFAULT_FEATURES
+    text: str, feature_names: tuple[str, ...] = DEFAULT_FEATURES
 ) -> TelemetrySeries:
-    text = raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else raw
-    values, locs = _parse_table(text, COLUMNS, HEADER, INT_COLUMNS)
-    _check_physical(values, locs)
+    values, locs = parse_table(text, COLUMNS, INT_COLUMNS)
+    check_physical(values, locs)
     return TelemetrySeries(values, feature_names)
 
 
 def serialize_sensor_csv(series: TelemetrySeries) -> str:
-    return _serialize_table(series.values, COLUMNS)
+    return format_table(COLUMNS, series.values.T, INT_COLUMNS)
 
 
 def load_sensor_csv(path, feature_names: tuple[str, ...] = DEFAULT_FEATURES) -> TelemetrySeries:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_sensor_csv(fh.read(), feature_names)
+    return parse_sensor_csv(read_text(path), feature_names)
 
 
 def save_sensor_csv(series: TelemetrySeries, path) -> None:

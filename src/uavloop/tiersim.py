@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import DetectionResult, Metrics, detect, pointwise_loss, record_losses
+from .detect import RATIO_NAMES, DetectionResult, Metrics, detect, pointwise_loss, record_losses
 
 # Not called here: benchmark/tracing.py looks both names up on this module.
 from .detect import evaluate, percentile_threshold  # noqa: F401
 from .errors import ConfigError, DimensionError
 from .inject import LabeledSeries
-from .telemetry import TelemetrySeries, window_matrix
+from .telemetry import TelemetrySeries, format_table, window_matrix
 
 TIER_NAMES = ("onboard", "edge", "cloud")
 
@@ -183,31 +183,6 @@ class AnomalyReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def report_from_json(text: str) -> AnomalyReport:
-    payload = json.loads(text)
-    metrics = None
-    if payload.get("metrics") is not None:
-        m = payload["metrics"]
-        metrics = Metrics(
-            tp=m["tp"],
-            tn=m["tn"],
-            fp=m["fp"],
-            fn=m["fn"],
-            accuracy=m["accuracy"],
-            precision=m["precision"],
-            recall=m["recall"],
-            f_score=m["f_score"],
-        )
-    return AnomalyReport(
-        mission_id=payload["mission_id"],
-        tier=payload["tier"],
-        ranges=tuple((int(s), int(e)) for s, e in payload["ranges"]),
-        threshold=payload["threshold"],
-        metrics=metrics,
-        timestamp=payload["timestamp"],
-    )
-
-
 def emit_report(
     detection: DetectionResult,
     mission_id: str,
@@ -329,13 +304,9 @@ def run_batch_experiment(
 
 
 def batch_experiment_csv(results) -> str:
-    """CSV rows for a batch sweep, one line per batch size."""
-    lines = ["batch_size,elapsed_s,accuracy,precision,recall,f_score"]
-    for stats in results:
-        m = stats.metrics
-        if m is None:
-            cells = ["", "", "", ""]
-        else:
-            cells = [repr(m.accuracy), repr(m.precision), repr(m.recall), repr(m.f_score)]
-        lines.append(f"{stats.batch_size},{stats.elapsed_s!r}," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+    """CSV rows for a batch sweep, one line per batch size; no metrics is blank."""
+    cells = [[s.batch_size for s in results], [s.elapsed_s for s in results]]
+    for name in RATIO_NAMES:
+        cells.append([math.nan if s.metrics is None else getattr(s.metrics, name) for s in results])
+    columns = ("batch_size", "elapsed_s", *RATIO_NAMES)
+    return format_table(columns, cells, frozenset(("batch_size",)))

@@ -57,6 +57,25 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
 
+    def test_non_finite_sensor_value(self, tmp_path, capsys):
+        clean = tmp_path / "clean"
+        assert run("ingest", "--records", "20", "--out", str(clean)) == 0
+        lines = (clean / "clean.csv").read_text().splitlines()
+        lines[2] = "nan" + lines[2][lines[2].index(","):]
+        data = tmp_path / "bad.csv"
+        data.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("ingest", "--data", str(data), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err == "error: line 3: non-finite value 'nan' in column timestamp\n"
+
+    def test_forecast_horizon_equal_to_seq_len(self, tmp_path, capsys):
+        code = run("train", "--mode", "forecast", "--horizon", "4", "--seq-len", "4",
+                   "--records", "200", "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert "horizon must differ from seq_len" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "model.ckpt").exists()
+
     def test_divergence(self, tmp_path):
         code = run("train", *TINY_TRAIN, "--epochs", "2",
                    "--learning-rate", "1000000", "--out", str(tmp_path / "o"))
@@ -206,6 +225,44 @@ class TestDetectInputs:
         assert "needs a reconstruction predictor" in capsys.readouterr().err
 
 
+class TestInputReaders:
+    """Every input file a command reads is decoded in one place that names it."""
+
+    @pytest.mark.parametrize("site", [
+        "sensor", "labeled", "labeled-meta", "model", "train-losses", "config",
+        "packet-log", "packet-score",
+    ])
+    def test_not_utf8_names_path_and_line(self, trained, tmp_path, capsys, site):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"first line\nsecond \xff line\n")
+        model = str(trained / "recon" / "model.ckpt")
+        losses = str(trained / "recon" / "train_losses.csv")
+        labeled = str(trained / "labeled" / "labeled.csv")
+        if site == "labeled-meta":
+            labeled = str(tmp_path / "labeled.csv")
+            (tmp_path / "labeled.csv").write_bytes((trained / "labeled" / "labeled.csv").read_bytes())
+            bad = tmp_path / "labeled.csv.meta.json"
+            bad.write_bytes(b"{\n\xff}\n")
+
+        def detect(model=model, losses=losses, data=labeled):
+            return ["detect", "--model", model, "--train-losses", losses, "--data", data]
+
+        argv = {
+            "sensor": ["ingest", "--data", str(bad)],
+            "labeled": detect(data=str(bad)),
+            "labeled-meta": detect(),
+            "model": detect(model=str(bad)),
+            "train-losses": detect(losses=str(bad)),
+            "config": ["ingest", "--config", str(bad)],
+            "packet-log": ["packetset", "build", "--data", str(bad)],
+            "packet-score": ["packetset", "score", "--pred", str(bad), "--truth", str(bad)],
+        }[site]
+        capsys.readouterr()
+        assert run(*argv, "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad} line 2: not UTF-8 text (byte 0xff)\n"
+
+
 class TestPacketset:
     def test_build_produces_parseable_pairs(self, tmp_path):
         out = tmp_path / "o"
@@ -295,6 +352,48 @@ class TestSimulateAndSweeps:
         assert lines[0] == "target_value,accuracy,precision,recall,f_score"
         assert len(lines) == 3
         assert lines[1].startswith("-8.5,")
+
+
+GOLDEN_TRAIN = ["--records", "3000", "--seed", "2", "--seq-len", "8", "--fcn-dim", "8",
+                "--epochs", "1"]
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    """Every CLI recipe that writes or reads a numeric CSV, at fixed sizes."""
+    root = tmp_path_factory.mktemp("golden")
+    assert run("ingest", "--records", "3000", "--seed", "2", "--out", str(root / "ingest")) == 0
+    assert run("inject", "--scheme", "nth", "--records", "3000", "--seed", "2",
+               "--out", str(root / "inject")) == 0
+    assert run("train", *GOLDEN_TRAIN, "--out", str(root / "train")) == 0
+    assert run("detect", "--model", str(root / "train" / "model.ckpt"),
+               "--train-losses", str(root / "train" / "train_losses.csv"),
+               "--data", str(root / "inject" / "labeled.csv"),
+               "--seq-len", "8", "--seed", "2", "--out", str(root / "detect")) == 0
+    assert run("experiment", "nth", *GOLDEN_TRAIN, "--out", str(root / "nth")) == 0
+    assert run("experiment", "variance-sweep", *GOLDEN_TRAIN,
+               "--out", str(root / "variance")) == 0
+    return root
+
+
+class TestCsvGolden:
+    """sha256 of every numeric CSV recipe; the bytes are the format contract."""
+
+    @pytest.mark.parametrize("path, digest", [
+        ("ingest/clean.csv", "c182d901f1497b85e36f505a484f389d3d4d8e65c209cfb1a5fd221e9719862f"),
+        ("inject/labeled.csv", "6dbff13da2693079f7c07ca0367806bdec67a8e13bba0cd3eb3195d36cae87d0"),
+        ("train/history.csv", "f3d0344699d473361d9ffe919f9353c75ce10618c646fca8433578d0ba30b109"),
+        ("train/train_losses.csv",
+         "291b8465dd41afe693fceea32687bcec7ba6c0a813e2c002d9ac592f2205d983"),
+        ("train/model.ckpt", "a7c2eca5cd2f24680a1f44c7c545207f9f83348be4e896eb1af5a5f6a639a502"),
+        ("detect/records.csv", "f618633e1a683bcc183db3f3ef061f3537439e1763f1f0e834483f73cc22d32c"),
+        ("nth/labeled.csv", "1aedfaadaa0b109975f5a743bdbd309e10782667a48c4e2f24b99be48c556bd7"),
+        ("nth/records.csv", "83c1b4b4b9085c4e7876cd4d5cffb13ad496bfeaab80b53bff55e8897c2a82d3"),
+        ("nth/metrics.json", "692055ebbf75e7e854d82134a2862b109501c62151c6e39e1b78e14c082a9e0b"),
+        ("variance/sweep.csv", "47cc33bd5c4980831cdbb044715f151420ff359f0da78f590a2b954505caba76"),
+    ])
+    def test_artifact_digest(self, golden_runs, path, digest):
+        assert hashlib.sha256((golden_runs / path).read_bytes()).hexdigest() == digest
 
 
 class TestDeterminism:

@@ -57,11 +57,6 @@ class TestValues:
         assert full["data"] == "/tmp/in.csv"
         assert full["out"] == "/tmp/o"
 
-    def test_as_text_round_trips(self):
-        cfg = RunConfig.default().override("noise_level", "0.125").override("seed", "9")
-        again = RunConfig.parse(cfg.as_text())
-        assert dict(again.values) == dict(cfg.values)
-
     def test_schema_keys_cover_paths(self):
         keys = schema_keys()
         assert set(PATH_KEYS) <= set(keys)
@@ -81,6 +76,12 @@ class TestDerivedObjects:
         assert fore.horizon == 2
         with pytest.raises(ConfigError):
             cfg.predictor_config("interpolation")
+
+    def test_forecast_horizon_must_differ_from_seq_len(self):
+        cfg = RunConfig.default().override("seq_len", "4").override("horizon", "4")
+        assert cfg.predictor_config("reconstruction").horizon == 4
+        with pytest.raises(ConfigError, match="horizon must differ from seq_len"):
+            cfg.predictor_config("forecast")
 
     def test_perturb_spec_modes(self):
         default = RunConfig.default().perturb_spec()

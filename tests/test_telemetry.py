@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavloop.errors import (
     ConfigError,
@@ -15,13 +17,16 @@ from uavloop.telemetry import (
     COLUMNS,
     DEFAULT_FEATURES,
     HEADER,
+    INT_COLUMNS,
     NormStats,
     SplitSpec,
     TelemetrySeries,
     apply_normalize,
     fit_normalize,
+    format_table,
     impute_missing,
     parse_sensor_csv,
+    parse_table,
     serialize_sensor_csv,
     split,
     window,
@@ -113,6 +118,66 @@ class TestParsing:
         text = make_csv([csv_row(212000) + ",9"])
         with pytest.raises(ParseError):
             parse_sensor_csv(text)
+
+
+class TestNonFiniteTokens:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["timestamp", "gyro_rad_1"])
+    def test_rejected_with_line_and_column(self, token, column):
+        cells = csv_row(216000).split(",")
+        cells[COLUMNS.index(column)] = token
+        text = make_csv([csv_row(212000), ",".join(cells)])
+        with pytest.raises(ParseError) as err:
+            parse_sensor_csv(text)
+        assert err.value.line == 3
+        assert f"non-finite value {token!r} in column {column}" in str(err.value)
+
+
+LABELED_COLUMNS = COLUMNS + ("label",)
+# Integers safe to round-trip through float64; strictly increasing first column.
+WHOLE = st.integers(-(2**53), 2**53).map(float)
+FLOAT_CELL = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.just(math.nan))
+
+
+@st.composite
+def numeric_tables(draw, columns):
+    n = draw(st.integers(0, 12))
+    first = sorted(draw(st.sets(st.integers(-(2**53), 2**53), min_size=n, max_size=n)))
+    cells = [[float(v) for v in first]]
+    for name in columns[1:]:
+        if name == "label":
+            cell = st.sampled_from([0.0, 1.0])
+        elif name in INT_COLUMNS:
+            cell = WHOLE
+        else:
+            cell = FLOAT_CELL
+        cells.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    return np.array(cells, dtype=np.float64).T.reshape(n, len(columns))
+
+
+class TestTableCodec:
+    @pytest.mark.parametrize("columns", [COLUMNS, LABELED_COLUMNS], ids=["sensor", "labeled"])
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_parse_inverts_format_bit_exact(self, columns, data):
+        matrix = data.draw(numeric_tables(columns))
+        text = format_table(columns, matrix.T, INT_COLUMNS)
+        values, locs = parse_table(text, columns, INT_COLUMNS | {"label"})
+        assert values.shape == matrix.shape
+        assert values.tobytes() == matrix.tobytes()
+        assert locs == list(range(2, len(matrix) + 2))
+
+    def test_layout(self):
+        text = format_table(
+            ("index", "loss", "truth"),
+            ([0, 1], [0.1, math.nan], [1.0, math.nan]),
+            frozenset(("index", "truth")),
+        )
+        assert text == "index,loss,truth\n0,0.1,1\n1,,\n"
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ValueError):
+            format_table(("a", "b"), ([1.0, 2.0], [1.0]), frozenset())
 
 
 class TestImputation:
