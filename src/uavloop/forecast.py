@@ -261,41 +261,6 @@ def persistence_predictions(data: WindowedDataset) -> np.ndarray:
     return np.repeat(last[:, None, :], h, axis=1)
 
 
-def gradient_check(
-    predictor: Predictor,
-    window,
-    target,
-    n_params: int = 100,
-    delta: float = 1e-5,
-    seed: int = 0,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Checks a random sample of coordinates (all of them if the vector is
-    small).  Relative error is |num - ana| / max(|num|, |ana|, 1e-12).
-    """
-    _, grad = predictor.loss_and_grad(window, target)
-    total = grad.size
-    rng = np.random.default_rng(seed)
-    if n_params >= total:
-        picks = np.arange(total)
-    else:
-        picks = rng.choice(total, size=n_params, replace=False)
-    base = predictor.params.copy()
-    worst = 0.0
-    for i in picks:
-        probe = base.copy()
-        probe[i] = base[i] + delta
-        up = predictor.loss(window, target, probe)
-        probe[i] = base[i] - delta
-        down = predictor.loss(window, target, probe)
-        numeric = (up - down) / (2.0 * delta)
-        analytic = grad[i]
-        err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-12)
-        worst = max(worst, err)
-    return worst
-
-
 def save_predictor(predictor: Predictor, path: str) -> None:
     cfg = predictor.config
     lines = [CHECKPOINT_MAGIC]
@@ -321,19 +286,32 @@ def save_predictor(predictor: Predictor, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _checkpoint_number(path: str, line: int, text: str) -> float:
+    """A checkpoint value as a finite float, else a ConfigError naming its line."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{path} line {line}: expected a finite number, got {text!r}")
+    return value
+
+
 def load_predictor(path: str) -> Predictor:
     lines = read_text(path).splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path} is not a predictor checkpoint")
     # Header keys nothing reads, such as older checkpoints' model_dim, are ignored.
     fields: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     i = 1
     while i < len(lines) and not lines[i].startswith("params="):
         key, _, value = lines[i].partition("=")
         fields[key] = value
+        line_of[key] = i + 1
         i += 1
     if i == len(lines):
-        raise ConfigError("checkpoint is missing its parameter block")
+        raise ConfigError(f"{path}: checkpoint is missing its parameter block")
     try:
         cfg = PredictorConfig(
             seq_len=int(fields["seq_len"]),
@@ -347,24 +325,37 @@ def load_predictor(path: str) -> Predictor:
         feature_count = int(fields["feature_count"])
         n_params = int(lines[i].partition("=")[2])
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"malformed checkpoint header: {exc}") from exc
+        raise ConfigError(f"{path}: malformed checkpoint header: {exc}") from exc
     values = lines[i + 1 : i + 1 + n_params]
     if len(values) != n_params:
         raise ConfigError(
-            f"checkpoint declares {n_params} parameters but holds {len(values)}"
+            f"{path}: checkpoint declares {n_params} parameters but holds {len(values)}"
         )
-    params = np.array([float(v) for v in values], dtype=np.float64)
+    params = np.array(
+        [_checkpoint_number(path, i + 2 + k, v) for k, v in enumerate(values)],
+        dtype=np.float64,
+    )
     norm_stats = None
     if fields.get("norm", "none") != "none":
         names = tuple(fields["norm"].split(","))
-        mean = np.array([float(v) for v in fields["mean"].split(",")])
-        std = np.array([float(v) for v in fields["std"].split(",")])
-        norm_stats = NormStats(feature_names=names, mean=mean, std=std)
+        stats = []
+        for key in ("mean", "std"):
+            if key not in fields:
+                raise ConfigError(f"{path}: checkpoint has norm= but no {key}= line")
+            at = line_of[key]
+            stats.append(np.array([_checkpoint_number(path, at, v) for v in fields[key].split(",")]))
+        norm_stats = NormStats(names, *stats)
     history: list[EpochStats] = []
     if fields.get("history"):
+        at = line_of["history"]
         for item in fields["history"].split(";"):
             t, _, v = item.partition(":")
-            history.append(EpochStats(train_mse=float(t), val_mse=float(v) if v else None))
+            history.append(
+                EpochStats(
+                    train_mse=_checkpoint_number(path, at, t),
+                    val_mse=_checkpoint_number(path, at, v) if v else None,
+                )
+            )
     return Predictor(
         config=cfg,
         feature_count=feature_count,

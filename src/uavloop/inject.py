@@ -66,7 +66,20 @@ class InjectionMeta:
 
     @classmethod
     def from_json(cls, text: str) -> "InjectionMeta":
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"not valid JSON: {exc.msg}", line=exc.lineno) from None
+        if not (
+            isinstance(payload, dict)
+            and isinstance(payload.get("scheme"), str)
+            and isinstance(payload.get("params"), dict)
+            and isinstance(payload.get("seed"), (int, type(None)))
+        ):
+            raise ParseError(
+                'expected an object with a "scheme" string, a "params" object '
+                'and an optional integer "seed"'
+            )
         return cls(payload["scheme"], payload["params"], payload.get("seed"))
 
 
@@ -264,5 +277,8 @@ def load_labeled_csv(csv_path, meta_path=None) -> LabeledSeries:
     meta = None
     candidate = meta_path or default_meta_path(csv_path)
     if os.path.exists(candidate):
-        meta = InjectionMeta.from_json(telemetry.read_text(candidate))
+        try:
+            meta = InjectionMeta.from_json(telemetry.read_text(candidate))
+        except ParseError as exc:
+            raise ParseError(f"{candidate}: {exc}") from None
     return parse_labeled_csv(telemetry.read_text(csv_path), meta)

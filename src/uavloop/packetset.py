@@ -319,10 +319,6 @@ def _document_prefix(context: Sequence[PacketRecord], prompt: PacketRecord, bloc
     return "\n".join(parts)
 
 
-def render_document(context: Sequence[PacketRecord], prompt: PacketRecord, predicted: PacketRecord) -> str:
-    return _document_prefix(context, prompt, {}) + _render_block(predicted)
-
-
 def _render_sample(sample: FinetuneSample, blocks: dict) -> str:
     # A rejected packet is a fresh corruption, so its block is not kept.
     w = sample.window
@@ -332,12 +328,8 @@ def _render_sample(sample: FinetuneSample, blocks: dict) -> str:
     return chosen + "\n\n" + rejected + "\n"
 
 
-def render_sample(sample: FinetuneSample) -> str:
-    """Chosen document, blank line, rejected document."""
-    return _render_sample(sample, {})
-
-
 def render_dataset(samples: Sequence[FinetuneSample]) -> str:
+    """Each sample as its chosen document, a blank line and its rejected one."""
     if not samples:
         raise ConfigError("cannot render an empty sample list")
     blocks: dict = {}

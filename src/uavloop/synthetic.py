@@ -108,19 +108,3 @@ def synth_packet_log(
         )
     return "\n".join(lines) + "\n"
 
-
-def ar1_series(
-    n: int, phi: float = 0.9, sigma: float = 1.0, seed: int = 0
-) -> np.ndarray:
-    """First-order autoregressive sequence, x[t] = phi * x[t-1] + noise."""
-    if not (0 <= abs(phi) < 1):
-        raise ConfigError(f"phi must satisfy |phi| < 1, got {phi}")
-    rng = np.random.default_rng([seed, 4])
-    # Start from the stationary distribution so variance is flat end to end.
-    prev = float(rng.normal(0.0, sigma / np.sqrt(1.0 - phi * phi)))
-    noise = rng.normal(0.0, sigma, size=n)
-    out = np.empty(n)
-    for i in range(n):
-        prev = phi * prev + noise[i]
-        out[i] = prev
-    return out

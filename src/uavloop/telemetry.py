@@ -4,17 +4,24 @@ Every numeric CSV uavloop reads or writes goes through ``format_table`` and
 ``parse_table``: a header of column names, integer columns as integers,
 other values by ``repr`` (the shortest text that parses back to the same
 float), and a blank cell, the only non-finite value, for a missing one.
-``read_text`` reads every input file.  A sensor log's columns follow PX4
-gyro/accelerometer exports (``COLUMNS``); in memory a mission is an
-``(N, 11)`` float64 matrix whose NaN cells may sit only in the six
-sensor-axis columns.  The rest of the module imputes, normalizes, splits
-and windows it.
+``parse_table`` converts the cells with numpy's C reader, which uses
+``float``'s own string-to-double routine.  A number is written with ASCII
+digits, sign, decimal point and exponent (``0-9 + - . e E``); spaces around
+a cell and any line break ``str.splitlines`` knows are allowed, and a blank
+cell is the only missing value.  ``read_text`` reads every input file.
+
+A sensor log's columns follow PX4 gyro/accelerometer exports (``COLUMNS``);
+in memory a mission is an ``(N, 11)`` float64 matrix whose NaN cells may sit
+only in the six sensor-axis columns.  The rest of the module imputes,
+normalizes, splits and windows it.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -68,6 +75,11 @@ INT_COLUMNS = frozenset(
 
 _COL_INDEX = {name: i for i, name in enumerate(COLUMNS)}
 _STD_EPS = 1e-12
+
+# The characters of a number in a numeric CSV cell; with the delimiter and the
+# line break they are the only bytes parse_table hands to numpy's reader.
+_NUMBER_CHARS = "0123456789+-.eE"
+_PLAIN_BYTES = (_NUMBER_CHARS + ",\n").encode()
 
 
 def column_index(name: str) -> int:
@@ -183,8 +195,65 @@ def parse_table(
 
     The header must list ``columns``.  A blank cell is NaN, except in
     ``int_columns``, where it is an error; every other cell must be a finite
-    number, and a whole number in ``int_columns``.  The first column must
-    strictly increase.
+    number written with ASCII digits, sign, point and exponent, and a whole
+    number in ``int_columns``.  The first column must strictly increase.
+    numpy's C reader converts the cells (``float``'s own string-to-double
+    routine, so values are bit-identical); any failure is reported by
+    ``_raise_first_error`` with the first bad line.
+    """
+    cut = text.find("\n")
+    head = text if cut < 0 else text[:cut]
+    first = (head.splitlines() or [""])[0]
+    if first.strip() != ",".join(columns):
+        _raise_first_error(text, columns, int_columns)
+    cells = text[len(head) + 1 :].encode()
+    if head.removesuffix("\r") != first or cells.translate(None, _PLAIN_BYTES):
+        # Line breaks other than "\n", or spaces or other text in the cells:
+        # split the lines as str.splitlines does and strip each cell as float does.
+        lines = [",".join(map(str.strip, line.split(","))) for line in text.splitlines()[1:]]
+        cells = "\n".join(lines).encode()
+        if cells.translate(None, _PLAIN_BYTES):
+            _raise_first_error(text, columns, int_columns)
+    if not cells or cells.isspace():
+        return np.empty((0, len(columns))), []
+    # No cell can read "nan" yet, so a written "nan" marks exactly the blanks.
+    cells = cells.replace(b",,", b",nan,").replace(b",,", b",nan,")
+    cells = cells.replace(b"\n,", b"\nnan,").replace(b",\n", b",nan\n")
+    if cells.startswith(b","):
+        cells = b"nan" + cells
+    if cells.endswith(b","):
+        cells += b"nan"
+    try:
+        values = np.loadtxt(
+            io.BytesIO(cells), delimiter=",", comments=None, ndmin=2, dtype=np.float64
+        )
+    except ValueError:
+        _raise_first_error(text, columns, int_columns)
+    if values.shape[1] != len(columns):
+        _raise_first_error(text, columns, int_columns)
+    # Checks on the whole matrix: NaN here is a blank cell, inf an overflow.
+    whole = values[:, [j for j, name in enumerate(columns) if name in int_columns]]
+    lead = values[:, 0]
+    if (
+        np.isinf(values).any()
+        or (np.trunc(whole) != whole).any()
+        or (lead[1:] <= lead[:-1]).any()
+    ):
+        _raise_first_error(text, columns, int_columns)
+    if b"\n\n" in cells or cells.startswith(b"\n"):
+        ends = np.flatnonzero(np.frombuffer(cells, dtype=np.uint8) == ord("\n"))
+        lengths = np.diff(np.concatenate(([-1], ends, [len(cells)]))) - 1
+        return values, (np.flatnonzero(lengths > 0) + 2).tolist()
+    return values, list(range(2, len(values) + 2))
+
+
+def _raise_first_error(
+    text: str, columns: tuple[str, ...], int_columns: frozenset[str]
+) -> NoReturn:
+    """Raise the error of the first bad line of a table ``parse_table`` rejected.
+
+    Lines and cells are checked in order, as ``str.splitlines`` and ``float``
+    see them, so the message and line are those of the first fault.
     """
     lines = text.splitlines()
     if not lines:
@@ -194,8 +263,6 @@ def parse_table(
         raise ParseError(f"expected header {header!r}, got {lines[0].strip()!r}", line=1)
     n_cols = len(columns)
     is_int = [name in int_columns for name in columns]
-    rows: list[list[float]] = []
-    locs: list[int] = []
     prev: float | None = None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -205,26 +272,28 @@ def parse_table(
             raise ParseError(f"expected {n_cols} fields, got {len(parts)}", line=lineno)
         row: list[float] = []
         for name, integral, token in zip(columns, is_int, parts):
+            cell = token.strip()
             try:
                 value = float(token)
             except ValueError:
-                token = token.strip()
-                if token:
+                if cell:
                     raise ParseError(
-                        f"non-numeric value {token!r} in column {name}", line=lineno
+                        f"non-numeric value {cell!r} in column {name}", line=lineno
                     ) from None
                 if integral:
                     raise ParseError(f"column {name} may not be empty", line=lineno) from None
                 row.append(math.nan)
                 continue
             if not math.isfinite(value):
+                raise ParseError(f"non-finite value {cell!r} in column {name}", line=lineno)
+            if cell.strip(_NUMBER_CHARS):
                 raise ParseError(
-                    f"non-finite value {token.strip()!r} in column {name}", line=lineno
+                    f"unsupported number {cell!r} in column {name}: use ASCII digits "
+                    "without '_'",
+                    line=lineno,
                 )
             if integral and value != int(value):
-                raise ParseError(
-                    f"column {name} must be an integer, got {token.strip()!r}", line=lineno
-                )
+                raise ParseError(f"column {name} must be an integer, got {cell!r}", line=lineno)
             row.append(value)
         if prev is not None and row[0] <= prev:
             raise OrderingError(
@@ -232,11 +301,7 @@ def parse_table(
                 line=lineno,
             )
         prev = row[0]
-        rows.append(row)
-        locs.append(lineno)
-    if not rows:
-        return np.empty((0, n_cols)), locs
-    return np.array(rows, dtype=np.float64), locs
+    raise ParseError("numeric table could not be read")
 
 
 def check_physical(values: np.ndarray, locs: list[int]) -> None:

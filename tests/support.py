@@ -1,0 +1,130 @@
+"""Helpers and reference implementations that only the tests use.
+
+``reference_parse_table`` is the line-by-line numeric CSV parser that
+``uavloop.telemetry.parse_table`` replaced; the differential tests hold the
+package's reader to it.  ``gradient_check`` and ``ar1_series`` serve the
+forecast and acceptance tests.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from uavloop.errors import ConfigError, OrderingError, ParseError
+
+
+def reference_parse_table(
+    text: str, columns: tuple[str, ...], int_columns: frozenset[str]
+) -> tuple[np.ndarray, list[int]]:
+    """Parse numeric CSV into a matrix plus each row's source line number.
+
+    The header must list ``columns``.  A blank cell is NaN, except in
+    ``int_columns``, where it is an error; every other cell must be a finite
+    number, and a whole number in ``int_columns``.  The first column must
+    strictly increase.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty input: missing header row", line=1)
+    header = ",".join(columns)
+    if lines[0].strip() != header:
+        raise ParseError(f"expected header {header!r}, got {lines[0].strip()!r}", line=1)
+    n_cols = len(columns)
+    is_int = [name in int_columns for name in columns]
+    rows: list[list[float]] = []
+    locs: list[int] = []
+    prev: float | None = None
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != n_cols:
+            raise ParseError(f"expected {n_cols} fields, got {len(parts)}", line=lineno)
+        row: list[float] = []
+        for name, integral, token in zip(columns, is_int, parts):
+            try:
+                value = float(token)
+            except ValueError:
+                token = token.strip()
+                if token:
+                    raise ParseError(
+                        f"non-numeric value {token!r} in column {name}", line=lineno
+                    ) from None
+                if integral:
+                    raise ParseError(f"column {name} may not be empty", line=lineno) from None
+                row.append(math.nan)
+                continue
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"non-finite value {token.strip()!r} in column {name}", line=lineno
+                )
+            if integral and value != int(value):
+                raise ParseError(
+                    f"column {name} must be an integer, got {token.strip()!r}", line=lineno
+                )
+            row.append(value)
+        if prev is not None and row[0] <= prev:
+            raise OrderingError(
+                f"{columns[0]} {int(row[0])} is not greater than predecessor {int(prev)}",
+                line=lineno,
+            )
+        prev = row[0]
+        rows.append(row)
+        locs.append(lineno)
+    if not rows:
+        return np.empty((0, n_cols)), locs
+    return np.array(rows, dtype=np.float64), locs
+
+
+def gradient_check(
+    predictor,
+    window,
+    target,
+    n_params: int = 100,
+    delta: float = 1e-5,
+    seed: int = 0,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Checks a random sample of coordinates (all of them if the vector is
+    small).  Relative error is |num - ana| / max(|num|, |ana|, 1e-12).
+    """
+    _, grad = predictor.loss_and_grad(window, target)
+    total = grad.size
+    rng = np.random.default_rng(seed)
+    if n_params >= total:
+        picks = np.arange(total)
+    else:
+        picks = rng.choice(total, size=n_params, replace=False)
+    base = predictor.params.copy()
+    worst = 0.0
+    for i in picks:
+        probe = base.copy()
+        probe[i] = base[i] + delta
+        up = predictor.loss(window, target, probe)
+        probe[i] = base[i] - delta
+        down = predictor.loss(window, target, probe)
+        numeric = (up - down) / (2.0 * delta)
+        analytic = grad[i]
+        err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-12)
+        worst = max(worst, err)
+    return worst
+
+
+def ar1_series(
+    n: int, phi: float = 0.9, sigma: float = 1.0, seed: int = 0
+) -> np.ndarray:
+    """First-order autoregressive sequence, x[t] = phi * x[t-1] + noise."""
+    if not (0 <= abs(phi) < 1):
+        raise ConfigError(f"phi must satisfy |phi| < 1, got {phi}")
+    rng = np.random.default_rng([seed, 4])
+    # Start from the stationary distribution so variance is flat end to end.
+    prev = float(rng.normal(0.0, sigma / np.sqrt(1.0 - phi * phi)))
+    noise = rng.normal(0.0, sigma, size=n)
+    out = np.empty(n)
+    for i in range(n):
+        prev = phi * prev + noise[i]
+        out[i] = prev
+    return out

@@ -15,7 +15,6 @@ from uavloop.detect import detect, evaluate, percentile_threshold
 from uavloop.forecast import (
     PredictorConfig,
     evaluate_forecast,
-    gradient_check,
     init_predictor,
     persistence_predictions,
     train,
@@ -29,7 +28,7 @@ from uavloop.packetset import (
     render_dataset,
     score_fields,
 )
-from uavloop.synthetic import ar1_series, synth_mission, synth_packet_log
+from uavloop.synthetic import synth_mission, synth_packet_log
 from uavloop.telemetry import (
     SplitSpec,
     apply_normalize,
@@ -46,6 +45,8 @@ from uavloop.tiersim import (
     fit_latency_model,
     run_batch_experiment,
 )
+
+from support import ar1_series, gradient_check
 
 
 def test_criterion_1_threshold_flag_fraction():

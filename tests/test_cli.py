@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -261,6 +262,36 @@ class TestInputReaders:
         assert run(*argv, "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert err == f"error: {bad} line 2: not UTF-8 text (byte 0xff)\n"
+
+    @pytest.mark.parametrize("key", ["params", "mean", "std", "history"])
+    def test_non_numeric_checkpoint_value(self, trained, tmp_path, capsys, key):
+        lines = (trained / "recon" / "model.ckpt").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(key + "="))
+        if key == "params":
+            at += 1
+            lines[at] = "abc"
+        else:
+            lines[at] = re.sub(r"=[^,:]*", "=abc", lines[at], count=1)
+        model = tmp_path / "model.ckpt"
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run("detect", "--model", str(model),
+                   "--data", str(trained / "labeled" / "labeled.csv"),
+                   "--threshold-source", "eval", "--out", str(tmp_path / "o"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {model} line {at + 1}: expected a finite number, got 'abc'\n"
+
+    @pytest.mark.parametrize("meta", ["{bad", '{"params": {}}'])
+    def test_malformed_meta_names_path(self, trained, tmp_path, capsys, meta):
+        labeled = tmp_path / "labeled.csv"
+        labeled.write_bytes((trained / "labeled" / "labeled.csv").read_bytes())
+        (tmp_path / "labeled.csv.meta.json").write_text(meta)
+        capsys.readouterr()
+        assert run("simulate", "--data", str(labeled), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {labeled}.meta.json: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestPacketset:

@@ -7,7 +7,6 @@ from uavloop.forecast import (
     Predictor,
     PredictorConfig,
     evaluate_forecast,
-    gradient_check,
     init_predictor,
     load_predictor,
     param_count,
@@ -15,8 +14,9 @@ from uavloop.forecast import (
     save_predictor,
     train,
 )
-from uavloop.synthetic import ar1_series
 from uavloop.telemetry import NormStats, window_matrix
+
+from support import ar1_series, gradient_check
 
 
 def tiny_predictor():

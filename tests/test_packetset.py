@@ -19,8 +19,6 @@ from uavloop.packetset import (
     parse_packet_csv,
     perturb_field,
     render_dataset,
-    render_document,
-    render_sample,
     score_fields,
 )
 from uavloop.synthetic import synth_packet_log
@@ -32,6 +30,12 @@ def pkt(ts=1.0, src="10.0.0.1", dst="10.0.0.2", sport=8080, dport=443,
         timestamp=ts, src=src, dst=dst, sport=sport, dport=dport,
         flags=flags, seq=seq, ack=ack, length=length, **kw
     )
+
+
+def render_pair(context, prompt, chosen, rejected):
+    """The chosen and rejected documents of one sample, as render_dataset writes them."""
+    sample = FinetuneSample(PacketWindow(tuple(context), prompt, chosen), chosen, rejected)
+    return render_dataset([sample]).rstrip("\n").split("\n\n")
 
 
 def chain(n, start=0.0, gap=1.0, **kw):
@@ -294,7 +298,7 @@ class TestPairs:
 
 class TestRendering:
     def test_document_layout_frozen(self):
-        doc = render_document([pkt()], pkt(seq=1064), pkt(seq=1128))
+        doc, _ = render_pair([pkt()], pkt(seq=1064), pkt(seq=1128), pkt(seq=1128, length=70))
         assert doc == (
             "#Context\n"
             "#BLOCK\nsport:8080\ndport:443\nflags:A\nseq:1000\nack:2000\nlength:64\n"
@@ -307,7 +311,7 @@ class TestRendering:
     def test_sample_is_two_documents(self):
         w = TestPairs.one_window()
         s = make_pair(w, seed=0)
-        text = render_sample(s)
+        text = render_dataset([s])
         assert text.count("#Context") == 2
         assert text.endswith("\n")
         chosen_doc, rejected_doc = text.rstrip("\n").split("\n\n")
@@ -320,7 +324,7 @@ class TestRendering:
 
     def test_dataset_is_joined_samples(self):
         samples = TestParseDataset.small_dataset()
-        assert render_dataset(samples) == "\n".join(render_sample(s) for s in samples)
+        assert render_dataset(samples) == "\n".join(render_dataset([s]) for s in samples)
 
 
 class TestParseDataset:
@@ -342,23 +346,22 @@ class TestParseDataset:
 
     def test_odd_document_count_rejected(self):
         samples = self.small_dataset()
-        text = render_dataset(samples) + "\n" + render_document(
-            [pkt()], pkt(seq=1064), pkt(seq=1128)
-        ) + "\n"
+        chosen, _ = render_pair([pkt()], pkt(seq=1064), pkt(seq=1128), pkt(seq=1128, length=70))
+        text = render_dataset(samples) + "\n" + chosen + "\n"
         with pytest.raises(ParseError) as err:
             parse_dataset(text)
         assert "even" in str(err.value)
 
     def test_mismatched_prompt_rejected(self):
-        chosen = render_document([pkt()], pkt(seq=1064), pkt(seq=1128))
-        rejected = render_document([pkt()], pkt(seq=9999), pkt(seq=1128, length=70))
+        chosen, _ = render_pair([pkt()], pkt(seq=1064), pkt(seq=1128), pkt(seq=1128, length=70))
+        _, rejected = render_pair([pkt()], pkt(seq=9999), pkt(seq=1128), pkt(seq=1128, length=70))
         with pytest.raises(ParseError) as err:
             parse_dataset(chosen + "\n\n" + rejected + "\n")
         assert "mismatched" in str(err.value)
 
     def test_multi_field_diff_rejected(self):
-        chosen = render_document([pkt()], pkt(seq=1064), pkt(seq=1128))
-        rejected = render_document([pkt()], pkt(seq=1064), pkt(seq=1129, length=70))
+        chosen, _ = render_pair([pkt()], pkt(seq=1064), pkt(seq=1128), pkt(seq=1128, length=70))
+        _, rejected = render_pair([pkt()], pkt(seq=1064), pkt(seq=1129), pkt(seq=1129, length=70))
         with pytest.raises(ParseError) as err:
             parse_dataset(chosen + "\n\n" + rejected + "\n")
         assert "fields" in str(err.value)

@@ -3,8 +3,10 @@ import pytest
 
 from uavloop.errors import ConfigError
 from uavloop.packetset import extract_sessions, parse_packet_csv
-from uavloop.synthetic import ar1_series, synth_mission, synth_packet_log
+from uavloop.synthetic import synth_mission, synth_packet_log
 from uavloop.telemetry import DEFAULT_FEATURES
+
+from support import ar1_series
 
 
 class TestMission:

@@ -33,6 +33,8 @@ from uavloop.telemetry import (
     window_matrix,
 )
 
+from support import reference_parse_table
+
 
 def make_series(n, feature_values=None, start=212000, cadence=4000):
     """Helper: a valid series with optional per-row values for gyro_rad_0."""
@@ -178,6 +180,128 @@ class TestTableCodec:
     def test_ragged_columns_rejected(self):
         with pytest.raises(ValueError):
             format_table(("a", "b"), ([1.0, 2.0], [1.0]), frozenset())
+
+
+
+# The package reader accepts a number only when it is written with these
+# characters; float() also takes "_" separators and non-ASCII digits.
+NUMBER_CHARS = "0123456789+-.eE"
+GOOD_TOKEN = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1.", ".5", "+3", "-0", "1e5", "1E-3", "2e+2", "0.0", "7"]),
+)
+ODD_TOKEN = st.one_of(
+    st.sampled_from([
+        "", "", " ", "\t", " 1 ", " 2", "3 ", "1_0", "١", "nan", "inf",
+        "-inf", "NaN", "1e999", "-1e999", "e", "+", ".", "1e", "--1", "abc", "1 2", "#",
+    ]),
+    st.text(alphabet="0123456789+-.eE _", max_size=5),
+)
+LINE_BREAK = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x85", " "])
+TABLE = ("t", "x", "k")
+
+
+def unsupported(token):
+    """A token float() reads as a finite number but the package grammar rejects."""
+    try:
+        value = float(token)
+    except ValueError:
+        return False
+    return math.isfinite(value) and bool(token.strip().strip(NUMBER_CHARS))
+
+
+@st.composite
+def odd_csv_texts(draw):
+    """Numeric CSV text over TABLE, mostly valid, with the faults a hand-edited file has."""
+    int_columns = draw(st.sampled_from([frozenset({"t", "k"}), frozenset({"k"}), frozenset()]))
+    n = draw(st.integers(0, 8))
+    leads = sorted(draw(st.sets(st.integers(-50, 50), min_size=n, max_size=n)))
+    if draw(st.integers(0, 4)) == 0:
+        leads = draw(st.permutations(leads + leads[:1]))
+    rows = []
+    for lead in leads:
+        cells = [str(lead)]
+        for name in TABLE[1:]:
+            kind = draw(st.integers(0, 9))
+            if kind == 0:
+                cells.append(draw(ODD_TOKEN))
+            elif kind == 1:
+                cells.append("")
+            elif name in int_columns or kind < 5:
+                cells.append(str(draw(st.integers(-(2**40), 2**40))))
+            else:
+                cells.append(draw(GOOD_TOKEN))
+        kind = draw(st.integers(0, 9))
+        if kind < 2:
+            cells[0] = draw(ODD_TOKEN) if kind else ""
+        if draw(st.integers(0, 14)) == 0:
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        rows.append(",".join(cells))
+        if draw(st.integers(0, 6)) == 0:
+            rows.append(draw(st.sampled_from(["", "", " ", "\t "])))
+    header = ",".join(TABLE)
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(st.sampled_from([" " + header + " ", "t,x", "T,x,k", ""]))
+    body_break = draw(LINE_BREAK)
+    head_break = body_break if draw(st.integers(0, 3)) else draw(LINE_BREAK)
+    text = header + head_break + body_break.join(rows)
+    if draw(st.booleans()):
+        text += body_break
+    return text, int_columns
+
+
+def outcome(parse, text, int_columns):
+    try:
+        values, locs = parse(text, TABLE, int_columns)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+    return values.shape, values.tobytes(), list(locs)
+
+
+class TestReaderMatchesReference:
+    """parse_table against the line-by-line parser it replaced (tests/support.py)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=odd_csv_texts())
+    def test_same_values_or_same_error(self, case):
+        text, int_columns = case
+        got = outcome(parse_table, text, int_columns)
+        want = outcome(reference_parse_table, text, int_columns)
+        odd_lines = [
+            lineno
+            for lineno, line in enumerate(text.splitlines()[1:], start=2)
+            if any(unsupported(token) for token in line.split(","))
+        ]
+        if not odd_lines:
+            assert got == want
+            return
+        # A token only float() accepts is an error naming its line, unless an
+        # earlier line already fails in the reference parser.
+        reference_failed = isinstance(want[0], type)
+        expected_line = min(want[2], odd_lines[0]) if reference_failed else odd_lines[0]
+        assert got[0] in (ParseError, OrderingError)
+        assert got[2] == expected_line
+        if got[2] != odd_lines[0]:
+            assert got == want
+
+    @pytest.mark.parametrize("token", ["1_0", "١", "2_5.5"])
+    def test_unsupported_number_names_its_line(self, token):
+        cells = csv_row(216000).split(",")
+        cells[COLUMNS.index("gyro_rad_1")] = token
+        text = make_csv([csv_row(212000), ",".join(cells)])
+        with pytest.raises(ParseError) as err:
+            parse_sensor_csv(text)
+        assert err.value.line == 3
+        assert f"unsupported number {token!r} in column gyro_rad_1" in str(err.value)
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\r", "\u2028"])
+    def test_other_line_breaks_and_spaces_read_the_same(self, eol):
+        rows = [csv_row(212000), " ", csv_row(216000, g0=-0.25).replace(",", " , ")]
+        text = make_csv(rows).replace("\n", eol)
+        values, locs = parse_table(text, COLUMNS, INT_COLUMNS)
+        assert locs == [2, 4]
+        assert values.tobytes() == parse_table(make_csv(rows[::2]), COLUMNS, INT_COLUMNS)[0].tobytes()
 
 
 class TestImputation:
