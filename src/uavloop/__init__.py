@@ -73,9 +73,7 @@ from .packetset import (
     FieldScoreReport,
     FinetuneSample,
     PacketRecord,
-    PacketWindow,
     build_dataset,
-    build_windows,
     extract_sessions,
     load_packet_csv,
     make_pair,

@@ -336,13 +336,13 @@ def cmd_packetset_build(args, config: RunConfig) -> int:
     out = _out_dir(config)
     path = config["data"]
     if path:
-        text = tel.read_text(path)
+        packets = ps.load_packet_csv(path)
         inputs = {"data": path}
     else:
-        text = syn.synth_packet_log(seed=config["seed"])
+        packets = syn.synth_packet_log(seed=config["seed"])
         inputs = {}
     samples = ps.build_dataset(
-        text,
+        packets,
         context=config["context"],
         seed=config["seed"],
         idle_timeout_s=config["session_timeout_s"],

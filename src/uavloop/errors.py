@@ -26,6 +26,12 @@ class ParseError(PipelineError):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
+    def in_file(self, path) -> "ParseError":
+        """This error, of the same class and line, with path in front of its message."""
+        err = type(self)(f"{path}: {self}")
+        err.line = self.line
+        return err
+
 
 class OrderingError(ParseError):
     """Record timestamps are not strictly increasing."""

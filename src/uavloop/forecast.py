@@ -114,9 +114,6 @@ class Predictor:
         _, _, out = self._forward_flat(xf, self.params)
         return out.reshape(xf.shape[0], self.config.horizon, self.feature_count)
 
-    def predict(self, window) -> np.ndarray:
-        return self.predict_batch(window)[0]
-
     def _flatten_targets(self, targets) -> np.ndarray:
         y = np.asarray(targets, dtype=np.float64)
         if y.ndim == 2:

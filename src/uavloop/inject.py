@@ -244,9 +244,8 @@ def inject_poisson(
 
 
 def serialize_labeled_csv(labeled: LabeledSeries) -> str:
-    # The label is not in telemetry.INT_COLUMNS, so it is written as 0.0/1.0.
     cells = [*labeled.series.values.T, labeled.labels]
-    return telemetry.format_table(LABELED_COLUMNS, cells, telemetry.INT_COLUMNS)
+    return telemetry.format_table(LABELED_COLUMNS, cells, _LABELED_INT_COLUMNS)
 
 
 def parse_labeled_csv(text: str, meta: InjectionMeta | None = None) -> LabeledSeries:
@@ -280,5 +279,9 @@ def load_labeled_csv(csv_path, meta_path=None) -> LabeledSeries:
         try:
             meta = InjectionMeta.from_json(telemetry.read_text(candidate))
         except ParseError as exc:
-            raise ParseError(f"{candidate}: {exc}") from None
-    return parse_labeled_csv(telemetry.read_text(csv_path), meta)
+            raise exc.in_file(candidate) from None
+    text = telemetry.read_text(csv_path)
+    try:
+        return parse_labeled_csv(text, meta)
+    except ParseError as exc:
+        raise exc.in_file(csv_path) from None

@@ -1,11 +1,13 @@
 """Packet-log sessionization and preference-pair dataset construction.
 
 A capture CSV is grouped into sessions (bidirectional endpoint pairs, split
-on FIN/RST or idle gaps), each session is sliced into sliding windows of n
-context packets plus the packet that actually followed, and every window
-yields a preference pair: the true next packet as the chosen continuation
-and a single-field corruption of it as the rejected one.  Pairs render to a
-plain-text format with one key:value line per field and parse back losslessly.
+on FIN/RST or idle gaps).  A window slides over each session: n context
+packets, the prompt, and the packet that actually followed it.  Every window
+yields a ``FinetuneSample``: the true next packet as the chosen continuation
+and a single-field corruption of it as the rejected one.  One generator,
+seeded once per build, draws every pair's corruption in order.  Pairs render
+to a plain-text format with one key:value line per field and parse back
+losslessly into the same type.
 
 Each packet is written once per window it appears in, so a dataset repeats
 most blocks many times.  Within one call, ``render_dataset`` renders each
@@ -17,7 +19,7 @@ distinct block text once: identical blocks return one shared frozen
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -85,8 +87,6 @@ class PacketRecord:
     seq: int
     ack: int
     length: int
-    session_id: int = field(default=-1, compare=False)
-    index_in_session: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.timestamp):
@@ -139,7 +139,11 @@ def parse_packet_csv(text: str) -> list[PacketRecord]:
 
 
 def load_packet_csv(path: str) -> list[PacketRecord]:
-    return parse_packet_csv(read_text(path))
+    text = read_text(path)
+    try:
+        return parse_packet_csv(text)
+    except ParseError as exc:
+        raise exc.in_file(path) from None
 
 
 def extract_sessions(
@@ -178,60 +182,7 @@ def extract_sessions(
                 current = []
         if current:
             sessions.append(current)
-    tagged: list[list[PacketRecord]] = []
-    for sid, sess in enumerate(sessions):
-        tagged.append(
-            [
-                PacketRecord(
-                    timestamp=r.timestamp,
-                    src=r.src,
-                    dst=r.dst,
-                    sport=r.sport,
-                    dport=r.dport,
-                    flags=r.flags,
-                    seq=r.seq,
-                    ack=r.ack,
-                    length=r.length,
-                    session_id=sid,
-                    index_in_session=i,
-                )
-                for i, r in enumerate(sess)
-            ]
-        )
-    return tagged
-
-
-@dataclass(frozen=True)
-class PacketWindow:
-    context: tuple
-    prompt: PacketRecord
-    next_packet: PacketRecord
-
-    def __post_init__(self) -> None:
-        if len(self.context) < 1:
-            raise ConfigError("context must hold at least one packet")
-
-
-def build_windows(
-    sessions: Sequence[Sequence[PacketRecord]], context: int
-) -> list[PacketWindow]:
-    """Sliding triples: n context packets, the prompt, and its true successor.
-
-    A session of length m yields max(0, m - context - 1) windows.
-    """
-    if context < 1:
-        raise ConfigError(f"context must be positive, got {context}")
-    windows: list[PacketWindow] = []
-    for sess in sessions:
-        for i in range(context, len(sess) - 1):
-            windows.append(
-                PacketWindow(
-                    context=tuple(sess[i - context : i]),
-                    prompt=sess[i],
-                    next_packet=sess[i + 1],
-                )
-            )
-    return windows
+    return sessions
 
 
 def perturb_field(packet: PacketRecord, fld: str, rng: np.random.Generator) -> PacketRecord:
@@ -259,21 +210,26 @@ def perturb_field(packet: PacketRecord, fld: str, rng: np.random.Generator) -> P
         timestamp=packet.timestamp,
         src=packet.src,
         dst=packet.dst,
-        session_id=packet.session_id,
-        index_in_session=packet.index_in_session,
         **values,
     )
 
 
 @dataclass(frozen=True)
 class FinetuneSample:
-    window: PacketWindow
+    """One preference pair: context packets, the prompt, and two continuations.
+
+    chosen is the packet that followed the prompt; rejected differs from it
+    in exactly one key field.
+    """
+
+    context: tuple
+    prompt: PacketRecord
     chosen: PacketRecord
     rejected: PacketRecord
 
     def __post_init__(self) -> None:
-        if self.chosen != self.window.next_packet:
-            raise ConfigError("chosen continuation must be the window's true next packet")
+        if len(self.context) < 1:
+            raise ConfigError("context must hold at least one packet")
         diffs = diff_fields(self.chosen, self.rejected)
         if len(diffs) != 1:
             raise ConfigError(
@@ -285,12 +241,19 @@ def diff_fields(a: PacketRecord, b: PacketRecord) -> tuple:
     return tuple(f for f in KEY_FIELDS if getattr(a, f) != getattr(b, f))
 
 
-def make_pair(window: PacketWindow, seed: int = 0) -> FinetuneSample:
-    """Build the preference pair for one window; field choice is seeded."""
-    rng = np.random.default_rng(seed)
+def make_pair(
+    context: Sequence[PacketRecord],
+    prompt: PacketRecord,
+    next_packet: PacketRecord,
+    rng: np.random.Generator,
+) -> FinetuneSample:
+    """The pair preferring next_packet to a copy of it with one field corrupted.
+
+    rng picks the field and draws the corruption.
+    """
     fld = KEY_FIELDS[int(rng.integers(0, len(KEY_FIELDS)))]
-    rejected = perturb_field(window.next_packet, fld, rng)
-    return FinetuneSample(window=window, chosen=window.next_packet, rejected=rejected)
+    rejected = perturb_field(next_packet, fld, rng)
+    return FinetuneSample(tuple(context), prompt, next_packet, rejected)
 
 
 def _render_block(packet: PacketRecord) -> str:
@@ -321,8 +284,7 @@ def _document_prefix(context: Sequence[PacketRecord], prompt: PacketRecord, bloc
 
 def _render_sample(sample: FinetuneSample, blocks: dict) -> str:
     # A rejected packet is a fresh corruption, so its block is not kept.
-    w = sample.window
-    prefix = _document_prefix(w.context, w.prompt, blocks)
+    prefix = _document_prefix(sample.context, sample.prompt, blocks)
     chosen = prefix + _cached_block(sample.chosen, blocks)
     rejected = prefix + _render_block(sample.rejected)
     return chosen + "\n\n" + rejected + "\n"
@@ -355,12 +317,6 @@ def _parse_block(lines: list[str], pos: int) -> tuple[dict, int]:
     return values, pos
 
 
-def _block_packet(values: dict) -> PacketRecord:
-    return PacketRecord(
-        timestamp=0.0, src="", dst="", **values
-    )
-
-
 _BLOCK_LINES = 1 + len(KEY_FIELDS)
 
 
@@ -376,7 +332,7 @@ def _block_at(lines: list[str], pos: int, packets: dict) -> tuple[PacketRecord, 
     if packet is not None:
         return packet, pos + _BLOCK_LINES
     values, end = _parse_block(lines, pos)
-    packet = packets[key] = _block_packet(values)
+    packet = packets[key] = PacketRecord(timestamp=0.0, src="", dst="", **values)
     return packet, end
 
 
@@ -400,15 +356,7 @@ def _parse_document(lines: list[str], pos: int, packets: dict):
     return tuple(context), prompt, predicted, pos
 
 
-@dataclass(frozen=True)
-class ParsedSample:
-    context: tuple
-    prompt: PacketRecord
-    chosen: PacketRecord
-    rejected: PacketRecord
-
-
-def parse_dataset(text: str) -> list[ParsedSample]:
+def parse_dataset(text: str) -> list[FinetuneSample]:
     """Inverse of render_dataset; validates pairing and the one-field rule."""
     docs: list[tuple] = []
     lines = text.splitlines()
@@ -422,20 +370,20 @@ def parse_dataset(text: str) -> list[ParsedSample]:
         docs.append((context, prompt, predicted))
     if len(docs) % 2 != 0:
         raise ParseError(f"dataset holds {len(docs)} documents, expected an even count")
-    samples: list[ParsedSample] = []
+    samples: list[FinetuneSample] = []
     for k in range(0, len(docs), 2):
         c_ctx, c_prompt, chosen = docs[k]
         r_ctx, r_prompt, rejected = docs[k + 1]
         if c_ctx != r_ctx or c_prompt != r_prompt:
             raise ParseError(f"pair {k // 2} has mismatched context or prompt blocks")
-        diffs = diff_fields(chosen, rejected)
-        if len(diffs) != 1:
+        try:
+            samples.append(FinetuneSample(c_ctx, c_prompt, chosen, rejected))
+        except ConfigError:
+            # _parse_document rejects an empty context, so the one-field rule failed.
+            diffs = diff_fields(chosen, rejected)
             raise ParseError(
                 f"pair {k // 2} differs in {len(diffs)} fields, expected exactly 1"
-            )
-        samples.append(
-            ParsedSample(context=c_ctx, prompt=c_prompt, chosen=chosen, rejected=rejected)
-        )
+            ) from None
     return samples
 
 
@@ -445,10 +393,20 @@ def build_dataset(
     seed: int = 0,
     idle_timeout_s: float = SESSION_IDLE_TIMEOUT_S,
 ) -> list[FinetuneSample]:
-    """Capture to pairs: sessionize, window, corrupt.  Seeded per window."""
+    """Capture to pairs: sessionize, slide a window over each session, corrupt.
+
+    A session of m packets yields max(0, m - context - 1) pairs, in session
+    order.  One generator seeded with seed draws every pair's corruption.
+    """
     sessions = extract_sessions(packets, idle_timeout_s=idle_timeout_s)
-    windows = build_windows(sessions, context)
-    return [make_pair(w, seed=seed + i) for i, w in enumerate(windows)]
+    if context < 1:
+        raise ConfigError(f"context must be positive, got {context}")
+    rng = np.random.default_rng(seed)
+    return [
+        make_pair(sess[i - context : i], sess[i], sess[i + 1], rng)
+        for sess in sessions
+        for i in range(context, len(sess) - 1)
+    ]
 
 
 _HISTOGRAM_BUCKETS = ("0", "1", "2", "3", "4+")

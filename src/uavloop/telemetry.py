@@ -124,10 +124,6 @@ class TelemetrySeries:
         return int(self.values.shape[0])
 
     @property
-    def timestamps(self) -> np.ndarray:
-        return self.values[:, 0].astype(np.int64)
-
-    @property
     def feature_indices(self) -> tuple[int, ...]:
         return tuple(_COL_INDEX[n] for n in self.feature_names)
 
@@ -329,7 +325,11 @@ def serialize_sensor_csv(series: TelemetrySeries) -> str:
 
 
 def load_sensor_csv(path, feature_names: tuple[str, ...] = DEFAULT_FEATURES) -> TelemetrySeries:
-    return parse_sensor_csv(read_text(path), feature_names)
+    text = read_text(path)
+    try:
+        return parse_sensor_csv(text, feature_names)
+    except ParseError as exc:
+        raise exc.in_file(path) from None
 
 
 def save_sensor_csv(series: TelemetrySeries, path) -> None:

@@ -252,9 +252,9 @@ def test_criterion_7_preference_pair_integrity():
     for sample, back in zip(samples, parsed):
         assert back.chosen.key_values() == sample.chosen.key_values()
         assert back.rejected.key_values() == sample.rejected.key_values()
-        assert back.prompt.key_values() == sample.window.prompt.key_values()
+        assert back.prompt.key_values() == sample.prompt.key_values()
         assert [c.key_values() for c in back.context] == [
-            c.key_values() for c in sample.window.context
+            c.key_values() for c in sample.context
         ]
     truths = [sample.chosen for sample in samples]
     report = score_fields(truths, truths)

@@ -68,7 +68,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("ingest", "--data", str(data), "--out", str(tmp_path / "o")) == 4
         err = capsys.readouterr().err
-        assert err == "error: line 3: non-finite value 'nan' in column timestamp\n"
+        assert err == f"error: {data}: line 3: non-finite value 'nan' in column timestamp\n"
 
     def test_forecast_horizon_equal_to_seq_len(self, tmp_path, capsys):
         code = run("train", "--mode", "forecast", "--horizon", "4", "--seq-len", "4",
@@ -263,6 +263,31 @@ class TestInputReaders:
         err = capsys.readouterr().err
         assert err == f"error: {bad} line 2: not UTF-8 text (byte 0xff)\n"
 
+    @pytest.mark.parametrize("site", ["labeled", "packet-log", "packet-score"])
+    def test_bad_row_names_path_and_line(self, trained, tmp_path, capsys, site):
+        bad = tmp_path / "bad.csv"
+        if site == "labeled":
+            lines = (trained / "labeled" / "labeled.csv").read_text().splitlines()
+            lines[2] = "nan" + lines[2][lines[2].index(","):]
+            message = "non-finite value 'nan' in column timestamp"
+        else:
+            lines = synth_packet_log(n_packets=5, seed=0).splitlines()
+            cells = lines[2].split(",")
+            cells[3] = "70000"
+            lines[2] = ",".join(cells)
+            message = "sport out of range: 70000"
+        bad.write_text("\n".join(lines) + "\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text(synth_packet_log(n_packets=5, seed=0))
+        argv = {
+            "labeled": ["simulate", "--data", str(bad)],
+            "packet-log": ["packetset", "build", "--data", str(bad)],
+            "packet-score": ["packetset", "score", "--pred", str(bad), "--truth", str(truth)],
+        }[site]
+        capsys.readouterr()
+        assert run(*argv, "--out", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == f"error: {bad}: line 3: {message}\n"
+
     @pytest.mark.parametrize("key", ["params", "mean", "std", "history"])
     def test_non_numeric_checkpoint_value(self, trained, tmp_path, capsys, key):
         lines = (trained / "recon" / "model.ckpt").read_text().splitlines()
@@ -319,7 +344,7 @@ class TestPacketset:
             for name in ("samples.txt", "run_manifest.json")
         }
         assert digests == {
-            "samples.txt": "62b16c3e516e314fa989103c7542e59eade25488bea9e516c8c22a36f450e6d9",
+            "samples.txt": "0106b81796e8674559c90a57e7a40264938a355063178b9b014150d21381b81c",
             "run_manifest.json":
                 "a80c1dd4c91aae6f063e175740c77acb8b7d0e5418f3f4f36aee447e8c5a6e7b",
         }
@@ -412,13 +437,13 @@ class TestCsvGolden:
 
     @pytest.mark.parametrize("path, digest", [
         ("ingest/clean.csv", "c182d901f1497b85e36f505a484f389d3d4d8e65c209cfb1a5fd221e9719862f"),
-        ("inject/labeled.csv", "6dbff13da2693079f7c07ca0367806bdec67a8e13bba0cd3eb3195d36cae87d0"),
+        ("inject/labeled.csv", "820d58ee5d0ab22190a5a4b58cf394039c299b2bacaaa4eb4afeb29b6661fcca"),
         ("train/history.csv", "f3d0344699d473361d9ffe919f9353c75ce10618c646fca8433578d0ba30b109"),
         ("train/train_losses.csv",
          "291b8465dd41afe693fceea32687bcec7ba6c0a813e2c002d9ac592f2205d983"),
         ("train/model.ckpt", "a7c2eca5cd2f24680a1f44c7c545207f9f83348be4e896eb1af5a5f6a639a502"),
         ("detect/records.csv", "f618633e1a683bcc183db3f3ef061f3537439e1763f1f0e834483f73cc22d32c"),
-        ("nth/labeled.csv", "1aedfaadaa0b109975f5a743bdbd309e10782667a48c4e2f24b99be48c556bd7"),
+        ("nth/labeled.csv", "17d24081fffa77657583f88a0fd07241546683604c3dd90e685e23cabb4607b1"),
         ("nth/records.csv", "83c1b4b4b9085c4e7876cd4d5cffb13ad496bfeaab80b53bff55e8897c2a82d3"),
         ("nth/metrics.json", "692055ebbf75e7e854d82134a2862b109501c62151c6e39e1b78e14c082a9e0b"),
         ("variance/sweep.csv", "47cc33bd5c4980831cdbb044715f151420ff359f0da78f590a2b954505caba76"),

@@ -62,7 +62,7 @@ class TestShapes:
     def test_predict_shapes(self):
         cfg = PredictorConfig(seq_len=3, horizon=2, fcn_dim=4)
         p = init_predictor(cfg, 5)
-        one = p.predict(np.zeros((3, 5)))
+        one = p.predict_batch(np.zeros((3, 5)))[0]
         assert one.shape == (2, 5)
         many = p.predict_batch(np.zeros((7, 3, 5)))
         assert many.shape == (7, 2, 5)
@@ -71,19 +71,19 @@ class TestShapes:
         cfg = PredictorConfig(seq_len=3, horizon=2, fcn_dim=4)
         p = init_predictor(cfg, 5)
         with pytest.raises(DimensionError):
-            p.predict(np.zeros((4, 5)))
+            p.predict_batch(np.zeros((4, 5)))[0]
 
 
 class TestForward:
     def test_hand_computed_forward(self):
         p = tiny_predictor()
-        out = p.predict(np.array([[2.0]]))
+        out = p.predict_batch(np.array([[2.0]]))[0]
         assert out[0, 0] == 5.25
 
     def test_relu_gates_negative_preactivation(self):
         p = tiny_predictor()
         # x=-2: pre=[-1.5, 2.5] -> relu picks the second unit: 2.5*3 + 0.25
-        out = p.predict(np.array([[-2.0]]))
+        out = p.predict_batch(np.array([[-2.0]]))[0]
         assert out[0, 0] == 7.75
 
     def test_loss_is_elementwise_mse(self):

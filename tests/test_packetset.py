@@ -8,9 +8,7 @@ from uavloop.packetset import (
     PACKET_HEADER,
     FinetuneSample,
     PacketRecord,
-    PacketWindow,
     build_dataset,
-    build_windows,
     canonical_flags,
     diff_fields,
     extract_sessions,
@@ -34,7 +32,7 @@ def pkt(ts=1.0, src="10.0.0.1", dst="10.0.0.2", sport=8080, dport=443,
 
 def render_pair(context, prompt, chosen, rejected):
     """The chosen and rejected documents of one sample, as render_dataset writes them."""
-    sample = FinetuneSample(PacketWindow(tuple(context), prompt, chosen), chosen, rejected)
+    sample = FinetuneSample(tuple(context), prompt, chosen, rejected)
     return render_dataset([sample]).rstrip("\n").split("\n\n")
 
 
@@ -87,9 +85,6 @@ class TestPacketRecord:
         fwd = pkt()
         rev = pkt(src="10.0.0.2", dst="10.0.0.1", sport=443, dport=8080)
         assert fwd.endpoints() == rev.endpoints()
-
-    def test_session_tags_do_not_affect_equality(self):
-        assert pkt(session_id=3, index_in_session=7) == pkt()
 
 
 class TestParsing:
@@ -166,12 +161,11 @@ class TestSessions:
         custom = extract_sessions([pkt(ts=0.0), pkt(ts=5.0, seq=1064)], idle_timeout_s=2.0)
         assert [len(s) for s in custom] == [1, 1]
 
-    def test_session_and_index_tags(self):
+    def test_sessions_hold_the_given_records(self):
         packets = chain(3) + chain(2, src="10.0.0.9", sport=5000)
         sessions = extract_sessions(packets)
-        assert [p.session_id for p in sessions[0]] == [0, 0, 0]
-        assert [p.index_in_session for p in sessions[0]] == [0, 1, 2]
-        assert [p.session_id for p in sessions[1]] == [1, 1]
+        assert sessions == [packets[:3], packets[3:]]
+        assert all(a is b for a, b in zip(sessions[0] + sessions[1], packets))
 
     def test_packets_sorted_by_timestamp_within_flow(self):
         packets = [pkt(ts=2.0, seq=1064), pkt(ts=1.0)]
@@ -189,29 +183,32 @@ class TestSessions:
 
 class TestWindows:
     def test_count_per_session(self):
-        sessions = extract_sessions(chain(6))
-        assert len(build_windows(sessions, 3)) == 2
-        assert len(build_windows(sessions, 4)) == 1
-        assert len(build_windows(sessions, 5)) == 0
+        packets = chain(6)
+        assert len(build_dataset(packets, context=3)) == 2
+        assert len(build_dataset(packets, context=4)) == 1
+        assert len(build_dataset(packets, context=5)) == 0
 
     def test_window_contents(self):
-        (sess,) = extract_sessions(chain(5))
-        (w,) = build_windows([sess], 3)
-        assert w.context == tuple(sess[0:3])
-        assert w.prompt == sess[3]
-        assert w.next_packet == sess[4]
+        sess = chain(5)
+        (s,) = build_dataset(sess, context=3)
+        assert s.context == tuple(sess[0:3])
+        assert s.prompt == sess[3]
+        assert s.chosen == sess[4]
 
     def test_count_formula_over_mixed_sessions(self):
-        sessions = [chain(m) for m in (1, 2, 3, 4, 7, 10)]
+        lengths = (1, 2, 3, 4, 7, 10)
+        # One conversation per session: each has its own source port.
+        packets = [p for k, m in enumerate(lengths) for p in chain(m, sport=5000 + k)]
+        assert len(extract_sessions(packets)) == len(lengths)
         for c in range(1, 5):
-            want = sum(max(0, m - c - 1) for m in (1, 2, 3, 4, 7, 10))
-            assert len(build_windows(sessions, c)) == want
+            want = sum(max(0, m - c - 1) for m in lengths)
+            assert len(build_dataset(packets, context=c)) == want
 
     def test_context_validation(self):
         with pytest.raises(ConfigError):
-            build_windows([], 0)
+            build_dataset(chain(5), context=0)
         with pytest.raises(ConfigError):
-            PacketWindow(context=(), prompt=pkt(), next_packet=pkt())
+            FinetuneSample(context=(), prompt=pkt(), chosen=pkt(), rejected=pkt(length=70))
 
 
 class TestPerturbation:
@@ -233,7 +230,7 @@ class TestPerturbation:
 
     def test_changes_exactly_one_field_and_stays_valid(self):
         rng = np.random.default_rng(7)
-        base = pkt(flags="PA", session_id=4, index_in_session=2)
+        base = pkt(flags="PA")
         for trial in range(300):
             fld = KEY_FIELDS[trial % len(KEY_FIELDS)]
             out = perturb_field(base, fld, rng)
@@ -244,7 +241,6 @@ class TestPerturbation:
             assert out.flags == canonical_flags(out.flags)
             assert out.timestamp == base.timestamp
             assert out.src == base.src and out.dst == base.dst
-            assert out.session_id == 4 and out.index_in_session == 2
 
     def test_flag_toggle_differs_by_one_letter(self):
         rng = np.random.default_rng(11)
@@ -257,43 +253,51 @@ class TestPerturbation:
 class TestPairs:
     @staticmethod
     def one_window():
+        """(context, prompt, next packet) of the one window over a 5-packet session."""
         (sess,) = extract_sessions(chain(5))
-        return build_windows([sess], 3)[0]
+        return tuple(sess[:3]), sess[3], sess[4]
+
+    @staticmethod
+    def pair(seed):
+        return make_pair(*TestPairs.one_window(), np.random.default_rng(seed))
 
     def test_make_pair_field_choice_frozen(self):
-        w = self.one_window()
-        assert diff_fields(make_pair(w, seed=0).chosen, make_pair(w, seed=0).rejected) == ("length",)
-        assert diff_fields(make_pair(w, seed=1).chosen, make_pair(w, seed=1).rejected) == ("flags",)
+        assert diff_fields(self.pair(0).chosen, self.pair(0).rejected) == ("length",)
+        assert diff_fields(self.pair(1).chosen, self.pair(1).rejected) == ("flags",)
 
     def test_make_pair_reproducible(self):
-        w = self.one_window()
-        assert make_pair(w, seed=5) == make_pair(w, seed=5)
+        assert self.pair(5) == self.pair(5)
 
     def test_chosen_is_true_next(self):
-        w = self.one_window()
-        s = make_pair(w, seed=3)
-        assert s.chosen == w.next_packet
+        context, prompt, next_packet = self.one_window()
+        s = self.pair(3)
+        assert (s.context, s.prompt, s.chosen) == (context, prompt, next_packet)
 
     def test_sample_validation(self):
-        w = self.one_window()
-        other = perturb_field(w.prompt, "length", np.random.default_rng(0))
+        context, prompt, next_packet = self.one_window()
+        one_off = perturb_field(next_packet, "length", np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            FinetuneSample(window=w, chosen=w.prompt, rejected=other)
+            FinetuneSample(context=(), prompt=prompt, chosen=next_packet, rejected=one_off)
         with pytest.raises(ConfigError):
-            FinetuneSample(window=w, chosen=w.next_packet, rejected=w.next_packet)
-        two_off = perturb_field(
-            perturb_field(w.next_packet, "length", np.random.default_rng(0)),
-            "sport",
-            np.random.default_rng(0),
-        )
+            FinetuneSample(context, prompt, chosen=next_packet, rejected=next_packet)
+        two_off = perturb_field(one_off, "sport", np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            FinetuneSample(window=w, chosen=w.next_packet, rejected=two_off)
+            FinetuneSample(context, prompt, chosen=next_packet, rejected=two_off)
 
     def test_build_dataset_varies_field_per_window(self):
         samples = build_dataset(synth_packet_log(n_packets=300, seed=2), context=2, seed=0)
         assert len(samples) > 20
         fields = {diff_fields(s.chosen, s.rejected)[0] for s in samples}
         assert len(fields) >= 4
+
+    def test_seeds_are_not_one_shifted_stream(self):
+        log = synth_packet_log(n_packets=2000, seed=0)
+        a, b = (
+            [diff_fields(s.chosen, s.rejected)[0] for s in build_dataset(log, seed=seed)]
+            for seed in (0, 1)
+        )
+        assert len(a) == len(b) > 1000
+        assert a[1:] != b[:-1]
 
 
 class TestRendering:
@@ -309,9 +313,7 @@ class TestRendering:
         )
 
     def test_sample_is_two_documents(self):
-        w = TestPairs.one_window()
-        s = make_pair(w, seed=0)
-        text = render_dataset([s])
+        text = render_dataset([TestPairs.pair(0)])
         assert text.count("#Context") == 2
         assert text.endswith("\n")
         chosen_doc, rejected_doc = text.rstrip("\n").split("\n\n")
@@ -339,9 +341,9 @@ class TestParseDataset:
         for s, p in zip(samples, parsed):
             assert p.chosen.key_values() == s.chosen.key_values()
             assert p.rejected.key_values() == s.rejected.key_values()
-            assert p.prompt.key_values() == s.window.prompt.key_values()
+            assert p.prompt.key_values() == s.prompt.key_values()
             assert [c.key_values() for c in p.context] == [
-                c.key_values() for c in s.window.context
+                c.key_values() for c in s.context
             ]
 
     def test_odd_document_count_rejected(self):
@@ -375,8 +377,8 @@ class TestParseDataset:
         parsed = parse_dataset(render_dataset(samples))
         shared = 0
         for k in range(len(samples) - 1):
-            before, after = samples[k].window, samples[k + 1].window
-            if before.prompt.session_id != after.prompt.session_id:
+            # Within a session, the next window's prompt is this window's chosen packet.
+            if samples[k + 1].prompt != samples[k].chosen:
                 continue
             # The next window slides by one packet: its context starts one later.
             assert parsed[k + 1].context[:-1] == parsed[k].context[1:]
@@ -387,7 +389,7 @@ class TestParseDataset:
         assert shared > 20
         first = parsed[0].context[0]
         assert first == PacketRecord(timestamp=0.0, src="", dst="",
-                                     **samples[0].window.context[0].key_values())
+                                     **samples[0].context[0].key_values())
 
     def test_corrupted_repeat_reports_its_line(self):
         lines = render_dataset(self.small_dataset()).split("\n")

@@ -25,6 +25,7 @@ from uavloop.telemetry import (
     fit_normalize,
     format_table,
     impute_missing,
+    load_sensor_csv,
     parse_sensor_csv,
     parse_table,
     serialize_sensor_csv,
@@ -60,7 +61,7 @@ class TestParsing:
         text = make_csv([csv_row(212000), csv_row(216000, g0=-0.25)])
         series = parse_sensor_csv(text)
         assert len(series) == 2
-        assert series.timestamps.tolist() == [212000, 216000]
+        assert series.values[:, 0].tolist() == [212000, 216000]
         assert series.column("gyro_rad_0").tolist() == [0.1, -0.25]
         assert serialize_sensor_csv(series) == text
 
@@ -96,6 +97,16 @@ class TestParsing:
         with pytest.raises(OrderingError) as err:
             parse_sensor_csv(text)
         assert "216000" in str(err.value) and "212000" in str(err.value)
+
+    def test_load_error_names_the_file(self, tmp_path):
+        path = tmp_path / "mission.csv"
+        path.write_text(make_csv([csv_row(216000), csv_row(212000)]))
+        with pytest.raises(OrderingError) as err:
+            load_sensor_csv(str(path))
+        with pytest.raises(OrderingError) as bare:
+            parse_sensor_csv(path.read_text())
+        assert err.value.line == bare.value.line
+        assert str(err.value) == f"{path}: {bare.value}"
 
     def test_equal_timestamps_rejected(self):
         text = make_csv([csv_row(212000), csv_row(212000)])
@@ -384,7 +395,7 @@ class TestNormalization:
     def test_timestamps_untouched(self):
         series = make_series(4, feature_values=[1.0, 2.0, 3.0, 4.0])
         normed = apply_normalize(series, fit_normalize(series))
-        assert np.array_equal(normed.timestamps, series.timestamps)
+        assert np.array_equal(normed.values[:, 0], series.values[:, 0])
 
 
 class TestSplit:
