@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
+from .forecast import _row_blocks
 from .telemetry import WindowedDataset, format_table
 
 # anomaly_ratio is read at micro-percent resolution so the nearest-rank index
@@ -146,20 +147,26 @@ def record_losses(predictor, dataset: WindowedDataset) -> tuple[np.ndarray, np.n
     """Per-record losses aggregated over every window covering each record.
 
     Returns (record_indices, losses); a record covered by several windows gets
-    the mean of its per-window squared errors.
+    the mean of its per-window squared errors.  The predictor sees the
+    windows one row block at a time.
     """
-    preds = predictor.predict_batch(dataset.inputs)
-    if preds.shape != dataset.targets.shape:
-        raise DimensionError(
-            f"predictor output {preds.shape} does not match targets {dataset.targets.shape}"
-        )
     width = dataset.feature_count
-    per_row = pointwise_loss(preds.reshape(-1, width), dataset.targets.reshape(-1, width))
+    per_row = np.empty(dataset.targets.shape[:2])
+    for block in _row_blocks(len(dataset)):
+        preds = predictor.predict_batch(dataset.inputs[block])
+        targets = dataset.targets[block]
+        if preds.shape != targets.shape:
+            raise DimensionError(
+                f"predictor output {preds.shape} does not match targets {targets.shape}"
+            )
+        per_row[block] = pointwise_loss(
+            preds.reshape(-1, width), targets.reshape(-1, width)
+        ).reshape(targets.shape[:2])
     rows = dataset.target_record_indices()
     size = int(rows.max()) + 1
     sums = np.zeros(size)
     counts = np.zeros(size)
-    np.add.at(sums, rows.ravel(), per_row)
+    np.add.at(sums, rows.ravel(), per_row.ravel())
     np.add.at(counts, rows.ravel(), 1.0)
     covered = counts > 0
     indices = np.nonzero(covered)[0]

@@ -8,6 +8,11 @@ perturbation and gradient checking all operate on one array.
 Training is plain mini-batch gradient descent on the mean squared error,
 with the mean taken over every output element of the batch.  Gradients are
 hand-derived and validated against central finite differences.
+
+Full-set passes (``Predictor.loss``, ``predict_batch``,
+``evaluate_forecast``) run over fixed blocks of windows, arithmetic in
+place, so their memory is one output array plus a block, and their bits
+equal a single pass over the whole set.
 """
 
 from __future__ import annotations
@@ -21,6 +26,27 @@ from .errors import ConfigError, DimensionError, DivergenceError, NumericError
 from .telemetry import NormStats, WindowedDataset, read_text
 
 CHECKPOINT_MAGIC = "uavloop-predictor-v1"
+
+# Rows per block of a full-set forward pass.  gemm computes an output row
+# the same way whatever the row count, so blocks of two or more rows give
+# the bits of one pass over the whole set (tests/test_forecast.py holds it).
+_BLOCK_ROWS = 4096
+
+
+def _row_blocks(n: int):
+    """Slices of at most _BLOCK_ROWS + 1 rows that cover range(n) in order.
+
+    A block holds a single row only when n is 1: numpy hands a 1-row matmul
+    to gemv, whose sums can differ in the last bit from gemm's, so a 1-row
+    tail joins the block before it.
+    """
+    start = 0
+    while start < n:
+        stop = min(start + _BLOCK_ROWS, n)
+        if n - stop == 1:
+            stop = n
+        yield slice(start, stop)
+        start = stop
 
 
 @dataclass(frozen=True)
@@ -91,7 +117,7 @@ class Predictor:
         b2 = params[o : o + n_out]
         return w1, b1, w2, b2
 
-    def _flatten_inputs(self, windows) -> np.ndarray:
+    def _check_windows(self, windows) -> np.ndarray:
         x = np.asarray(windows, dtype=np.float64)
         if x.ndim == 2:
             x = x[None]
@@ -100,21 +126,9 @@ class Predictor:
                 f"expected windows of shape (W, {self.config.seq_len}, "
                 f"{self.feature_count}), got {x.shape}"
             )
-        return x.reshape(x.shape[0], self.n_in)
+        return x
 
-    def _forward_flat(self, xf: np.ndarray, params: np.ndarray):
-        w1, b1, w2, b2 = self._unpack(params)
-        pre = xf @ w1 + b1
-        hidden = np.maximum(pre, 0.0)
-        out = hidden @ w2 + b2
-        return pre, hidden, out
-
-    def predict_batch(self, windows) -> np.ndarray:
-        xf = self._flatten_inputs(windows)
-        _, _, out = self._forward_flat(xf, self.params)
-        return out.reshape(xf.shape[0], self.config.horizon, self.feature_count)
-
-    def _flatten_targets(self, targets) -> np.ndarray:
+    def _check_targets(self, targets) -> np.ndarray:
         y = np.asarray(targets, dtype=np.float64)
         if y.ndim == 2:
             y = y[None]
@@ -123,23 +137,51 @@ class Predictor:
                 f"expected targets of shape (W, {self.config.horizon}, "
                 f"{self.feature_count}), got {y.shape}"
             )
-        return y.reshape(y.shape[0], self.n_out)
+        return y
+
+    def _forward(self, x: np.ndarray, params: np.ndarray, y: np.ndarray | None = None):
+        """Flat outputs for (W, seq_len, D) windows, or with targets y their squared errors.
+
+        One (W, n_out) result is filled block by block in place, so the
+        windows are flattened and the hidden layer held a block at a time.
+        """
+        w1, b1, w2, b2 = self._unpack(params)
+        out = np.empty((x.shape[0], self.n_out))
+        hidden = np.empty((min(x.shape[0], _BLOCK_ROWS + 1), self.config.fcn_dim))
+        for rows in _row_blocks(x.shape[0]):
+            h = hidden[: rows.stop - rows.start]
+            np.matmul(x[rows].reshape(-1, self.n_in), w1, out=h)
+            h += b1
+            np.maximum(h, 0.0, out=h)
+            o = out[rows]
+            np.matmul(h, w2, out=o)
+            o += b2
+            if y is not None:
+                o -= y[rows].reshape(-1, self.n_out)
+                np.square(o, out=o)
+        return out
+
+    def predict_batch(self, windows) -> np.ndarray:
+        x = self._check_windows(windows)
+        out = self._forward(x, self.params)
+        return out.reshape(x.shape[0], self.config.horizon, self.feature_count)
 
     def loss(self, windows, targets, params=None) -> float:
         p = self.params if params is None else np.asarray(params, dtype=np.float64)
-        xf = self._flatten_inputs(windows)
-        yf = self._flatten_targets(targets)
-        if xf.shape[0] != yf.shape[0]:
+        x = self._check_windows(windows)
+        y = self._check_targets(targets)
+        if x.shape[0] != y.shape[0]:
             raise DimensionError("window and target counts differ")
-        _, _, out = self._forward_flat(xf, p)
-        return float(np.mean((out - yf) ** 2))
+        return float(np.mean(self._forward(x, p, y)))
 
     def loss_and_grad(self, windows, targets, params=None):
         p = self.params if params is None else np.asarray(params, dtype=np.float64)
-        xf = self._flatten_inputs(windows)
-        yf = self._flatten_targets(targets)
-        if xf.shape[0] != yf.shape[0]:
+        x = self._check_windows(windows)
+        y = self._check_targets(targets)
+        if x.shape[0] != y.shape[0]:
             raise DimensionError("window and target counts differ")
+        xf = x.reshape(x.shape[0], self.n_in)
+        yf = y.reshape(y.shape[0], self.n_out)
         w1, b1, w2, b2 = self._unpack(p)
         pre = xf @ w1 + b1
         hidden = np.maximum(pre, 0.0)
@@ -239,13 +281,15 @@ class EvalReport:
 
 
 def evaluate_forecast(predictor: Predictor, data: WindowedDataset) -> EvalReport:
-    preds = predictor.predict_batch(data.inputs)
-    diff = preds - data.targets
-    mse_h = np.mean(diff**2, axis=(0, 2))
-    mae_h = np.mean(np.abs(diff), axis=(0, 2))
+    diff = predictor.predict_batch(data.inputs)
+    diff -= data.targets
+    sq = np.square(diff)
+    err = np.abs(diff, out=diff)
+    mse_h = np.mean(sq, axis=(0, 2))
+    mae_h = np.mean(err, axis=(0, 2))
     return EvalReport(
-        mse=float(np.mean(diff**2)),
-        mae=float(np.mean(np.abs(diff))),
+        mse=float(np.mean(sq)),
+        mae=float(np.mean(err)),
         per_horizon_mse=tuple(float(v) for v in mse_h),
         per_horizon_mae=tuple(float(v) for v in mae_h),
     )

@@ -13,7 +13,9 @@ cell is the only missing value.  ``read_text`` reads every input file.
 A sensor log's columns follow PX4 gyro/accelerometer exports (``COLUMNS``);
 in memory a mission is an ``(N, 11)`` float64 matrix whose NaN cells may sit
 only in the six sensor-axis columns.  The rest of the module imputes,
-normalizes, splits and windows it.
+normalizes, splits and windows it.  Windows are read-only strided views
+over one private copy of the feature matrix, so a dataset of W windows
+costs the matrix's memory, not W * seq_len rows.
 """
 
 from __future__ import annotations
@@ -212,13 +214,16 @@ def parse_table(
             _raise_first_error(text, columns, int_columns)
     if not cells or cells.isspace():
         return np.empty((0, len(columns))), []
-    # No cell can read "nan" yet, so a written "nan" marks exactly the blanks.
-    cells = cells.replace(b",,", b",nan,").replace(b",,", b",nan,")
-    cells = cells.replace(b"\n,", b"\nnan,").replace(b",\n", b",nan\n")
-    if cells.startswith(b","):
-        cells = b"nan" + cells
-    if cells.endswith(b","):
-        cells += b"nan"
+    if cells.startswith(b",") or cells.endswith(b",") or any(
+        pair in cells for pair in (b",,", b"\n,", b",\n")
+    ):
+        # No cell can read "nan" yet, so a written "nan" marks exactly the blanks.
+        cells = cells.replace(b",,", b",nan,").replace(b",,", b",nan,")
+        cells = cells.replace(b"\n,", b"\nnan,").replace(b",\n", b",nan\n")
+        if cells.startswith(b","):
+            cells = b"nan" + cells
+        if cells.endswith(b","):
+            cells += b"nan"
     try:
         values = np.loadtxt(
             io.BytesIO(cells), delimiter=",", comments=None, ndmin=2, dtype=np.float64
@@ -473,7 +478,9 @@ class WindowedDataset:
     ``targets`` holds the window itself in reconstruction mode and the
     ``horizon`` following rows in forecast mode; ``horizon`` is therefore the
     number of target rows in both modes (equal to ``seq_len`` for
-    reconstruction).
+    reconstruction).  ``window_matrix`` builds both as views that share one
+    buffer; reshaping one to flat rows copies it, so consumers flatten a
+    block at a time.
     """
 
     inputs: np.ndarray
@@ -516,6 +523,23 @@ class WindowedDataset:
         return self.start_indices[:, None] + steps[None, :]
 
 
+def _window_view(base: np.ndarray, first: int, count: int, rows: int, stride: int) -> np.ndarray:
+    """(count, rows, D) view of base whose window k starts at row first + k * stride.
+
+    Built on base's own buffer, so the view's ``.base`` is base and its
+    memory is base's, not count * rows * D cells (a ``sliding_window_view``
+    hides base behind a shim object, where ``.base`` stops).
+    """
+    row_bytes = base.strides[0]
+    return np.ndarray(
+        (count, rows, base.shape[1]),
+        dtype=base.dtype,
+        buffer=base,
+        offset=first * row_bytes,
+        strides=(stride * row_bytes, row_bytes, base.strides[1]),
+    )
+
+
 def window_matrix(
     matrix: np.ndarray,
     seq_len: int,
@@ -549,12 +573,16 @@ def window_matrix(
         )
     count = (n - span) // stride + 1
     starts = np.arange(count, dtype=np.int64) * stride
-    inputs = np.stack([x[s : s + seq_len] for s in starts])
+    # One private read-only copy, so a later write to the caller's matrix
+    # cannot reach the windows, which are strided views over it.
+    base = np.array(x, order="C")
+    base.setflags(write=False)
+    inputs = _window_view(base, 0, count, seq_len, stride)
     if mode == "reconstruction":
         targets = inputs
         t_rows = seq_len
     else:
-        targets = np.stack([x[s + seq_len : s + span] for s in starts])
+        targets = _window_view(base, seq_len, count, h, stride)
         t_rows = h
     return WindowedDataset(
         inputs=inputs,

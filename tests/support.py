@@ -2,8 +2,10 @@
 
 ``reference_parse_table`` is the line-by-line numeric CSV parser that
 ``uavloop.telemetry.parse_table`` replaced; the differential tests hold the
-package's reader to it.  ``gradient_check`` and ``ar1_series`` serve the
-forecast and acceptance tests.
+package's reader to it.  ``reference_forward``, ``reference_loss`` and
+``reference_record_losses`` are the one-pass forms of the blocked full-set
+passes, which must match them bit for bit.  ``gradient_check`` and
+``ar1_series`` serve the forecast and acceptance tests.
 """
 
 from __future__ import annotations
@@ -76,6 +78,38 @@ def reference_parse_table(
     if not rows:
         return np.empty((0, n_cols)), locs
     return np.array(rows, dtype=np.float64), locs
+
+
+def reference_forward(predictor, windows, params=None) -> np.ndarray:
+    """Flat (W, n_out) outputs of every window in one pass over the whole set."""
+    w1, b1, w2, b2 = predictor._unpack(predictor.params if params is None else params)
+    windows = np.asarray(windows, dtype=np.float64)
+    xf = windows.reshape(windows.shape[0], predictor.n_in)
+    pre = xf @ w1 + b1
+    hidden = np.maximum(pre, 0.0)
+    return hidden @ w2 + b2
+
+
+def reference_loss(predictor, windows, targets, params=None) -> float:
+    out = reference_forward(predictor, windows, params)
+    yf = np.asarray(targets, dtype=np.float64).reshape(out.shape)
+    return float(np.mean((out - yf) ** 2))
+
+
+def reference_record_losses(predictor, dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Per-record mean squared error over every window covering the record."""
+    preds = reference_forward(predictor, dataset.inputs)
+    width = dataset.feature_count
+    diff = preds.reshape(-1, width) - dataset.targets.reshape(-1, width)
+    per_row = np.mean(diff**2, axis=1)
+    rows = dataset.target_record_indices()
+    size = int(rows.max()) + 1
+    sums = np.zeros(size)
+    counts = np.zeros(size)
+    np.add.at(sums, rows.ravel(), per_row)
+    np.add.at(counts, rows.ravel(), 1.0)
+    covered = counts > 0
+    return np.nonzero(covered)[0].astype(np.int64), sums[covered] / counts[covered]
 
 
 def gradient_check(

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from uavloop import forecast as fc
 from uavloop import packetset as ps
 from uavloop.cli import main
 from uavloop.synthetic import synth_packet_log
@@ -450,6 +451,52 @@ class TestCsvGolden:
     ])
     def test_artifact_digest(self, golden_runs, path, digest):
         assert hashlib.sha256((golden_runs / path).read_bytes()).hexdigest() == digest
+
+
+MULTIBLOCK = ["--seed", "2", "--seq-len", "8", "--fcn-dim", "8", "--epochs", "1"]
+
+
+@pytest.fixture(scope="module")
+def multiblock_runs(tmp_path_factory):
+    """Recipes whose full-set passes span three row blocks plus a 1-row tail.
+
+    20,492 records leave 12,296 train records, so 12,289 = 3 * 4096 + 1
+    reconstruction windows of 8 rows.  The forecaster (horizon 2) trains on
+    20,496 records, and is scored on a 60% test split of 20,497 records:
+    12,289 windows each time.
+    """
+    root = tmp_path_factory.mktemp("multiblock")
+    assert fc._BLOCK_ROWS == 4096
+    assert run("train", "--records", "20492", *MULTIBLOCK, "--out", str(root / "train")) == 0
+    assert run("experiment", "nth", "--records", "20492", *MULTIBLOCK,
+               "--out", str(root / "nth")) == 0
+    assert run("train", "--mode", "forecast", "--horizon", "2", "--records", "20496",
+               *MULTIBLOCK, "--out", str(root / "fctrain")) == 0
+    assert run("forecast", "--model", str(root / "fctrain" / "model.ckpt"),
+               "--records", "20497", "--seed", "2", "--seq-len", "8",
+               "--split-train", "0.2", "--split-val", "0.2", "--split-test", "0.6",
+               "--out", str(root / "fc")) == 0
+    return root
+
+
+class TestMultiBlockGolden:
+    """Digests taken before the forward passes were blocked; blocking keeps every bit."""
+
+    @pytest.mark.parametrize("path, digest", [
+        ("train/history.csv", "7b774d8125a2ded66951185d28d6a0462c4cd6e5a7a3ee1684c468b3d23f2315"),
+        ("train/train_losses.csv",
+         "deba441f86606b314c5d63d8e5fc93c08dd67135eee9edcc037abcaefd9d42cc"),
+        ("train/model.ckpt", "5bfc2527a0105abec3869cf7a35b4dc65c2394c43f2ca671fb178d9a7b8f24b9"),
+        ("nth/labeled.csv", "f6c6a77d925d44e3b60b2e53a48856bec8137b36c6d2bd8e80d13e10ee684105"),
+        ("nth/records.csv", "86096d7d98f16ecc5644a5897396ae67213cedda78be969605df914d6d0f3929"),
+        ("nth/metrics.json", "6ed407c35c68db95c7773c5a7941b77f961ced1a7ce4038c0c9ab1731830027b"),
+        ("fctrain/model.ckpt",
+         "3dd5622e3d26ac469e16148fe6914b3b44d7518ce996f50bb2ee75264cb6ba79"),
+        ("fc/forecast_report.txt",
+         "44f2b38dd5436a32595f06e0f2059ab8237f51e1b040596c69b59e2c34450192"),
+    ])
+    def test_artifact_digest(self, multiblock_runs, path, digest):
+        assert hashlib.sha256((multiblock_runs / path).read_bytes()).hexdigest() == digest
 
 
 class TestDeterminism:

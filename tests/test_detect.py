@@ -16,6 +16,7 @@ from uavloop.detect import (
     records_csv,
 )
 from uavloop.errors import ConfigError, DimensionError, NumericError
+from uavloop.forecast import _BLOCK_ROWS
 from uavloop.telemetry import window_matrix
 
 
@@ -198,6 +199,23 @@ class TestRecordLosses:
         data = window_matrix(matrix, seq_len=2)
         _, losses = record_losses(ZeroPredictor(), data)
         assert losses.tolist() == [12.5, 0.0]
+
+    def test_predictor_sees_one_block_at_a_time(self):
+        class CountingPredictor(ZeroPredictor):
+            def __init__(self):
+                self.sizes = []
+
+            def predict_batch(self, windows):
+                self.sizes.append(len(windows))
+                return super().predict_batch(windows)
+
+        predictor = CountingPredictor()
+        count = 2 * _BLOCK_ROWS + 1
+        data = window_matrix(np.arange(count + 1, dtype=float), seq_len=2)
+        indices, losses = record_losses(predictor, data)
+        assert predictor.sizes == [_BLOCK_ROWS, _BLOCK_ROWS + 1]
+        assert indices.tolist() == list(range(count + 1))
+        assert losses.tolist() == [float(v * v) for v in range(count + 1)]
 
 
 class TestDetect:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from uavloop import forecast as fc
+from uavloop.detect import record_losses
 from uavloop.errors import ConfigError, DimensionError, DivergenceError, NumericError
 from uavloop.forecast import (
     EpochStats,
@@ -16,7 +18,13 @@ from uavloop.forecast import (
 )
 from uavloop.telemetry import NormStats, window_matrix
 
-from support import ar1_series, gradient_check
+from support import (
+    ar1_series,
+    gradient_check,
+    reference_forward,
+    reference_loss,
+    reference_record_losses,
+)
 
 
 def tiny_predictor():
@@ -279,3 +287,65 @@ class TestEpochStats:
     def test_fields(self):
         s = EpochStats(train_mse=0.5, val_mse=None)
         assert s.train_mse == 0.5 and s.val_mse is None
+
+
+# 2 * BLOCK + 1 leaves a 1-row tail, BLOCK - 1 fits in one block, 1 is a single row.
+BLOCK_WINDOW_COUNTS = (2 * fc._BLOCK_ROWS + 1, fc._BLOCK_ROWS - 1, 1)
+
+
+def blocked_case(count, mode="reconstruction"):
+    """A predictor of mission-nth's shape and exactly ``count`` stride-1 windows."""
+    seq_len, width, horizon = 16, 6, 2
+    lead = horizon if mode == "forecast" else 0
+    rng = np.random.default_rng(count)
+    matrix = rng.normal(size=(count + seq_len - 1 + lead, width))
+    data = window_matrix(matrix, seq_len, 1, mode, horizon)
+    assert len(data) == count
+    cfg = PredictorConfig(
+        seq_len=seq_len, horizon=data.horizon, fcn_dim=64, seed=count % 1000
+    )
+    return init_predictor(cfg, width), data
+
+
+class TestBlockedPassesMatchOnePass:
+    """Full-set passes run in row blocks and must equal the one-pass forms bit for bit."""
+
+    @pytest.mark.parametrize("count", BLOCK_WINDOW_COUNTS)
+    def test_predict_batch(self, count):
+        predictor, data = blocked_case(count)
+        want = reference_forward(predictor, data.inputs).reshape(data.targets.shape)
+        assert predictor.predict_batch(data.inputs).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count", BLOCK_WINDOW_COUNTS)
+    def test_loss(self, count):
+        predictor, data = blocked_case(count)
+        probe = predictor.params * 1.5
+        got = predictor.loss(data.inputs, data.targets, probe)
+        assert got == reference_loss(predictor, data.inputs, data.targets, probe)
+
+    @pytest.mark.parametrize("count", BLOCK_WINDOW_COUNTS)
+    def test_record_losses(self, count):
+        predictor, data = blocked_case(count)
+        got = record_losses(predictor, data)
+        want = reference_record_losses(predictor, data)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("count", BLOCK_WINDOW_COUNTS)
+    def test_evaluate_forecast(self, count):
+        predictor, data = blocked_case(count, mode="forecast")
+        preds = reference_forward(predictor, data.inputs).reshape(data.targets.shape)
+        diff = preds - data.targets
+        report = evaluate_forecast(predictor, data)
+        assert report.mse == float(np.mean(diff**2))
+        assert report.mae == float(np.mean(np.abs(diff)))
+        assert report.per_horizon_mse == tuple(np.mean(diff**2, axis=(0, 2)).tolist())
+        assert report.per_horizon_mae == tuple(np.mean(np.abs(diff), axis=(0, 2)).tolist())
+
+    def test_blocks_cover_rows_with_no_lone_tail(self):
+        block = fc._BLOCK_ROWS
+        for n in (0, 1, 2, block - 1, block, block + 1, block + 2, 3 * block + 1):
+            sizes = [s.stop - s.start for s in fc._row_blocks(n)]
+            assert sum(sizes) == n
+            assert all(size <= block + 1 for size in sizes)
+            assert 1 not in sizes or n == 1

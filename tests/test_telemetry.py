@@ -296,6 +296,18 @@ class TestReaderMatchesReference:
         if got[2] != odd_lines[0]:
             assert got == want
 
+    @pytest.mark.parametrize("body, blanks", [
+        (",0.5,2\n3,1.5,4\n,2.5,5\n", 2),
+        ("1,,2\n2,,3\n3,,\n", 4),
+        ("1,0.5,\n2,1.5,\n3,2.5,", 3),
+        ("1,0.5,2\n2,1.5,3\n", 0),
+    ], ids=["line-start", "middle", "line-end", "no-blanks"])
+    def test_blank_cells_read_as_reference(self, body, blanks):
+        text = ",".join(TABLE) + "\n" + body
+        got = outcome(parse_table, text, frozenset())
+        assert got == outcome(reference_parse_table, text, frozenset())
+        assert np.isnan(np.frombuffer(got[1])).sum() == blanks
+
     @pytest.mark.parametrize("token", ["1_0", "١", "2_5.5"])
     def test_unsupported_number_names_its_line(self, token):
         cells = csv_row(216000).split(",")
@@ -516,6 +528,56 @@ class TestWindowing:
             assert len(data) == (n - seq) // stride + 1
             last = data.start_indices[-1]
             assert last + seq <= n
+
+
+def stacked_windows(matrix, seq_len, stride, mode, horizon):
+    """The windows as separate copies, the way window_matrix once built them."""
+    span = seq_len + (horizon if mode == "forecast" else 0)
+    starts = range(0, len(matrix) - span + 1, stride)
+    inputs = np.stack([matrix[s : s + seq_len] for s in starts])
+    if mode == "reconstruction":
+        return inputs, inputs
+    return inputs, np.stack([matrix[s + seq_len : s + span] for s in starts])
+
+
+class TestWindowViews:
+    @pytest.mark.parametrize("mode", ["reconstruction", "forecast"])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_views_equal_stacked_copies(self, mode, stride):
+        matrix = np.random.default_rng(stride).normal(size=(50, 4))
+        data = window_matrix(matrix, 6, stride, mode, horizon=2)
+        inputs, targets = stacked_windows(matrix, 6, stride, mode, 2)
+        assert data.inputs.shape == inputs.shape
+        assert data.inputs.tobytes() == inputs.tobytes()
+        assert data.targets.tobytes() == targets.tobytes()
+        if mode == "reconstruction":
+            assert data.targets is data.inputs
+
+    @pytest.mark.parametrize("mode", ["reconstruction", "forecast"])
+    def test_windows_share_one_copy_of_the_matrix(self, mode):
+        matrix = np.random.default_rng(0).normal(size=(200, 3))
+        data = window_matrix(matrix, 16, 1, mode, horizon=2)
+        for arr in (data.inputs, data.targets):
+            assert isinstance(arr.base, np.ndarray)
+            assert arr.base.nbytes == matrix.nbytes
+            assert not np.shares_memory(arr, matrix)
+        assert np.shares_memory(data.inputs, data.targets)
+
+    def test_windows_are_read_only(self):
+        data = window_matrix(np.arange(30, dtype=float).reshape(10, 3), 4, 1, "forecast", 2)
+        for arr in (data.inputs, data.targets):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("mode", ["reconstruction", "forecast"])
+    def test_later_write_to_matrix_leaves_windows(self, mode):
+        matrix = np.arange(60, dtype=float).reshape(20, 3)
+        data = window_matrix(matrix, 5, 2, mode, horizon=2)
+        inputs, targets = data.inputs.copy(), data.targets.copy()
+        matrix[:] = -1.0
+        assert np.array_equal(data.inputs, inputs)
+        assert np.array_equal(data.targets, targets)
 
 
 class TestSeriesValidation:
