@@ -14,7 +14,6 @@ not UTF-8), 3 configuration problem (an --out that is a file included),
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -57,7 +56,6 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="uavloop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -147,21 +145,24 @@ def _out_dir(config: RunConfig) -> str:
 
 
 def _load_or_synth(config: RunConfig) -> tuple[tel.TelemetrySeries, dict]:
-    """Load --data if set, else generate the bundled synthetic mission."""
+    """Load --data if set, else generate the bundled synthetic mission; impute either.
+
+    Every series goes through impute_missing, so a bad impute_policy is a
+    ConfigError even when no cell is blank.
+    """
     path = config["data"]
     if path:
-        series = tel.load_sensor_csv(path)
-        if series.has_missing():
-            series = tel.impute_missing(series, config["impute_policy"])
-        return series, {"data": path}
-    series = syn.synth_mission(
-        n_records=config["records"],
-        seed=config["seed"],
-        start_timestamp=config["start_timestamp"],
-        cadence_us=config["cadence_us"],
-        noise_level=config["noise_level"],
-    )
-    return series, {}
+        series, inputs = tel.load_sensor_csv(path), {"data": path}
+    else:
+        series = syn.synth_mission(
+            n_records=config["records"],
+            seed=config["seed"],
+            start_timestamp=config["start_timestamp"],
+            cadence_us=config["cadence_us"],
+            noise_level=config["noise_level"],
+        )
+        inputs = {}
+    return tel.impute_missing(series, config["impute_policy"]), inputs
 
 
 def _inject_series(series: tel.TelemetrySeries, config: RunConfig, scheme: str) -> inj.LabeledSeries:
@@ -209,7 +210,7 @@ def _train_predictor(config: RunConfig, series: tel.TelemetrySeries, mode: str):
         )
     predictor = fc.init_predictor(pcfg, train_windows.feature_count, norm_stats=stats)
     predictor = fc.train(predictor, train_windows, val_windows)
-    _, train_losses = record_losses(predictor, train_windows)
+    train_losses = record_losses(predictor, train_windows)
     return parts, predictor, train_losses
 
 
@@ -286,7 +287,7 @@ def _detection_outputs(out: str, config: RunConfig, result) -> list:
     report = ts.emit_report(
         result,
         mission_id=f"mission-{config['seed']}",
-        tier=config["tier"],
+        tier=config.tier().name,
         timestamp=0.0,
     )
     _write_text(os.path.join(out, "metrics.json"), metrics_json(result))
@@ -339,7 +340,7 @@ def cmd_packetset_build(args, config: RunConfig) -> int:
         packets = ps.load_packet_csv(path)
         inputs = {"data": path}
     else:
-        packets = syn.synth_packet_log(seed=config["seed"])
+        packets = ps.parse_packet_csv(syn.synth_packet_log(seed=config["seed"]))
         inputs = {}
     samples = ps.build_dataset(
         packets,

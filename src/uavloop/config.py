@@ -123,13 +123,9 @@ class RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         return self.values[key]
 
-    def echo(self, include_paths: bool = False) -> dict:
-        """Plain dict of the effective config, for manifests and dumps."""
-        return {
-            k: v
-            for k, v in sorted(self.values.items())
-            if include_paths or k not in PATH_KEYS
-        }
+    def echo(self) -> dict:
+        """Plain dict of the effective config without its paths, for manifests."""
+        return {k: v for k, v in sorted(self.values.items()) if k not in PATH_KEYS}
 
     def split_spec(self) -> SplitSpec:
         return SplitSpec(

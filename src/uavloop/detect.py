@@ -86,7 +86,6 @@ class Metrics:
     precision: float
     recall: float
     f_score: float
-    anomaly_ratio: float | None = None
     undefined: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
@@ -102,7 +101,7 @@ class Metrics:
         }
 
 
-def evaluate(predicted, truth, anomaly_ratio: float | None = None) -> Metrics:
+def evaluate(predicted, truth) -> Metrics:
     p = np.asarray(predicted, dtype=bool).ravel()
     t = np.asarray(truth, dtype=bool).ravel()
     if p.shape != t.shape:
@@ -138,17 +137,15 @@ def evaluate(predicted, truth, anomaly_ratio: float | None = None) -> Metrics:
         precision=precision,
         recall=recall,
         f_score=f_score,
-        anomaly_ratio=None if anomaly_ratio is None else float(anomaly_ratio),
         undefined=tuple(undefined),
     )
 
 
-def record_losses(predictor, dataset: WindowedDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record losses aggregated over every window covering each record.
+def record_losses(predictor, dataset: WindowedDataset) -> np.ndarray:
+    """Per-record losses, in record order, of every record a window covers.
 
-    Returns (record_indices, losses); a record covered by several windows gets
-    the mean of its per-window squared errors.  The predictor sees the
-    windows one row block at a time.
+    A record covered by several windows gets the mean of its per-window
+    squared errors.  The predictor sees the windows one row block at a time.
     """
     width = dataset.feature_count
     per_row = np.empty(dataset.targets.shape[:2])
@@ -169,11 +166,10 @@ def record_losses(predictor, dataset: WindowedDataset) -> tuple[np.ndarray, np.n
     np.add.at(sums, rows.ravel(), per_row.ravel())
     np.add.at(counts, rows.ravel(), 1.0)
     covered = counts > 0
-    indices = np.nonzero(covered)[0]
     losses = sums[covered] / counts[covered]
     if not np.isfinite(losses).all():
         raise NumericError("predictor produced non-finite losses")
-    return indices.astype(np.int64), losses
+    return losses
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,6 @@ class DetectionResult:
     truth: np.ndarray | None
     metrics: Metrics | None
     anomaly_ratio: float
-    threshold_source: str
 
     def __post_init__(self) -> None:
         losses = np.asarray(self.losses, dtype=np.float64)
@@ -241,7 +236,7 @@ def detect(
     threshold = percentile_threshold(pool, anomaly_ratio)
     predicted = flag(losses, threshold)
     truth = None if labels is None else np.asarray(labels, dtype=bool).ravel()
-    metrics = None if truth is None else evaluate(predicted, truth, anomaly_ratio)
+    metrics = None if truth is None else evaluate(predicted, truth)
     return DetectionResult(
         losses=losses,
         threshold=threshold,
@@ -249,7 +244,6 @@ def detect(
         truth=truth,
         metrics=metrics,
         anomaly_ratio=float(anomaly_ratio),
-        threshold_source=threshold_source,
     )
 
 

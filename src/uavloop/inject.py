@@ -11,7 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -105,7 +105,7 @@ class LabeledSeries:
 
 
 def _perturb(series: TelemetrySeries, rows: np.ndarray, spec: PerturbSpec) -> TelemetrySeries:
-    if spec.feature not in series.feature_names:
+    if spec.feature not in telemetry.DEFAULT_FEATURES:
         raise ConfigError(f"feature {spec.feature!r} is not a modeling feature of this series")
     if rows.size == 0:
         return series
@@ -173,32 +173,19 @@ def inject_random(
 
 
 def inject_variance(
-    series: TelemetrySeries,
-    feature: str,
-    target_value: float,
-    indices: int | Sequence[int],
+    series: TelemetrySeries, feature: str, target_value: float, n: int
 ) -> LabeledSeries:
-    """Set ``feature`` to ``target_value`` at the selected records.
+    """Set ``feature`` to ``target_value`` at records n, 2n, 3n, ... (1-based).
 
-    ``indices`` is either an every-nth stride (int, 1-based selection like
-    inject_every_nth) or an explicit sequence of 0-based record rows.  Labels
-    follow the selection even if the written value equals the original.
+    Labels follow the selection even if the written value equals the original.
     """
-    n = len(series)
-    if isinstance(indices, (int, np.integer)):
-        if indices < 2:
-            raise ConfigError(f"every-nth stride must be at least 2, got {indices}")
-        rows = np.arange(indices - 1, n, indices, dtype=np.int64)
-        where = {"every_nth": int(indices)}
-    else:
-        rows = np.unique(np.asarray(list(indices), dtype=np.int64))
-        if rows.size and (rows[0] < 0 or rows[-1] >= n):
-            raise ConfigError(f"record index out of range 0..{n - 1}")
-        where = {"rows": [int(r) for r in rows]}
+    if n < 2:
+        raise ConfigError(f"every-nth stride must be at least 2, got {n}")
+    rows = np.arange(n - 1, len(series), n, dtype=np.int64)
     if rows.size == 0:
         raise ConfigError("variance injection selected no records")
     spec = PerturbSpec(feature=feature, mode="set-value", value=float(target_value))
-    params = {"target_value": float(target_value), **where}
+    params = {"target_value": float(target_value), "every_nth": int(n)}
     return _labeled(series, rows, spec, "variance", params)
 
 
@@ -206,14 +193,14 @@ def variance_sweep(
     series: TelemetrySeries,
     feature: str,
     targets: Iterable[float],
-    indices: int | Sequence[int],
+    n: int,
     evaluator: Callable[[LabeledSeries], object],
 ) -> list[tuple[float, object]]:
     """Run inject_variance once per target value; one evaluator result per row."""
     values = [float(t) for t in targets]
     if not values:
         raise ConfigError("variance sweep needs at least one target value")
-    return [(t, evaluator(inject_variance(series, feature, t, indices))) for t in values]
+    return [(t, evaluator(inject_variance(series, feature, t, n))) for t in values]
 
 
 def inject_poisson(
@@ -225,22 +212,11 @@ def inject_poisson(
     """Place anomalies with gaps drawn from Poisson(lam) + 1 (mean gap lam + 1)."""
     if not (math.isfinite(lam) and lam > 0):
         raise ConfigError(f"lambda must be positive, got {lam}")
-    rng = np.random.default_rng(seed)
     n = len(series)
-    rows: list[int] = []
-    cur = -1
-    while cur < n:
-        # Draw in batches; cumsum of positive gaps is strictly increasing, so
-        # positions before the first overshoot are exactly the sequential walk.
-        est = max(16, int((n - cur) / (lam + 1.0) * 1.25) + 1)
-        steps = rng.poisson(lam, est) + 1
-        pos = cur + np.cumsum(steps)
-        rows.extend(int(p) for p in pos[pos < n])
-        if pos[-1] >= n:
-            break
-        cur = int(pos[-1])
+    # Every gap is at least 1, so n gaps always reach past the last record.
+    pos = np.cumsum(np.random.default_rng(seed).poisson(lam, n) + 1) - 1
     params = {"lambda": float(lam)}
-    return _labeled(series, np.asarray(rows, dtype=np.int64), spec, "poisson", params, seed=seed)
+    return _labeled(series, pos[pos < n], spec, "poisson", params, seed=seed)
 
 
 def serialize_labeled_csv(labeled: LabeledSeries) -> str:
@@ -261,25 +237,23 @@ def parse_labeled_csv(text: str, meta: InjectionMeta | None = None) -> LabeledSe
     return LabeledSeries(series, label_col == 1, meta)
 
 
-def default_meta_path(csv_path) -> str:
-    return str(csv_path) + ".meta.json"
-
-
-def save_labeled_csv(labeled: LabeledSeries, csv_path, meta_path=None) -> None:
+def save_labeled_csv(labeled: LabeledSeries, csv_path) -> None:
+    """Write the CSV and, beside it as ``<csv_path>.meta.json``, its metadata."""
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(serialize_labeled_csv(labeled))
-    with open(meta_path or default_meta_path(csv_path), "w", encoding="utf-8") as fh:
+    with open(f"{csv_path}.meta.json", "w", encoding="utf-8") as fh:
         fh.write(labeled.meta.to_json())
 
 
-def load_labeled_csv(csv_path, meta_path=None) -> LabeledSeries:
+def load_labeled_csv(csv_path) -> LabeledSeries:
+    """Read a labeled CSV and, if ``<csv_path>.meta.json`` exists, its metadata."""
     meta = None
-    candidate = meta_path or default_meta_path(csv_path)
-    if os.path.exists(candidate):
+    meta_path = f"{csv_path}.meta.json"
+    if os.path.exists(meta_path):
         try:
-            meta = InjectionMeta.from_json(telemetry.read_text(candidate))
+            meta = InjectionMeta.from_json(telemetry.read_text(meta_path))
         except ParseError as exc:
-            raise exc.in_file(candidate) from None
+            raise exc.in_file(meta_path) from None
     text = telemetry.read_text(csv_path)
     try:
         return parse_labeled_csv(text, meta)

@@ -1,6 +1,6 @@
 """Packet-log sessionization and preference-pair dataset construction.
 
-A capture CSV is grouped into sessions (bidirectional endpoint pairs, split
+A parsed capture is grouped into sessions (bidirectional endpoint pairs, split
 on FIN/RST or idle gaps).  A window slides over each session: n context
 packets, the prompt, and the packet that actually followed it.  Every window
 yields a ``FinetuneSample``: the true next packet as the chosen continuation
@@ -147,7 +147,7 @@ def load_packet_csv(path: str) -> list[PacketRecord]:
 
 
 def extract_sessions(
-    packets: Sequence[PacketRecord] | str,
+    packets: Sequence[PacketRecord],
     idle_timeout_s: float = SESSION_IDLE_TIMEOUT_S,
 ) -> list[list[PacketRecord]]:
     """Group packets into per-conversation sessions.
@@ -158,8 +158,6 @@ def extract_sessions(
     ends after a packet carrying F or R, or before a gap longer than the idle
     timeout.
     """
-    if isinstance(packets, str):
-        packets = parse_packet_csv(packets)
     if idle_timeout_s <= 0:
         raise ConfigError(f"idle_timeout_s must be positive, got {idle_timeout_s}")
     groups: dict[frozenset, list[PacketRecord]] = {}
@@ -388,7 +386,7 @@ def parse_dataset(text: str) -> list[FinetuneSample]:
 
 
 def build_dataset(
-    packets: Sequence[PacketRecord] | str,
+    packets: Sequence[PacketRecord],
     context: int = 3,
     seed: int = 0,
     idle_timeout_s: float = SESSION_IDLE_TIMEOUT_S,

@@ -56,7 +56,7 @@ def synth_mission(
         wave += 0.3 * amp * np.sin(2.0 * np.pi * t / (period / 3.7) + 2.0 * phase)
         noise = rng.normal(0.0, noise_level * amp, size=n_records) if noise_level else 0.0
         values[:, col] = base + wave + noise
-    return TelemetrySeries(values=values, feature_names=DEFAULT_FEATURES)
+    return TelemetrySeries(values)
 
 
 def synth_packet_log(

@@ -76,6 +76,7 @@ INT_COLUMNS = frozenset(
 )
 
 _COL_INDEX = {name: i for i, name in enumerate(COLUMNS)}
+_FEATURE_INDICES = tuple(_COL_INDEX[name] for name in DEFAULT_FEATURES)
 _STD_EPS = 1e-12
 
 # The characters of a number in a numeric CSV cell; with the delimiter and the
@@ -92,10 +93,12 @@ def column_index(name: str) -> int:
 
 @dataclass(frozen=True)
 class TelemetrySeries:
-    """A mission's records as a read-only ``(N, 11)`` matrix in COLUMNS order."""
+    """A mission's records as a read-only ``(N, 11)`` matrix in COLUMNS order.
+
+    The modeling features are always ``DEFAULT_FEATURES``.
+    """
 
     values: np.ndarray
-    feature_names: tuple[str, ...] = DEFAULT_FEATURES
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=np.float64)
@@ -103,10 +106,6 @@ class TelemetrySeries:
             raise DimensionError(
                 f"expected an (N, {len(COLUMNS)}) value matrix, got shape {values.shape}"
             )
-        names = tuple(self.feature_names)
-        for name in names:
-            if name not in _COL_INDEX or name == "timestamp":
-                raise ConfigError(f"{name!r} cannot be used as a modeling feature")
         ts = values[:, 0]
         if np.isnan(ts).any():
             raise ParseError("timestamp cells may not be missing")
@@ -120,14 +119,13 @@ class TelemetrySeries:
             )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "feature_names", names)
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
     @property
     def feature_indices(self) -> tuple[int, ...]:
-        return tuple(_COL_INDEX[n] for n in self.feature_names)
+        return _FEATURE_INDICES
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, column_index(name)]
@@ -137,14 +135,14 @@ class TelemetrySeries:
         return self.values[:, list(self.feature_indices)].copy()
 
     def with_values(self, values: np.ndarray) -> "TelemetrySeries":
-        return TelemetrySeries(values, self.feature_names)
+        return TelemetrySeries(values)
 
     def with_features(self, matrix: np.ndarray) -> "TelemetrySeries":
         matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape != (len(self), len(self.feature_names)):
+        if matrix.shape != (len(self), len(DEFAULT_FEATURES)):
             raise DimensionError(
                 f"feature matrix shape {matrix.shape} does not match "
-                f"({len(self)}, {len(self.feature_names)})"
+                f"({len(self)}, {len(DEFAULT_FEATURES)})"
             )
         out = np.array(self.values)
         out[:, list(self.feature_indices)] = matrix
@@ -214,22 +212,19 @@ def parse_table(
             _raise_first_error(text, columns, int_columns)
     if not cells or cells.isspace():
         return np.empty((0, len(columns))), []
-    if cells.startswith(b",") or cells.endswith(b",") or any(
-        pair in cells for pair in (b",,", b"\n,", b",\n")
-    ):
-        # No cell can read "nan" yet, so a written "nan" marks exactly the blanks.
+    values = _read_cells(cells)
+    if values is None:
+        # numpy's reader rejects an empty cell.  No cell can read "nan" yet,
+        # so a written "nan" marks exactly the blanks; then read once more.
         cells = cells.replace(b",,", b",nan,").replace(b",,", b",nan,")
         cells = cells.replace(b"\n,", b"\nnan,").replace(b",\n", b",nan\n")
         if cells.startswith(b","):
             cells = b"nan" + cells
         if cells.endswith(b","):
             cells += b"nan"
-    try:
-        values = np.loadtxt(
-            io.BytesIO(cells), delimiter=",", comments=None, ndmin=2, dtype=np.float64
-        )
-    except ValueError:
-        _raise_first_error(text, columns, int_columns)
+        values = _read_cells(cells)
+        if values is None:
+            _raise_first_error(text, columns, int_columns)
     if values.shape[1] != len(columns):
         _raise_first_error(text, columns, int_columns)
     # Checks on the whole matrix: NaN here is a blank cell, inf an overflow.
@@ -246,6 +241,16 @@ def parse_table(
         lengths = np.diff(np.concatenate(([-1], ends, [len(cells)]))) - 1
         return values, (np.flatnonzero(lengths > 0) + 2).tolist()
     return values, list(range(2, len(values) + 2))
+
+
+def _read_cells(cells: bytes) -> np.ndarray | None:
+    """numpy's reading of CSV body bytes, or None where its reader raises ValueError."""
+    try:
+        return np.loadtxt(
+            io.BytesIO(cells), delimiter=",", comments=None, ndmin=2, dtype=np.float64
+        )
+    except ValueError:
+        return None
 
 
 def _raise_first_error(
@@ -317,22 +322,20 @@ def check_physical(values: np.ndarray, locs: list[int]) -> None:
         raise ParseError("column accelerometer_clipping must be non-negative", line=locs[int(bad[0])])
 
 
-def parse_sensor_csv(
-    text: str, feature_names: tuple[str, ...] = DEFAULT_FEATURES
-) -> TelemetrySeries:
+def parse_sensor_csv(text: str) -> TelemetrySeries:
     values, locs = parse_table(text, COLUMNS, INT_COLUMNS)
     check_physical(values, locs)
-    return TelemetrySeries(values, feature_names)
+    return TelemetrySeries(values)
 
 
 def serialize_sensor_csv(series: TelemetrySeries) -> str:
     return format_table(COLUMNS, series.values.T, INT_COLUMNS)
 
 
-def load_sensor_csv(path, feature_names: tuple[str, ...] = DEFAULT_FEATURES) -> TelemetrySeries:
+def load_sensor_csv(path) -> TelemetrySeries:
     text = read_text(path)
     try:
-        return parse_sensor_csv(text, feature_names)
+        return parse_sensor_csv(text)
     except ParseError as exc:
         raise exc.in_file(path) from None
 
@@ -412,11 +415,11 @@ def fit_normalize(series: TelemetrySeries) -> NormStats:
     x = series.features()
     if np.isnan(x).any():
         raise ImputationError("impute missing cells before fitting normalization")
-    return NormStats(series.feature_names, x.mean(axis=0), x.std(axis=0))
+    return NormStats(DEFAULT_FEATURES, x.mean(axis=0), x.std(axis=0))
 
 
 def apply_normalize(series: TelemetrySeries, stats: NormStats) -> TelemetrySeries:
-    if stats.feature_names != series.feature_names:
+    if stats.feature_names != DEFAULT_FEATURES:
         raise DimensionError("normalization statistics were fitted for different features")
     return series.with_features(stats.transform(series.features()))
 
@@ -487,7 +490,6 @@ class WindowedDataset:
     targets: np.ndarray
     start_indices: np.ndarray
     seq_len: int
-    stride: int
     mode: str
     horizon: int
 
@@ -589,7 +591,6 @@ def window_matrix(
         targets=targets,
         start_indices=starts,
         seq_len=int(seq_len),
-        stride=int(stride),
         mode=mode,
         horizon=t_rows,
     )

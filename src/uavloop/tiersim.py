@@ -86,12 +86,7 @@ class LatencyFit:
 
     a_prime: float
     b_prime: float
-    batch_sizes: tuple
-    elapsed_s: tuple
     residuals: tuple
-
-    def predict(self, batch_size: float) -> float:
-        return self.a_prime + self.b_prime / batch_size
 
 
 def fit_latency_model(batch_sizes, elapsed_s) -> LatencyFit:
@@ -112,8 +107,6 @@ def fit_latency_model(batch_sizes, elapsed_s) -> LatencyFit:
     return LatencyFit(
         a_prime=float(coef[0]),
         b_prime=float(coef[1]),
-        batch_sizes=tuple(float(v) for v in b),
-        elapsed_s=tuple(float(v) for v in t),
         residuals=residuals,
     )
 
@@ -145,10 +138,10 @@ class PredictorDetector:
         self.predictor = predictor
 
     def losses(self, matrix: np.ndarray) -> np.ndarray:
-        # Stride-1 reconstruction windows cover every record, so the record
-        # indices are 0..N-1 and the losses are already in record order.
+        # Stride-1 reconstruction windows cover every record, so there is
+        # one loss per record.
         data = window_matrix(matrix, self.predictor.config.seq_len, stride=1, mode="reconstruction")
-        return record_losses(self.predictor, data)[1]
+        return record_losses(self.predictor, data)
 
 
 def flag_runs(flags) -> list[tuple[int, int]]:

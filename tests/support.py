@@ -96,7 +96,7 @@ def reference_loss(predictor, windows, targets, params=None) -> float:
     return float(np.mean((out - yf) ** 2))
 
 
-def reference_record_losses(predictor, dataset) -> tuple[np.ndarray, np.ndarray]:
+def reference_record_losses(predictor, dataset) -> np.ndarray:
     """Per-record mean squared error over every window covering the record."""
     preds = reference_forward(predictor, dataset.inputs)
     width = dataset.feature_count
@@ -109,7 +109,7 @@ def reference_record_losses(predictor, dataset) -> tuple[np.ndarray, np.ndarray]
     np.add.at(sums, rows.ravel(), per_row)
     np.add.at(counts, rows.ravel(), 1.0)
     covered = counts > 0
-    return np.nonzero(covered)[0].astype(np.int64), sums[covered] / counts[covered]
+    return sums[covered] / counts[covered]
 
 
 def gradient_check(

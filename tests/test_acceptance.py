@@ -25,6 +25,7 @@ from uavloop.packetset import (
     build_dataset,
     diff_fields,
     parse_dataset,
+    parse_packet_csv,
     render_dataset,
     score_fields,
 )
@@ -242,7 +243,8 @@ def test_criterion_7_preference_pair_integrity():
     """10,000 pairs each differ in one field, round-trip exactly, and the
     scorer reports a perfect identity run."""
     started = time.perf_counter()
-    samples = build_dataset(synth_packet_log(n_packets=11000, seed=0), context=3, seed=0)
+    packets = parse_packet_csv(synth_packet_log(n_packets=11000, seed=0))
+    samples = build_dataset(packets, context=3, seed=0)
     assert len(samples) >= 10000
     samples = samples[:10000]
     for sample in samples:

@@ -78,6 +78,32 @@ class TestExitCodes:
         assert "horizon must differ from seq_len" in capsys.readouterr().err
         assert not (tmp_path / "o" / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("recipe", ["nth", "poisson", "detect"])
+    def test_unknown_tier_in_report(self, trained, tmp_path, capsys, recipe):
+        out = tmp_path / "o"
+        if recipe == "detect":
+            argv = ["detect", "--model", str(trained / "recon" / "model.ckpt"),
+                    "--data", str(trained / "labeled" / "labeled.csv"),
+                    "--threshold-source", "eval"]
+        else:
+            argv = ["experiment", recipe, *TINY_TRAIN]
+        capsys.readouterr()
+        assert run(*argv, "--tier", "mars", "--out", str(out)) == 3
+        assert capsys.readouterr().err == "error: unknown tier 'mars'\n"
+        assert not (out / "report.jsonl").exists()
+        assert not (out / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("source", ["synthetic", "clean-file"])
+    def test_unknown_impute_policy_without_blanks(self, tmp_path, capsys, source):
+        argv = ["--records", "50"]
+        if source == "clean-file":
+            assert run("ingest", "--records", "50", "--out", str(tmp_path / "clean")) == 0
+            argv = ["--data", str(tmp_path / "clean" / "clean.csv")]
+        capsys.readouterr()
+        assert run("ingest", *argv, "--impute-policy", "bogus",
+                   "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == "error: unknown imputation policy 'bogus'\n"
+
     def test_divergence(self, tmp_path):
         code = run("train", *TINY_TRAIN, "--epochs", "2",
                    "--learning-rate", "1000000", "--out", str(tmp_path / "o"))
@@ -430,6 +456,10 @@ def golden_runs(tmp_path_factory):
     assert run("experiment", "nth", *GOLDEN_TRAIN, "--out", str(root / "nth")) == 0
     assert run("experiment", "variance-sweep", *GOLDEN_TRAIN,
                "--out", str(root / "variance")) == 0
+    for scheme in ("poisson", "variance"):
+        assert run("inject", "--scheme", scheme, "--records", "3000", "--seed", "2",
+                   "--out", str(root / f"inject-{scheme}")) == 0
+    assert run("experiment", "poisson", *GOLDEN_TRAIN, "--out", str(root / "poisson")) == 0
     return root
 
 
@@ -448,6 +478,22 @@ class TestCsvGolden:
         ("nth/records.csv", "83c1b4b4b9085c4e7876cd4d5cffb13ad496bfeaab80b53bff55e8897c2a82d3"),
         ("nth/metrics.json", "692055ebbf75e7e854d82134a2862b109501c62151c6e39e1b78e14c082a9e0b"),
         ("variance/sweep.csv", "47cc33bd5c4980831cdbb044715f151420ff359f0da78f590a2b954505caba76"),
+        ("inject-poisson/labeled.csv",
+         "289439c9a7a121ee6166fe6d52f5c50dcb1f27994c4b1f19c22a5eea988c48d4"),
+        ("inject-poisson/labeled.csv.meta.json",
+         "e77b4bb83ee81af8613c112dc01909f8dc27153fc25da07b7352b90623487906"),
+        ("inject-variance/labeled.csv",
+         "1c74c26797ad3d9cf482e5640b4c74f7fa1761e1303e0c94085a5e82c1603e81"),
+        ("inject-variance/labeled.csv.meta.json",
+         "dc51216b556085de4b1f11b1c922f11320cdb320ac703d8f21531767a02e2193"),
+        ("poisson/labeled.csv", "f11a0ba027a48547487cb2d234ffc5317d97eeaae946d73c0fcfeb97a2b2eeb6"),
+        ("poisson/records.csv", "acff73efddf111af498d911f16c662d1cb8b102e745bf0af738c8e700d421f1e"),
+        ("poisson/metrics.json",
+         "e07b027feace72bb4fec0c16e66f98eb25b7a292c4b25b88a191120cdff6846e"),
+        ("poisson/report.jsonl",
+         "905fd32b83ac60a2598d23ffd998d673e697b4a2c5e22b1b29090c02973c4af3"),
+        ("poisson/run_manifest.json",
+         "e194b88eaa7888e401db428121a9b630100a1dfa60892c9b7e3c8e4dae3baf3b"),
     ])
     def test_artifact_digest(self, golden_runs, path, digest):
         assert hashlib.sha256((golden_runs / path).read_bytes()).hexdigest() == digest

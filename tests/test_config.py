@@ -53,9 +53,6 @@ class TestValues:
         echoed = cfg.echo()
         assert all(key not in echoed for key in PATH_KEYS)
         assert list(echoed) == sorted(echoed)
-        full = cfg.echo(include_paths=True)
-        assert full["data"] == "/tmp/in.csv"
-        assert full["out"] == "/tmp/o"
 
     def test_schema_keys_cover_paths(self):
         keys = schema_keys()

@@ -185,19 +185,19 @@ class TestRecordLosses:
         # series 0,1,2,3; seq 2 stride 1; zero predictor.
         # record 1 sits in two windows, both contribute 1^2 -> mean 1.0
         data = window_matrix(np.arange(4, dtype=float), seq_len=2)
-        indices, losses = record_losses(ZeroPredictor(), data)
-        assert indices.tolist() == [0, 1, 2, 3]
+        losses = record_losses(ZeroPredictor(), data)
         assert losses.tolist() == [0.0, 1.0, 4.0, 9.0]
 
     def test_stride_gap_leaves_uncovered_records_out(self):
         data = window_matrix(np.arange(5, dtype=float), seq_len=2, stride=3)
-        indices, losses = record_losses(ZeroPredictor(), data)
-        assert indices.tolist() == [0, 1, 3, 4]
+        losses = record_losses(ZeroPredictor(), data)
+        # records 0, 1, 3 and 4; record 2 is in no window
+        assert losses.tolist() == [0.0, 1.0, 9.0, 16.0]
 
     def test_multi_feature_mean(self):
         matrix = np.array([[3.0, 4.0], [0.0, 0.0]])
         data = window_matrix(matrix, seq_len=2)
-        _, losses = record_losses(ZeroPredictor(), data)
+        losses = record_losses(ZeroPredictor(), data)
         assert losses.tolist() == [12.5, 0.0]
 
     def test_predictor_sees_one_block_at_a_time(self):
@@ -212,9 +212,8 @@ class TestRecordLosses:
         predictor = CountingPredictor()
         count = 2 * _BLOCK_ROWS + 1
         data = window_matrix(np.arange(count + 1, dtype=float), seq_len=2)
-        indices, losses = record_losses(predictor, data)
+        losses = record_losses(predictor, data)
         assert predictor.sizes == [_BLOCK_ROWS, _BLOCK_ROWS + 1]
-        assert indices.tolist() == list(range(count + 1))
         assert losses.tolist() == [float(v * v) for v in range(count + 1)]
 
 
@@ -229,7 +228,6 @@ class TestDetect:
         result = detect(SquareScorer(), self.eval_data(), anomaly_ratio=20.0,
                         threshold_source="eval")
         assert np.nonzero(result.predicted)[0].tolist() == [4]
-        assert result.threshold_source == "eval"
 
     def test_train_source_needs_losses(self):
         with pytest.raises(ConfigError):
@@ -287,7 +285,6 @@ class TestDetect:
                 truth=None,
                 metrics=None,
                 anomaly_ratio=20.0,
-                threshold_source="eval",
             )
 
 

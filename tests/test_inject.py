@@ -15,6 +15,7 @@ from uavloop.inject import (
     variance_sweep,
 )
 from uavloop.synthetic import synth_mission
+from uavloop.telemetry import DEFAULT_FEATURES
 
 from test_telemetry import make_series
 
@@ -54,7 +55,7 @@ class TestEveryNth:
     def test_other_features_untouched(self):
         series = synth_mission(50, seed=1)
         labeled = inject_every_nth(series, 5)
-        for name in series.feature_names:
+        for name in DEFAULT_FEATURES:
             if name == "accelerometer_m_s2_2":
                 continue
             assert np.array_equal(labeled.series.column(name), series.column(name))
@@ -120,27 +121,23 @@ class TestVariance:
         col = labeled.series.column("accelerometer_m_s2_2")
         assert col[4] == -8.5 and col[9] == -8.5
 
-    def test_explicit_rows(self):
-        labeled = inject_variance(make_series(10), "gyro_rad_0", 1.25, [7, 1, 1])
-        assert np.nonzero(labeled.labels)[0].tolist() == [1, 7]
-        assert labeled.series.column("gyro_rad_0")[1] == 1.25
-
     def test_labels_follow_selection_even_without_change(self):
         # writing the value a record already holds still marks it anomalous
         series = make_series(6, feature_values=[0.5] * 6)
-        labeled = inject_variance(series, "gyro_rad_0", 0.5, [2])
-        assert labeled.labels[2]
+        labeled = inject_variance(series, "gyro_rad_0", 0.5, 6)
+        assert labeled.labels[5]
         assert labeled.anomaly_count() == 1
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ConfigError):
-            inject_variance(make_series(10), "gyro_rad_0", 0.0, [])
+            inject_variance(make_series(10), "gyro_rad_0", 0.0, 11)
 
     def test_out_of_range_rejected(self):
+        # the every-nth stride must be at least 2
         with pytest.raises(ConfigError):
-            inject_variance(make_series(10), "gyro_rad_0", 0.0, [10])
+            inject_variance(make_series(10), "gyro_rad_0", 0.0, 1)
         with pytest.raises(ConfigError):
-            inject_variance(make_series(10), "gyro_rad_0", 0.0, [-1])
+            inject_variance(make_series(10), "gyro_rad_0", 0.0, 0)
 
     def test_sweep_runs_evaluator_per_target(self):
         series = make_series(20, feature_values=np.linspace(0, 1, 20))

@@ -13,7 +13,7 @@ class TestMission:
     def test_shape_and_clock(self):
         series = synth_mission(n_records=500, start_timestamp=1000, cadence_us=250)
         assert len(series) == 500
-        assert series.feature_names == DEFAULT_FEATURES
+        assert series.features().shape == (500, len(DEFAULT_FEATURES))
         ts = series.values[:, 0]
         assert ts[0] == 1000.0
         assert np.all(np.diff(ts) == 250.0)

@@ -45,7 +45,7 @@ def make_series(n, feature_values=None, start=212000, cadence=4000):
     values[:, COLUMNS.index("accelerometer_integral_dt")] = cadence
     if feature_values is not None:
         values[:, COLUMNS.index("gyro_rad_0")] = feature_values
-    return TelemetrySeries(values, DEFAULT_FEATURES)
+    return TelemetrySeries(values)
 
 
 def csv_row(ts, g0=0.1, dt=4000, clip=0):
@@ -581,16 +581,6 @@ class TestWindowViews:
 
 
 class TestSeriesValidation:
-    def test_unknown_feature_rejected(self):
-        values = make_series(3).values
-        with pytest.raises(ConfigError):
-            TelemetrySeries(values, ("gyro_rad_0", "nope"))
-
-    def test_timestamp_not_a_feature(self):
-        values = make_series(3).values
-        with pytest.raises(ConfigError):
-            TelemetrySeries(values, ("timestamp",))
-
     def test_values_read_only(self):
         series = make_series(3)
         with pytest.raises(ValueError):

