@@ -283,11 +283,11 @@ def _detect_labeled(config: RunConfig, predictor, labeled: inj.LabeledSeries, tr
     )
 
 
-def _detection_outputs(out: str, config: RunConfig, result) -> list:
+def _detection_outputs(out: str, config: RunConfig, tier, result) -> list:
     report = ts.emit_report(
         result,
         mission_id=f"mission-{config['seed']}",
-        tier=config.tier().name,
+        tier=tier.name,
         timestamp=0.0,
     )
     _write_text(os.path.join(out, "metrics.json"), metrics_json(result))
@@ -308,7 +308,7 @@ def cmd_detect(args, config: RunConfig) -> int:
         train_losses = _load_losses_csv(args.train_losses)
         inputs["train_losses"] = args.train_losses
     result = _detect_labeled(config, predictor, labeled, train_losses)
-    outputs = _detection_outputs(out, config, result)
+    outputs = _detection_outputs(out, config, config.tier(), result)
     return _finish(out, "detect", config, inputs, outputs)
 
 
@@ -405,10 +405,12 @@ def _run_detection_experiment(config: RunConfig, scheme: str):
 
 def _cmd_experiment_detection(config: RunConfig, scheme: str, command: str) -> int:
     out = _out_dir(config)
+    # An unknown tier fails here, before training and before any output is written.
+    tier = config.tier()
     inputs, labeled, result = _run_detection_experiment(config, scheme)
     inj.save_labeled_csv(labeled, os.path.join(out, "labeled.csv"))
     outputs = ["labeled.csv", "labeled.csv.meta.json"]
-    outputs += _detection_outputs(out, config, result)
+    outputs += _detection_outputs(out, config, tier, result)
     return _finish(out, command, config, inputs, outputs)
 
 

@@ -9,11 +9,16 @@ seeded once per build, draws every pair's corruption in order.  Pairs render
 to a plain-text format with one key:value line per field and parse back
 losslessly into the same type.
 
-Each packet is written once per window it appears in, so a dataset repeats
-most blocks many times.  Within one call, ``render_dataset`` renders each
-distinct packet's block once, and ``parse_dataset`` parses and validates each
-distinct block text once: identical blocks return one shared frozen
-``PacketRecord``.
+``PacketRecord``'s own constructor is the only range and flag check, so each
+distinct packet is validated once, when its record is built.  Each packet is
+written once per window it appears in, so a dataset repeats most blocks many
+times.  Within one call, ``render_dataset`` renders each distinct packet's
+block once, and ``parse_dataset`` converts each distinct block text once:
+identical blocks return one shared frozen ``PacketRecord``.  Text in
+``render_dataset``'s exact layout is cut into documents and field columns
+with string methods; any other text (other line breaks, extra or missing
+blank lines, any fault) goes to a line reader, which alone reports errors
+and their line numbers.
 """
 
 from __future__ import annotations
@@ -21,11 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import islice, repeat
+from operator import attrgetter, ne
+from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParseError
+from .errors import ConfigError, DimensionError, ParseError, PipelineError
 from .telemetry import read_text
 
 PACKET_COLUMNS = (
@@ -66,17 +73,24 @@ def canonical_flags(flags: str) -> str:
 
 
 # Exclusive upper bound of each integer key field; all are non-negative.
-_INT_LIMITS = {"sport": 2**16, "dport": 2**16, "seq": 2**32, "ack": 2**32, "length": math.inf}
+_U16, _U32 = 2**16, 2**32
+_INT_LIMITS = {"sport": _U16, "dport": _U16, "seq": _U32, "ack": _U32, "length": math.inf}
 
 
-def _in_range(name: str, value: int) -> int:
-    """value, if it is in range for the integer key field name; else ParseError."""
-    if not 0 <= value < _INT_LIMITS[name]:
-        raise ParseError(f"{name} out of range: {value}")
-    return value
+def _field_fault(name: str, value) -> str | None:
+    """Why value is not valid for the PacketRecord field name, or None if it is."""
+    if name == "timestamp":
+        return None if math.isfinite(value) else f"timestamp must be finite: {value}"
+    if name == "flags":
+        try:
+            canonical_flags(value)
+        except ParseError as exc:
+            return str(exc)
+        return None
+    return None if 0 <= value < _INT_LIMITS[name] else f"{name} out of range: {value}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PacketRecord:
     timestamp: float
     src: str
@@ -89,10 +103,19 @@ class PacketRecord:
     length: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.timestamp):
-            raise ParseError(f"timestamp must be finite: {self.timestamp}")
-        for name in _INT_LIMITS:
-            _in_range(name, getattr(self, name))
+        # The one check of every record: NaN and infinities fail the first test.
+        if not (
+            -math.inf < self.timestamp < math.inf
+            and 0 <= self.sport < _U16
+            and 0 <= self.dport < _U16
+            and 0 <= self.seq < _U32
+            and 0 <= self.ack < _U32
+            and 0 <= self.length
+        ):
+            for name in ("timestamp", *_INT_LIMITS):
+                fault = _field_fault(name, getattr(self, name))
+                if fault is not None:
+                    raise ParseError(fault)
         object.__setattr__(self, "flags", canonical_flags(self.flags))
 
     def key_values(self) -> dict:
@@ -103,10 +126,45 @@ class PacketRecord:
 
 
 def parse_packet_csv(text: str) -> list[PacketRecord]:
+    """Records of a packet CSV; blank and whitespace-only lines are skipped.
+
+    Cells are converted a column at a time.  On any fault the rows are read
+    again one at a time by _raise_first_row_error, which names the first bad
+    line.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != PACKET_HEADER:
         raise ParseError(f"expected header {PACKET_HEADER!r}", line=1)
-    records: list[PacketRecord] = []
+    rows = [line for line in lines[1:] if line.strip()]
+    if not rows:
+        return []
+    if set(map(str.count, rows, repeat(","))) == {len(PACKET_COLUMNS) - 1}:
+        cells = ",".join(rows).split(",")
+        ts, src, dst, sport, dport, flags, seq, ack, length = (
+            cells[j :: len(PACKET_COLUMNS)] for j in range(len(PACKET_COLUMNS))
+        )
+        try:
+            return list(
+                map(
+                    PacketRecord,
+                    map(float, ts),
+                    src,
+                    dst,
+                    map(int, sport),
+                    map(int, dport),
+                    flags,
+                    map(int, seq),
+                    map(int, ack),
+                    map(int, length),
+                )
+            )
+        except (ValueError, ParseError):
+            pass
+    _raise_first_row_error(lines)
+
+
+def _raise_first_row_error(lines: list[str]) -> NoReturn:
+    """Raise the error of the first bad row of a packet CSV parse_packet_csv rejected."""
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -116,26 +174,22 @@ def parse_packet_csv(text: str) -> list[PacketRecord]:
                 f"expected {len(PACKET_COLUMNS)} fields, got {len(cells)}", line=lineno
             )
         try:
-            records.append(
-                PacketRecord(
-                    timestamp=float(cells[0]),
-                    src=cells[1],
-                    dst=cells[2],
-                    sport=int(cells[3]),
-                    dport=int(cells[4]),
-                    flags=cells[5],
-                    seq=int(cells[6]),
-                    ack=int(cells[7]),
-                    length=int(cells[8]),
-                )
+            PacketRecord(
+                timestamp=float(cells[0]),
+                src=cells[1],
+                dst=cells[2],
+                sport=int(cells[3]),
+                dport=int(cells[4]),
+                flags=cells[5],
+                seq=int(cells[6]),
+                ack=int(cells[7]),
+                length=int(cells[8]),
             )
         except ParseError as exc:
-            if exc.line is None:
-                raise ParseError(str(exc), line=lineno) from exc
-            raise
+            raise ParseError(str(exc), line=lineno) from exc
         except ValueError as exc:
             raise ParseError(f"bad packet row: {exc}", line=lineno) from exc
-    return records
+    raise ParseError("packet CSV could not be read")
 
 
 def load_packet_csv(path: str) -> list[PacketRecord]:
@@ -212,7 +266,10 @@ def perturb_field(packet: PacketRecord, fld: str, rng: np.random.Generator) -> P
     )
 
 
-@dataclass(frozen=True)
+_key_values = attrgetter(*KEY_FIELDS)
+
+
+@dataclass(frozen=True, slots=True)
 class FinetuneSample:
     """One preference pair: context packets, the prompt, and two continuations.
 
@@ -228,10 +285,10 @@ class FinetuneSample:
     def __post_init__(self) -> None:
         if len(self.context) < 1:
             raise ConfigError("context must hold at least one packet")
-        diffs = diff_fields(self.chosen, self.rejected)
-        if len(diffs) != 1:
+        differ = sum(map(ne, _key_values(self.chosen), _key_values(self.rejected)))
+        if differ != 1:
             raise ConfigError(
-                f"rejected packet must differ in exactly one field, differs in {len(diffs)}"
+                f"rejected packet must differ in exactly one field, differs in {differ}"
             )
 
 
@@ -254,65 +311,157 @@ def make_pair(
     return FinetuneSample(tuple(context), prompt, next_packet, rejected)
 
 
-def _render_block(packet: PacketRecord) -> str:
-    lines = [_BLOCK_TAG]
-    for name in KEY_FIELDS:
-        lines.append(f"{name}:{getattr(packet, name)}")
-    return "\n".join(lines)
-
-
-def _cached_block(packet: PacketRecord, blocks: dict) -> str:
-    """The block of packet, rendered once per blocks dict: equal packets render equal blocks."""
-    text = blocks.get(packet)
-    if text is None:
-        text = blocks[packet] = _render_block(packet)
-    return text
-
-
-def _document_prefix(context: Sequence[PacketRecord], prompt: PacketRecord, blocks: dict) -> str:
-    """Every line of a document up to and including the predicted tag."""
-    parts = [_CONTEXT_TAG]
-    parts.extend(_cached_block(p, blocks) for p in context)
-    parts.append(_PREVIOUS_TAG)
-    parts.append(_cached_block(prompt, blocks))
-    parts.append(_PREDICTED_TAG)
-    parts.append("")
-    return "\n".join(parts)
+def _render_block(p: PacketRecord) -> str:
+    # KEY_FIELDS in order.
+    return (
+        f"{_BLOCK_TAG}\nsport:{p.sport}\ndport:{p.dport}\nflags:{p.flags}\n"
+        f"seq:{p.seq}\nack:{p.ack}\nlength:{p.length}"
+    )
 
 
 def _render_sample(sample: FinetuneSample, blocks: dict) -> str:
-    # A rejected packet is a fresh corruption, so its block is not kept.
-    prefix = _document_prefix(sample.context, sample.prompt, blocks)
-    chosen = prefix + _cached_block(sample.chosen, blocks)
-    rejected = prefix + _render_block(sample.rejected)
-    return chosen + "\n\n" + rejected + "\n"
+    parts = [_CONTEXT_TAG, *[blocks[id(p)] for p in sample.context]]
+    parts += (_PREVIOUS_TAG, blocks[id(sample.prompt)], _PREDICTED_TAG, "")
+    prefix = "\n".join(parts)
+    rejected = _render_block(sample.rejected)
+    return f"{prefix}{blocks[id(sample.chosen)]}\n\n{prefix}{rejected}\n"
 
 
 def render_dataset(samples: Sequence[FinetuneSample]) -> str:
-    """Each sample as its chosen document, a blank line and its rejected one."""
+    """Each sample as its chosen document, a blank line and its rejected one.
+
+    Every distinct packet object is rendered once; a rejected packet is a
+    fresh corruption, so its block is rendered where it is written.
+    """
     if not samples:
         raise ConfigError("cannot render an empty sample list")
-    blocks: dict = {}
+    # packets holds every packet until the call returns, so no id is reused.
+    packets = {id(p): p for s in samples for p in (*s.context, s.prompt, s.chosen)}
+    blocks = {key: _render_block(p) for key, p in packets.items()}
     return "\n".join(_render_sample(s, blocks) for s in samples)
 
 
-def _parse_block(lines: list[str], pos: int) -> tuple[dict, int]:
+def parse_dataset(text: str) -> list[FinetuneSample]:
+    """Inverse of render_dataset; validates pairing and the one-field rule.
+
+    Text exactly as render_dataset writes it is read by _parse_rendered; any
+    other text (other line breaks, extra blank lines, any fault) goes to the
+    line reader, _parse_lines, which alone reports errors.
+    """
+    samples = _parse_rendered(text)
+    return _parse_lines(text) if samples is None else samples
+
+
+# Separators of render_dataset's layout, each ending with the next block's tag.
+_NEXT_DOCUMENT = f"\n\n{_CONTEXT_TAG}\n{_BLOCK_TAG}\n"
+_NEXT_BLOCK = f"\n{_BLOCK_TAG}\n"
+_PROMPT_BLOCK = f"\n{_PREVIOUS_TAG}\n{_BLOCK_TAG}\n"
+_PREDICTED_BLOCK = f"\n{_PREDICTED_TAG}\n{_BLOCK_TAG}\n"
+
+
+def _parse_rendered(text: str) -> list[FinetuneSample] | None:
+    """parse_dataset of text in render_dataset's exact layout, else None.
+
+    Documents are cut out with str.split, and each block is keyed by its six
+    field lines.  A rejected document must repeat the text of its chosen
+    document up to the predicted block, and shares its context and prompt.  Each
+    distinct block text is converted once, a field column at a time, and
+    identical blocks share one record, as in the line reader.  Field values
+    must be plain ASCII digits or flag letters, so no other line break can
+    hide in them and the line reader would see the same lines.
+    """
+    docs = text.split(_NEXT_DOCUMENT)
+    start = f"{_CONTEXT_TAG}\n{_BLOCK_TAG}\n"
+    if len(docs) % 2 or not (docs[0].startswith(start) and docs[-1].endswith("\n")):
+        return None
+    docs[0] = docs[0][len(start) :]
+    docs[-1] = docs[-1][:-1]
+    # Every block's key: each pair's context in turn, then all prompts, chosen and
+    # rejected blocks; sizes[k] is the context length of pair k.
+    order: list[str] = []
+    sizes: list[int] = []
+    prompts: list[str] = []
+    chosens: list[str] = []
+    rejecteds: list[str] = []
+    for chosen, rejected in zip(docs[::2], docs[1::2]):
+        prefix, sep, predicted = chosen.rpartition(_PREDICTED_BLOCK)
+        r_prefix, r_sep, r_predicted = rejected.rpartition(_PREDICTED_BLOCK)
+        context, p_sep, prompt = prefix.rpartition(_PROMPT_BLOCK)
+        if not (sep and r_sep and p_sep and r_prefix == prefix):
+            return None
+        context = context.split(_NEXT_BLOCK)
+        order += context
+        sizes.append(len(context))
+        prompts.append(prompt)
+        chosens.append(predicted)
+        rejecteds.append(r_predicted)
+    order += prompts
+    order += chosens
+    order += rejecteds
+    keys = list(dict.fromkeys(order))
+    if set(map(str.count, keys, repeat("\n"))) != {len(KEY_FIELDS) - 1}:
+        return None
+    lines = "\n".join(keys).split("\n")
+    columns = []
+    for j, name in enumerate(KEY_FIELDS):
+        head = f"{name}:"
+        column = "\n".join(lines[j :: len(KEY_FIELDS)])
+        if not column.startswith(head) or column.count("\n" + head) != len(keys) - 1:
+            return None
+        raws = column[len(head) :].split("\n" + head)
+        if name == "flags":
+            # PacketRecord rejects any letter outside FLAG_ALPHABET.
+            columns.append(raws)
+            continue
+        digits = "".join(raws)
+        if not (digits.isascii() and digits.isdigit()):
+            return None
+        columns.append(map(int, raws))
+    try:
+        records = map(PacketRecord, repeat(0.0), repeat(""), repeat(""), *columns)
+        packet = dict(zip(keys, records)).__getitem__
+        contexts = map(packet, order)
+        return list(
+            map(
+                FinetuneSample,
+                [tuple(islice(contexts, n)) for n in sizes],
+                map(packet, prompts),
+                map(packet, chosens),
+                map(packet, rejecteds),
+            )
+        )
+    except (ValueError, PipelineError):
+        return None
+
+
+def _parse_block(lines: list[str], pos: int) -> tuple[PacketRecord, int]:
+    """The record of the block at lines[pos], and the position after it.
+
+    The first fault in line order raises: a field value PacketRecord rejects
+    is reported at its own line, before a fault on any later line.
+    """
     if pos >= len(lines) or lines[pos] != _BLOCK_TAG:
         raise ParseError(f"expected {_BLOCK_TAG}", line=pos + 1)
-    pos += 1
+    start = pos + 1
     values: dict = {}
-    for name in KEY_FIELDS:
-        if pos >= len(lines):
-            raise ParseError(f"truncated block, missing {name}", line=pos)
-        key, sep, raw = lines[pos].partition(":")
-        if not sep or key != name:
-            raise ParseError(f"expected field {name!r}, got {lines[pos]!r}", line=pos + 1)
-        try:
-            values[name] = canonical_flags(raw) if name == "flags" else _in_range(name, int(raw))
-        except (ValueError, ParseError) as exc:
-            raise ParseError(f"bad {name!r} field: {exc}", line=pos + 1) from exc
-        pos += 1
-    return values, pos
+    try:
+        for pos, name in enumerate(KEY_FIELDS, start=start):
+            if pos >= len(lines):
+                raise ParseError(f"truncated block, missing {name}", line=pos)
+            key, sep, raw = lines[pos].partition(":")
+            if not sep or key != name:
+                raise ParseError(f"expected field {name!r}, got {lines[pos]!r}", line=pos + 1)
+            try:
+                values[name] = raw if name == "flags" else int(raw)
+            except ValueError as exc:
+                raise ParseError(f"bad {name!r} field: {exc}", line=pos + 1) from exc
+        return PacketRecord(timestamp=0.0, src="", dst="", **values), pos + 1
+    except ParseError:
+        for line, (name, value) in enumerate(values.items(), start=start + 1):
+            fault = _field_fault(name, value)
+            if fault is not None:
+                raise ParseError(f"bad {name!r} field: {fault}", line=line) from None
+        raise
 
 
 _BLOCK_LINES = 1 + len(KEY_FIELDS)
@@ -329,8 +478,8 @@ def _block_at(lines: list[str], pos: int, packets: dict) -> tuple[PacketRecord, 
     packet = packets.get(key)
     if packet is not None:
         return packet, pos + _BLOCK_LINES
-    values, end = _parse_block(lines, pos)
-    packet = packets[key] = PacketRecord(timestamp=0.0, src="", dst="", **values)
+    packet, end = _parse_block(lines, pos)
+    packets[key] = packet
     return packet, end
 
 
@@ -354,8 +503,12 @@ def _parse_document(lines: list[str], pos: int, packets: dict):
     return tuple(context), prompt, predicted, pos
 
 
-def parse_dataset(text: str) -> list[FinetuneSample]:
-    """Inverse of render_dataset; validates pairing and the one-field rule."""
+def _parse_lines(text: str) -> list[FinetuneSample]:
+    """parse_dataset one line at a time, as str.splitlines splits them.
+
+    Whitespace-only lines between documents are skipped.  The first fault
+    raises a ParseError naming its line.
+    """
     docs: list[tuple] = []
     lines = text.splitlines()
     packets: dict = {}

@@ -4,8 +4,11 @@
 ``uavloop.telemetry.parse_table`` replaced; the differential tests hold the
 package's reader to it.  ``reference_forward``, ``reference_loss`` and
 ``reference_record_losses`` are the one-pass forms of the blocked full-set
-passes, which must match them bit for bit.  ``gradient_check`` and
-``ar1_series`` serve the forecast and acceptance tests.
+passes, which must match them bit for bit.  ``reference_parse_dataset`` is the
+line-by-line packet dataset reader that ``uavloop.packetset.parse_dataset``
+replaced; it must return equal samples, or raise the same ``ParseError``
+message and line.  ``gradient_check`` and ``ar1_series`` serve the forecast
+and acceptance tests.
 """
 
 from __future__ import annotations
@@ -15,6 +18,13 @@ import math
 import numpy as np
 
 from uavloop.errors import ConfigError, OrderingError, ParseError
+from uavloop.packetset import (
+    KEY_FIELDS,
+    FinetuneSample,
+    PacketRecord,
+    canonical_flags,
+    diff_fields,
+)
 
 
 def reference_parse_table(
@@ -162,3 +172,97 @@ def ar1_series(
         prev = phi * prev + noise[i]
         out[i] = prev
     return out
+
+
+_INT_LIMITS = {"sport": 2**16, "dport": 2**16, "seq": 2**32, "ack": 2**32, "length": math.inf}
+
+
+def _in_range(name: str, value: int) -> int:
+    if not 0 <= value < _INT_LIMITS[name]:
+        raise ParseError(f"{name} out of range: {value}")
+    return value
+
+
+def _parse_block(lines: list[str], pos: int) -> tuple[dict, int]:
+    if pos >= len(lines) or lines[pos] != "#BLOCK":
+        raise ParseError("expected #BLOCK", line=pos + 1)
+    pos += 1
+    values: dict = {}
+    for name in KEY_FIELDS:
+        if pos >= len(lines):
+            raise ParseError(f"truncated block, missing {name}", line=pos)
+        key, sep, raw = lines[pos].partition(":")
+        if not sep or key != name:
+            raise ParseError(f"expected field {name!r}, got {lines[pos]!r}", line=pos + 1)
+        try:
+            values[name] = canonical_flags(raw) if name == "flags" else _in_range(name, int(raw))
+        except (ValueError, ParseError) as exc:
+            raise ParseError(f"bad {name!r} field: {exc}", line=pos + 1) from exc
+        pos += 1
+    return values, pos
+
+
+_BLOCK_LINES = 1 + len(KEY_FIELDS)
+
+
+def _block_at(lines: list[str], pos: int, packets: dict) -> tuple[PacketRecord, int]:
+    key = tuple(lines[pos : pos + _BLOCK_LINES])
+    packet = packets.get(key)
+    if packet is not None:
+        return packet, pos + _BLOCK_LINES
+    values, end = _parse_block(lines, pos)
+    packet = packets[key] = PacketRecord(timestamp=0.0, src="", dst="", **values)
+    return packet, end
+
+
+def _parse_document(lines: list[str], pos: int, packets: dict):
+    if pos >= len(lines) or lines[pos] != "#Context":
+        raise ParseError("expected #Context", line=pos + 1)
+    pos += 1
+    context: list[PacketRecord] = []
+    while pos < len(lines) and lines[pos] == "#BLOCK":
+        packet, pos = _block_at(lines, pos, packets)
+        context.append(packet)
+    if not context:
+        raise ParseError("document has an empty context", line=pos + 1)
+    if pos >= len(lines) or lines[pos] != "#Previous_Packet":
+        raise ParseError("expected #Previous_Packet", line=pos + 1)
+    prompt, pos = _block_at(lines, pos + 1, packets)
+    if pos >= len(lines) or lines[pos] != "#Predicted_Packet":
+        raise ParseError("expected #Predicted_Packet", line=pos + 1)
+    predicted, pos = _block_at(lines, pos + 1, packets)
+    return tuple(context), prompt, predicted, pos
+
+
+def reference_parse_dataset(text: str) -> list[FinetuneSample]:
+    """Samples of a rendered packet dataset, read one line at a time.
+
+    Whitespace-only lines between documents are skipped; each block is
+    range-checked field by field, and identical block lines share one record.
+    """
+    docs: list[tuple] = []
+    lines = text.splitlines()
+    packets: dict = {}
+    pos = 0
+    while pos < len(lines):
+        if not lines[pos].strip():
+            pos += 1
+            continue
+        context, prompt, predicted, pos = _parse_document(lines, pos, packets)
+        docs.append((context, prompt, predicted))
+    if len(docs) % 2 != 0:
+        raise ParseError(f"dataset holds {len(docs)} documents, expected an even count")
+    samples: list[FinetuneSample] = []
+    for k in range(0, len(docs), 2):
+        c_ctx, c_prompt, chosen = docs[k]
+        r_ctx, r_prompt, rejected = docs[k + 1]
+        if c_ctx != r_ctx or c_prompt != r_prompt:
+            raise ParseError(f"pair {k // 2} has mismatched context or prompt blocks")
+        try:
+            samples.append(FinetuneSample(c_ctx, c_prompt, chosen, rejected))
+        except ConfigError:
+            diffs = diff_fields(chosen, rejected)
+            raise ParseError(
+                f"pair {k // 2} differs in {len(diffs)} fields, expected exactly 1"
+            ) from None
+    return samples

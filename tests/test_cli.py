@@ -92,6 +92,10 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: unknown tier 'mars'\n"
         assert not (out / "report.jsonl").exists()
         assert not (out / "run_manifest.json").exists()
+        if recipe != "detect":
+            # The tier is checked before training, so no labeled split is written.
+            assert not (out / "labeled.csv").exists()
+            assert not (out / "labeled.csv.meta.json").exists()
 
     @pytest.mark.parametrize("source", ["synthetic", "clean-file"])
     def test_unknown_impute_policy_without_blanks(self, tmp_path, capsys, source):

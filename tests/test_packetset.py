@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from support import reference_parse_dataset
+from uavloop import packetset
 from uavloop.errors import ConfigError, DimensionError, ParseError
 from uavloop.packetset import (
     FLAG_ALPHABET,
@@ -133,6 +137,39 @@ class TestParsing:
     def test_synthetic_log_parses(self):
         packets = parse_packet_csv(synth_packet_log(n_packets=50, seed=1))
         assert len(packets) == 50
+
+    def test_whitespace_only_lines_skipped(self):
+        text = PACKET_HEADER + "\n \n1.0,a,b,1,2,A,3,4,5\n\t\n2.0,a,b,1,2,A,3,4,6\n  "
+        assert [p.length for p in parse_packet_csv(text)] == [5, 6]
+
+    def test_no_rows(self):
+        assert parse_packet_csv(PACKET_HEADER + "\n\n \n") == []
+
+    @pytest.mark.parametrize("rows, line, message", [
+        (["1.0,a,b,1,2,A,3,4"], 3, "expected 9 fields, got 8"),
+        (["1.0,a,b,1,2,A,3,4,5,6"], 3, "expected 9 fields, got 10"),
+        (["1.0,a,b,1,x,A,3,4,5"], 3,
+         "bad packet row: invalid literal for int() with base 10: 'x'"),
+        (["t,a,b,1,2,A,3,4,5"], 3, "bad packet row: could not convert string to float: 't'"),
+        (["1.0,a,b,1,65536,A,3,4,5"], 3, "dport out of range: 65536"),
+        (["1.0,a,b,1,2,A,3,-4,5"], 3, "ack out of range: -4"),
+        (["inf,a,b,1,2,A,3,4,5"], 3, "timestamp must be finite: inf"),
+        (["1.0,a,b,1,2,AX,3,4,5"], 3, "unknown TCP flag letters: X"),
+        # The first bad row is reported, whatever the later rows hold.
+        (["1.0,a,b,70000,2,A,3,4,5", "1.0,a,b,1,2,A,3,4"], 3, "sport out of range: 70000"),
+        (["1.0,a,b,1,2,A,3,4", "1.0,a,b,x,2,A,3,4,5"], 3, "expected 9 fields, got 8"),
+        (["", "1.0,a,b,1,2,A,3,4,5", "nan,a,b,1,2,A,3,4,5", "1.0,a,b,x,2,A,3,4,5"], 5,
+         "timestamp must be finite: nan"),
+        # Within a row, cells convert left to right before the record is checked.
+        (["1.0,a,b,70000,2,A,3,4,y"], 3,
+         "bad packet row: invalid literal for int() with base 10: 'y'"),
+    ])
+    def test_first_bad_row_reported(self, rows, line, message):
+        text = "\n".join([PACKET_HEADER, "0.5,a,b,1,2,A,3,4,5", *rows]) + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_packet_csv(text)
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
 
 
 class TestSessions:
@@ -407,6 +444,154 @@ class TestParseDataset:
             with pytest.raises(ParseError) as err:
                 parse_dataset("\n".join(mutated))
             assert err.value.line == index + 1
+
+
+def outcome(parse, text):
+    """The samples parse returns with how their packets are shared, or its ParseError.
+
+    Sharing is each packet object's first position among all packets.
+    """
+    try:
+        samples = parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+    packets = [p for s in samples for p in (*s.context, s.prompt, s.chosen, s.rejected)]
+    first: dict = {}
+    return samples, [first.setdefault(id(p), k) for k, p in enumerate(packets)]
+
+
+def rendered(n_packets, context, seed, n_flows=8):
+    packets = parse_packet_csv(synth_packet_log(n_packets=n_packets, seed=seed, n_flows=n_flows))
+    return render_dataset(build_dataset(packets, context=context, seed=seed))
+
+
+LAYOUTS = {
+    "lf": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "whitespace-separators": lambda text: text.replace("\n\n", "\n \n\t\n"),
+    "no-separator": lambda text: text.replace("\n\n", "\n"),
+    "no-final-newline": lambda text: text.rstrip("\n"),
+}
+
+
+class TestParseMatchesReference:
+    """parse_dataset against the line reader it replaced (tests/support.py)."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("seed, context", [(0, 1), (1, 3), (2, 5), (3, 2)])
+    def test_same_samples_and_sharing(self, seed, context, layout):
+        text = LAYOUTS[layout](rendered(150, context, seed))
+        got = outcome(parse_dataset, text)
+        assert got == outcome(reference_parse_dataset, text)
+        samples, _ = got
+        assert len(samples) > 50
+        # A repeated block is one record: a window's chosen packet is the next one's prompt.
+        assert any(a.chosen is b.prompt for a, b in zip(samples, samples[1:]))
+        # Only render_dataset's own layout is read without the line reader.
+        assert (packetset._parse_rendered(text) is not None) == (layout == "lf")
+
+    @pytest.mark.parametrize("old, new", [
+        ("\nseq:", "\nseq:+"),
+        ("\nsport:", "\nsport: "),
+        ("\nlength:", "\nlength:\u0661"),
+        ("\nack:", "\nack:\r"),
+        ("\nack:", "\nack:\x85"),
+        ("\nflags:", "\nflags:\x1c"),
+        ("\ndport:", "\ndport:-"),
+    ])
+    def test_odd_values_same_outcome(self, old, new):
+        text = rendered(150, 2, 1).replace(old, new)
+        assert outcome(parse_dataset, text) == outcome(reference_parse_dataset, text)
+
+    @pytest.mark.parametrize("faults", [
+        {"sport": "sport:70000", "dport": "dport:abc"},
+        {"flags": "flags:Z", "seq": "seq:4294967296"},
+        {"dport": "dport:65536", "flags": "flags:"},
+        {"ack": "ack:4294967296", "length": "lengthh:1"},
+    ])
+    def test_first_of_two_faults_in_a_block(self, faults):
+        # The first block's field lines are lines 3 to 8.
+        lines = rendered(150, 2, 1).split("\n")
+        for name, bad in faults.items():
+            lines[2 + KEY_FIELDS.index(name)] = bad
+        text = "\n".join(lines)
+        got = outcome(parse_dataset, text)
+        assert got == outcome(reference_parse_dataset, text)
+        first = next(iter(faults))
+        assert got[1].startswith(f"line {3 + KEY_FIELDS.index(first)}: bad {first!r} field")
+
+    def test_line_moved_between_blocks(self):
+        # The next block's first line moves into the first block, in both
+        # documents of the first pair: one block of seven lines, one of five.
+        lines = rendered(150, 3, 1).split("\n")
+        assert lines[8] == "#BLOCK" and lines[9].startswith("sport:")
+        before = "\n".join(lines[1:10])
+        after = "\n".join([*lines[1:8], lines[9], lines[8]])
+        text = "\n".join(lines).replace(before, after, 2)
+        with pytest.raises(ParseError) as err:
+            parse_dataset(text)
+        assert err.value.line == 9
+        assert outcome(parse_dataset, text) == outcome(reference_parse_dataset, text)
+
+    def test_renamed_key_in_both_documents(self):
+        # The first field line of both documents of the first pair.
+        head = "#Context\n#BLOCK\n"
+        text = rendered(150, 2, 1).replace(head + "sport:", head + "sprt:", 2)
+        with pytest.raises(ParseError) as err:
+            parse_dataset(text)
+        assert err.value.line == 3
+        assert outcome(parse_dataset, text) == outcome(reference_parse_dataset, text)
+
+    def test_last_value_without_newline(self):
+        sample = FinetuneSample((pkt(),), pkt(seq=1064), pkt(seq=1128), pkt(seq=1128, length=700))
+        text = render_dataset([sample]).rstrip("\n")
+        assert text.endswith("\nlength:700")
+        (parsed,) = parse_dataset(text)
+        assert parsed.rejected.length == 700
+        assert outcome(parse_dataset, text) == outcome(reference_parse_dataset, text)
+
+    def test_empty_and_blank_text(self):
+        for text in ("", "\n", " \n\t\n"):
+            assert parse_dataset(text) == [] == reference_parse_dataset(text)
+
+
+SMALL = rendered(6, 1, 5, n_flows=1).split("\n")
+BAD_VALUES = st.one_of(
+    st.sampled_from([
+        "", "-1", "abc", "70000", "65536", "4294967296", "1.5", " 7", "7 ", "+7", "0x1",
+        "1_0", "\u0661", "7\r", "7\x85", "Z", "AX", "PA", "AP", "AAP", "#BLOCK",
+    ]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def mutated_datasets(draw):
+    """SMALL with one line deleted, duplicated, swapped, re-keyed or given a bad value."""
+    lines = SMALL.copy()
+    i = draw(st.integers(0, len(lines) - 2))
+    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "rename", "value"]))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    else:
+        key, _, value = lines[i].partition(":")
+        if kind == "rename":
+            key = draw(st.sampled_from([*KEY_FIELDS, "sprt", "#BLOCK", "#Context", ""]))
+        else:
+            value = draw(BAD_VALUES)
+        lines[i] = f"{key}:{value}"
+    return "\n".join(lines)
+
+
+class TestMutatedDataset:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=mutated_datasets())
+    def test_same_samples_or_same_error(self, text):
+        assert outcome(parse_dataset, text) == outcome(reference_parse_dataset, text)
 
 
 class TestScoring:
