@@ -145,10 +145,17 @@ def record_losses(predictor, dataset: WindowedDataset) -> np.ndarray:
     """Per-record losses, in record order, of every record a window covers.
 
     A record covered by several windows gets the mean of its per-window
-    squared errors.  The predictor sees the windows one row block at a time.
+    squared errors.  The predictor sees the windows one row block at a time,
+    and each block's per-row errors are added into the record sums before
+    the next block is scored, so no (W, horizon) array is built.  Blocks go
+    in window order, so every sum gets its terms in window order.
     """
     width = dataset.feature_count
-    per_row = np.empty(dataset.targets.shape[:2])
+    # The window that starts last holds the last record any window covers.
+    last = int(np.argmax(dataset.start_indices))
+    size = int(dataset.target_record_indices(slice(last, last + 1)).max()) + 1
+    sums = np.zeros(size)
+    counts = np.zeros(size)
     for block in _row_blocks(len(dataset)):
         preds = predictor.predict_batch(dataset.inputs[block])
         targets = dataset.targets[block]
@@ -156,15 +163,10 @@ def record_losses(predictor, dataset: WindowedDataset) -> np.ndarray:
             raise DimensionError(
                 f"predictor output {preds.shape} does not match targets {targets.shape}"
             )
-        per_row[block] = pointwise_loss(
-            preds.reshape(-1, width), targets.reshape(-1, width)
-        ).reshape(targets.shape[:2])
-    rows = dataset.target_record_indices()
-    size = int(rows.max()) + 1
-    sums = np.zeros(size)
-    counts = np.zeros(size)
-    np.add.at(sums, rows.ravel(), per_row.ravel())
-    np.add.at(counts, rows.ravel(), 1.0)
+        per_row = pointwise_loss(preds.reshape(-1, width), targets.reshape(-1, width))
+        rows = dataset.target_record_indices(block).ravel()
+        np.add.at(sums, rows, per_row)
+        np.add.at(counts, rows, 1.0)
     covered = counts > 0
     losses = sums[covered] / counts[covered]
     if not np.isfinite(losses).all():

@@ -11,8 +11,11 @@ hand-derived and validated against central finite differences.
 
 Full-set passes (``Predictor.loss``, ``predict_batch``,
 ``evaluate_forecast``) run over fixed blocks of windows, arithmetic in
-place, so their memory is one output array plus a block, and their bits
-equal a single pass over the whole set.
+place.  ``predict_batch`` and ``evaluate_forecast`` hold one output array
+plus a block, and their bits equal a single pass over the whole set.
+``loss`` holds one block: it sums each block's squared errors as the block
+is computed, so on a set of more than one block its last bit can differ
+from ``np.mean`` over the whole squared-error array.
 """
 
 from __future__ import annotations
@@ -139,14 +142,16 @@ class Predictor:
             )
         return y
 
-    def _forward(self, x: np.ndarray, params: np.ndarray, y: np.ndarray | None = None):
+    def _forward(self, x: np.ndarray, params: np.ndarray, y: np.ndarray | None = None, out=None):
         """Flat outputs for (W, seq_len, D) windows, or with targets y their squared errors.
 
-        One (W, n_out) result is filled block by block in place, so the
-        windows are flattened and the hidden layer held a block at a time.
+        One (W, n_out) result, out when given, is filled block by block in
+        place, so the windows are flattened and the hidden layer held a
+        block at a time.
         """
         w1, b1, w2, b2 = self._unpack(params)
-        out = np.empty((x.shape[0], self.n_out))
+        if out is None:
+            out = np.empty((x.shape[0], self.n_out))
         hidden = np.empty((min(x.shape[0], _BLOCK_ROWS + 1), self.config.fcn_dim))
         for rows in _row_blocks(x.shape[0]):
             h = hidden[: rows.stop - rows.start]
@@ -167,12 +172,22 @@ class Predictor:
         return out.reshape(x.shape[0], self.config.horizon, self.feature_count)
 
     def loss(self, windows, targets, params=None) -> float:
+        """Mean squared error over every output element of every window."""
         p = self.params if params is None else np.asarray(params, dtype=np.float64)
         x = self._check_windows(windows)
         y = self._check_targets(targets)
         if x.shape[0] != y.shape[0]:
             raise DimensionError("window and target counts differ")
-        return float(np.mean(self._forward(x, p, y)))
+        if x.shape[0] == 0:
+            raise DimensionError("cannot take the loss of zero windows")
+        # One block buffer for every block: a fresh one per block is freed
+        # and faulted in again whenever glibc trims the heap in between.
+        block = np.empty((min(x.shape[0], _BLOCK_ROWS + 1), self.n_out))
+        total = 0.0
+        for rows in _row_blocks(x.shape[0]):
+            sq = self._forward(x[rows], p, y[rows], out=block[: rows.stop - rows.start])
+            total += float(np.sum(sq))
+        return total / (x.shape[0] * self.n_out)
 
     def loss_and_grad(self, windows, targets, params=None):
         p = self.params if params is None else np.asarray(params, dtype=np.float64)

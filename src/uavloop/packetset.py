@@ -237,36 +237,32 @@ def extract_sessions(
     return sessions
 
 
+_key_values = attrgetter(*KEY_FIELDS)
+
+
 def perturb_field(packet: PacketRecord, fld: str, rng: np.random.Generator) -> PacketRecord:
     """Corrupt one field, guaranteed to differ from the original value."""
-    values = packet.key_values()
+    if fld not in KEY_FIELDS:
+        raise ConfigError(f"unknown packet field {fld!r}")
+    old = getattr(packet, fld)
     if fld in ("sport", "dport"):
         step = int(rng.integers(1, 1001)) * (1 if rng.random() < 0.5 else -1)
-        values[fld] = (values[fld] + step) % 65536
+        new = (old + step) % 65536
     elif fld in ("seq", "ack"):
         step = int(rng.integers(1, 1000001)) * (1 if rng.random() < 0.5 else -1)
-        values[fld] = (values[fld] + step) % 2**32
+        new = (old + step) % 2**32
     elif fld == "length":
-        new = values[fld]
-        while new == values[fld]:
+        new = old
+        while new == old:
             new = int(rng.integers(0, 1501))
-        values[fld] = new
-    elif fld == "flags":
-        letter = FLAG_ALPHABET[int(rng.integers(0, len(FLAG_ALPHABET)))]
-        present = set(values[fld])
-        present.symmetric_difference_update(letter)
-        values[fld] = "".join(c for c in FLAG_ALPHABET if c in present)
     else:
-        raise ConfigError(f"unknown packet field {fld!r}")
-    return PacketRecord(
-        timestamp=packet.timestamp,
-        src=packet.src,
-        dst=packet.dst,
-        **values,
-    )
-
-
-_key_values = attrgetter(*KEY_FIELDS)
+        letter = FLAG_ALPHABET[int(rng.integers(0, len(FLAG_ALPHABET)))]
+        present = set(old)
+        present.symmetric_difference_update(letter)
+        new = "".join(c for c in FLAG_ALPHABET if c in present)
+    values = list(_key_values(packet))
+    values[KEY_FIELDS.index(fld)] = new
+    return PacketRecord(packet.timestamp, packet.src, packet.dst, *values)
 
 
 @dataclass(frozen=True, slots=True)

@@ -216,8 +216,11 @@ def parse_table(
     if values is None:
         # numpy's reader rejects an empty cell.  No cell can read "nan" yet,
         # so a written "nan" marks exactly the blanks; then read once more.
-        cells = cells.replace(b",,", b",nan,").replace(b",,", b",nan,")
-        cells = cells.replace(b"\n,", b"\nnan,").replace(b",\n", b",nan\n")
+        # One rebinding per replace, so at most two body-sized buffers are alive.
+        cells = cells.replace(b",,", b",nan,")
+        cells = cells.replace(b",,", b",nan,")
+        cells = cells.replace(b"\n,", b"\nnan,")
+        cells = cells.replace(b",\n", b",nan\n")
         if cells.startswith(b","):
             cells = b"nan" + cells
         if cells.endswith(b","):
@@ -518,11 +521,11 @@ class WindowedDataset:
     def feature_count(self) -> int:
         return int(self.inputs.shape[2])
 
-    def target_record_indices(self) -> np.ndarray:
-        """Absolute record row of every target cell, shape (W, horizon)."""
+    def target_record_indices(self, block: slice = slice(None)) -> np.ndarray:
+        """Absolute record row of every target cell, one row per window in block."""
         offset = 0 if self.mode == "reconstruction" else self.seq_len
         steps = np.arange(self.horizon, dtype=np.int64) + offset
-        return self.start_indices[:, None] + steps[None, :]
+        return self.start_indices[block, None] + steps[None, :]
 
 
 def _window_view(base: np.ndarray, first: int, count: int, rows: int, stride: int) -> np.ndarray:

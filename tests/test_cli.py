@@ -3,13 +3,14 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
 from uavloop import forecast as fc
 from uavloop import packetset as ps
 from uavloop.cli import main
 from uavloop.synthetic import synth_packet_log
-from uavloop.telemetry import load_sensor_csv
+from uavloop.telemetry import fit_normalize, load_sensor_csv
 
 TINY_TRAIN = ["--records", "600", "--seq-len", "8", "--fcn-dim", "8", "--epochs", "1"]
 
@@ -196,6 +197,24 @@ class TestTrainDetectForecast:
         m = manifest(str(detect_out))
         assert set(m["inputs"]) == {"model", "train_losses", "data"}
 
+    def test_norm_scope_none_keeps_raw_units(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("train", *TINY_TRAIN, "--norm-scope", "none", "--out", str(out)) == 0
+        assert "norm=none" in (out / "model.ckpt").read_text().splitlines()
+        assert fc.load_predictor(str(out / "model.ckpt")).norm_stats is None
+
+    def test_norm_scope_global_fits_every_split(self, tmp_path):
+        assert run("ingest", "--records", "600", "--out", str(tmp_path / "clean")) == 0
+        whole = fit_normalize(load_sensor_csv(str(tmp_path / "clean" / "clean.csv")))
+        stats = {}
+        for scope in ("global", "train"):
+            out = tmp_path / scope
+            assert run("train", *TINY_TRAIN, "--norm-scope", scope, "--out", str(out)) == 0
+            stats[scope] = fc.load_predictor(str(out / "model.ckpt")).norm_stats
+        assert np.array_equal(stats["global"].mean, whole.mean)
+        assert np.array_equal(stats["global"].std, whole.std)
+        assert not np.array_equal(stats["train"].mean, whole.mean)
+
     def test_forecast_report(self, tmp_path):
         train_out = tmp_path / "train"
         assert run("train", "--mode", "forecast", *TINY_TRAIN, "--out", str(train_out)) == 0
@@ -247,6 +266,14 @@ class TestDetectInputs:
         assert code == 3
         err = capsys.readouterr().err
         assert path in err and "line 2" in err
+        assert not (out / "metrics.json").exists()
+
+    def test_missing_data_rejected(self, trained, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("detect", "--model", str(trained / "recon" / "model.ckpt"),
+                   "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == "error: detect needs --data pointing at a labeled CSV\n"
         assert not (out / "metrics.json").exists()
 
     def test_forecast_checkpoint_rejected(self, trained, tmp_path, capsys):
@@ -357,6 +384,15 @@ class TestPacketset:
         samples = ps.parse_dataset((out / "samples.txt").read_text())
         assert len(samples) > 50
 
+    def test_build_from_file_records_input_digest(self, tmp_path):
+        log = tmp_path / "packets.csv"
+        log.write_text(synth_packet_log(n_packets=80, seed=2))
+        out = tmp_path / "o"
+        assert run("packetset", "build", "--data", str(log), "--out", str(out)) == 0
+        want = hashlib.sha256(log.read_bytes()).hexdigest()
+        assert manifest(str(out))["inputs"] == {"data": want}
+        assert ps.parse_dataset((out / "samples.txt").read_text())
+
     def test_score_identity(self, tmp_path):
         log = tmp_path / "packets.csv"
         log.write_text(synth_packet_log(n_packets=80, seed=2))
@@ -460,7 +496,7 @@ def golden_runs(tmp_path_factory):
     assert run("experiment", "nth", *GOLDEN_TRAIN, "--out", str(root / "nth")) == 0
     assert run("experiment", "variance-sweep", *GOLDEN_TRAIN,
                "--out", str(root / "variance")) == 0
-    for scheme in ("poisson", "variance"):
+    for scheme in ("poisson", "variance", "random"):
         assert run("inject", "--scheme", scheme, "--records", "3000", "--seed", "2",
                    "--out", str(root / f"inject-{scheme}")) == 0
     assert run("experiment", "poisson", *GOLDEN_TRAIN, "--out", str(root / "poisson")) == 0
@@ -490,6 +526,10 @@ class TestCsvGolden:
          "1c74c26797ad3d9cf482e5640b4c74f7fa1761e1303e0c94085a5e82c1603e81"),
         ("inject-variance/labeled.csv.meta.json",
          "dc51216b556085de4b1f11b1c922f11320cdb320ac703d8f21531767a02e2193"),
+        ("inject-random/labeled.csv",
+         "f31dee42e1e2460892b5c8065805455593a4a0c067fcb88841608865bc0ce672"),
+        ("inject-random/labeled.csv.meta.json",
+         "b92bba16afa79e7002ce126ef118c4188cccdccf307558c8ce92ba2a5c2dec87"),
         ("poisson/labeled.csv", "f11a0ba027a48547487cb2d234ffc5317d97eeaae946d73c0fcfeb97a2b2eeb6"),
         ("poisson/records.csv", "acff73efddf111af498d911f16c662d1cb8b102e745bf0af738c8e700d421f1e"),
         ("poisson/metrics.json",

@@ -81,6 +81,11 @@ class TestShapes:
         with pytest.raises(DimensionError):
             p.predict_batch(np.zeros((4, 5)))[0]
 
+    def test_loss_of_zero_windows_rejected(self):
+        p = init_predictor(PredictorConfig(seq_len=3, horizon=2, fcn_dim=4), 5)
+        with pytest.raises(DimensionError, match="zero windows"):
+            p.loss(np.zeros((0, 3, 5)), np.zeros((0, 2, 5)))
+
 
 class TestForward:
     def test_hand_computed_forward(self):

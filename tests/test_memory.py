@@ -1,0 +1,88 @@
+"""Peak memory of the full-set passes, traced with tracemalloc.
+
+Each bound is one the one-pass forms exceed: ``Predictor.loss`` held one
+(W, n_out) squared-error array, ``record_losses`` one (W, horizon) error
+array and one (W, horizon) record-index array, and the blank fill of
+``parse_table`` three body-sized buffers.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+
+from uavloop import forecast as fc
+from uavloop.detect import record_losses
+from uavloop.forecast import PredictorConfig, init_predictor
+from uavloop.synthetic import synth_mission
+from uavloop.telemetry import (
+    COLUMNS,
+    INT_COLUMNS,
+    WindowedDataset,
+    parse_table,
+    serialize_sensor_csv,
+)
+
+from support import reference_loss
+
+# Three full blocks and a 1-row tail, so every block is a third of the set.
+WINDOWS = 3 * fc._BLOCK_ROWS + 1
+SEQ_LEN, HORIZON = 4, 16
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes fn(*args) allocates at its peak, above what was live before the call."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def forecast_set(count=WINDOWS):
+    """A one-feature predictor and ``count`` contiguous forecast windows with stride-1 starts."""
+    rng = np.random.default_rng(count)
+    inputs = rng.normal(size=(count, SEQ_LEN, 1))
+    targets = rng.normal(size=(count, HORIZON, 1))
+    data = WindowedDataset(inputs, targets, np.arange(count), SEQ_LEN, "forecast", HORIZON)
+    cfg = PredictorConfig(seq_len=SEQ_LEN, horizon=HORIZON, fcn_dim=2, seed=1)
+    return init_predictor(cfg, 1), data
+
+
+class TestPeakMemory:
+    def test_loss_holds_one_block(self):
+        predictor, data = forecast_set()
+        full = WINDOWS * predictor.n_out * 8
+        assert traced_peak(predictor.loss, data.inputs, data.targets) < full / 2
+
+    def test_record_losses_holds_no_full_set_array_pair(self):
+        predictor, data = forecast_set()
+        one = WINDOWS * HORIZON * 8
+        # A block's predictions, errors and record indices are each a third
+        # of one (W, horizon) array here, so a single array is out of reach.
+        assert traced_peak(record_losses, predictor, data) < 2 * one
+
+    def test_blank_fill_holds_two_body_buffers(self):
+        lines = serialize_sensor_csv(synth_mission(n_records=20000, seed=3)).splitlines()
+        for k in range(8, len(lines), 50):
+            cells = lines[k].split(",")
+            # Two adjacent blanks need both ",," passes.
+            cells[2] = cells[3] = ""
+            lines[k] = ",".join(cells)
+        text = "\n".join(lines) + "\n"
+        assert traced_peak(parse_table, text, COLUMNS, INT_COLUMNS) < 2.5 * len(text)
+
+
+class TestBlockedLoss:
+    def test_one_block_equals_whole_array_mean(self):
+        predictor, data = forecast_set(fc._BLOCK_ROWS - 1)
+        want = reference_loss(predictor, data.inputs, data.targets)
+        assert predictor.loss(data.inputs, data.targets) == want
+
+    def test_several_blocks_within_rounding_of_whole_array_mean(self):
+        predictor, data = forecast_set()
+        want = reference_loss(predictor, data.inputs, data.targets)
+        got = predictor.loss(data.inputs, data.targets)
+        assert math.isclose(got, want, rel_tol=1e-14)
