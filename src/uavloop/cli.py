@@ -201,12 +201,12 @@ def _train_predictor(config: RunConfig, series: tel.TelemetrySeries, mode: str):
     stats = _norm_stats(config, series, parts.train)
     pcfg = config.predictor_config(mode)
     train_series = _maybe_normalize(parts.train, stats)
-    horizon = pcfg.horizon if mode == "forecast" else 1
-    train_windows = tel.window(train_series, pcfg.seq_len, config["stride"], mode, horizon)
+    # Reconstruction windows ignore the horizon.
+    train_windows = tel.window(train_series, pcfg.seq_len, config["stride"], mode, pcfg.horizon)
     val_windows = None
-    if len(parts.val) >= pcfg.seq_len + (horizon if mode == "forecast" else 0):
+    if len(parts.val) >= pcfg.seq_len + (pcfg.horizon if mode == "forecast" else 0):
         val_windows = tel.window(
-            _maybe_normalize(parts.val, stats), pcfg.seq_len, config["stride"], mode, horizon
+            _maybe_normalize(parts.val, stats), pcfg.seq_len, config["stride"], mode, pcfg.horizon
         )
     predictor = fc.init_predictor(pcfg, train_windows.feature_count, norm_stats=stats)
     predictor = fc.train(predictor, train_windows, val_windows)
@@ -320,11 +320,8 @@ def cmd_forecast(args, config: RunConfig) -> int:
     parts = tel.split(series, config.split_spec())
     test_series = _maybe_normalize(parts.test, predictor.norm_stats)
     pcfg = predictor.config
-    if pcfg.horizon == pcfg.seq_len:
-        mode, horizon = "reconstruction", 1
-    else:
-        mode, horizon = "forecast", pcfg.horizon
-    test_windows = tel.window(test_series, pcfg.seq_len, config["stride"], mode, horizon)
+    mode = "reconstruction" if pcfg.horizon == pcfg.seq_len else "forecast"
+    test_windows = tel.window(test_series, pcfg.seq_len, config["stride"], mode, pcfg.horizon)
     report = fc.evaluate_forecast(predictor, test_windows)
     baseline = fc.persistence_predictions(test_windows)
     base_mse = float(((baseline - test_windows.targets) ** 2).mean())

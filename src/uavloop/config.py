@@ -180,25 +180,23 @@ class RunConfig:
         return LatencyModel(a=self["latency_a"], b=self["latency_b"], c=self["latency_c"])
 
     def batch_list(self) -> list[int]:
-        items = [s for s in self["batches"].split(",") if s.strip()]
-        if not items:
-            raise ConfigError("batches list is empty")
-        try:
-            sizes = [int(s.strip(), 10) for s in items]
-        except ValueError as exc:
-            raise ConfigError(f"bad batches list {self['batches']!r}") from exc
+        sizes = self._list("batches", int)
         if any(b < 1 for b in sizes):
             raise ConfigError("batch sizes must be >= 1")
         return sizes
 
     def variance_target_list(self) -> list[float]:
-        items = [s for s in self["variance_targets"].split(",") if s.strip()]
+        return self._list("variance_targets", float)
+
+    def _list(self, key: str, kind) -> list:
+        """The comma-separated value of key as a list of kind; blank items are skipped."""
+        items = [s.strip() for s in self[key].split(",") if s.strip()]
         if not items:
-            raise ConfigError("variance_targets list is empty")
+            raise ConfigError(f"{key} list is empty")
         try:
-            return [float(s.strip()) for s in items]
+            return [kind(s) for s in items]
         except ValueError as exc:
-            raise ConfigError(f"bad variance_targets list {self['variance_targets']!r}") from exc
+            raise ConfigError(f"bad {key} list {self[key]!r}") from exc
 
 
 def schema_keys() -> tuple:

@@ -136,12 +136,16 @@ def _labeled(
     return LabeledSeries(_perturb(series, rows, spec), labels, meta)
 
 
-def inject_every_nth(series: TelemetrySeries, n: int, spec: PerturbSpec = PerturbSpec()) -> LabeledSeries:
-    """Perturb records n, 2n, 3n, ... (1-based); exactly floor(N/n) anomalies."""
+def _every_nth(series: TelemetrySeries, n: int) -> np.ndarray:
+    """The rows of records n, 2n, 3n, ... (1-based)."""
     if n < 2:
         raise ConfigError(f"every-nth stride must be at least 2, got {n}")
-    rows = np.arange(n - 1, len(series), n, dtype=np.int64)
-    return _labeled(series, rows, spec, "every-nth", {"n": int(n)})
+    return np.arange(n - 1, len(series), n, dtype=np.int64)
+
+
+def inject_every_nth(series: TelemetrySeries, n: int, spec: PerturbSpec = PerturbSpec()) -> LabeledSeries:
+    """Perturb records n, 2n, 3n, ... (1-based); exactly floor(N/n) anomalies."""
+    return _labeled(series, _every_nth(series, n), spec, "every-nth", {"n": int(n)})
 
 
 def inject_random(
@@ -179,9 +183,7 @@ def inject_variance(
 
     Labels follow the selection even if the written value equals the original.
     """
-    if n < 2:
-        raise ConfigError(f"every-nth stride must be at least 2, got {n}")
-    rows = np.arange(n - 1, len(series), n, dtype=np.int64)
+    rows = _every_nth(series, n)
     if rows.size == 0:
         raise ConfigError("variance injection selected no records")
     spec = PerturbSpec(feature=feature, mode="set-value", value=float(target_value))
@@ -250,12 +252,5 @@ def load_labeled_csv(csv_path) -> LabeledSeries:
     meta = None
     meta_path = f"{csv_path}.meta.json"
     if os.path.exists(meta_path):
-        try:
-            meta = InjectionMeta.from_json(telemetry.read_text(meta_path))
-        except ParseError as exc:
-            raise exc.in_file(meta_path) from None
-    text = telemetry.read_text(csv_path)
-    try:
-        return parse_labeled_csv(text, meta)
-    except ParseError as exc:
-        raise exc.in_file(csv_path) from None
+        meta = telemetry.read_parsed(meta_path, InjectionMeta.from_json)
+    return telemetry.read_parsed(csv_path, lambda text: parse_labeled_csv(text, meta))

@@ -1,13 +1,14 @@
 """Packet-log sessionization and preference-pair dataset construction.
 
-A parsed capture is grouped into sessions (bidirectional endpoint pairs, split
-on FIN/RST or idle gaps).  A window slides over each session: n context
-packets, the prompt, and the packet that actually followed it.  Every window
-yields a ``FinetuneSample``: the true next packet as the chosen continuation
-and a single-field corruption of it as the rejected one.  One generator,
-seeded once per build, draws every pair's corruption in order.  Pairs render
-to a plain-text format with one key:value line per field and parse back
-losslessly into the same type.
+A packet CSV is read one row at a time, and its first bad row raises a
+ParseError naming the line.  The parsed capture is grouped into sessions
+(bidirectional endpoint pairs, split on FIN/RST or idle gaps).  A window
+slides over each session: n context packets, the prompt, and the packet that
+actually followed it.  Every window yields a ``FinetuneSample``: the true
+next packet as the chosen continuation and a single-field corruption of it
+as the rejected one.  One generator, seeded once per build, draws every
+pair's corruption in order.  Pairs render to a plain-text format with one
+key:value line per field and parse back losslessly into the same type.
 
 ``PacketRecord``'s own constructor is the only range and flag check, so each
 distinct packet is validated once, when its record is built.  Each packet is
@@ -28,12 +29,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
 from operator import attrgetter, ne
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ParseError, PipelineError
-from .telemetry import read_text
+from .telemetry import read_parsed
 
 PACKET_COLUMNS = (
     "timestamp",
@@ -126,45 +127,16 @@ class PacketRecord:
 
 
 def parse_packet_csv(text: str) -> list[PacketRecord]:
-    """Records of a packet CSV; blank and whitespace-only lines are skipped.
+    """Records of a packet CSV, read one row at a time.
 
-    Cells are converted a column at a time.  On any fault the rows are read
-    again one at a time by _raise_first_row_error, which names the first bad
-    line.
+    Blank and whitespace-only lines are skipped.  Each row's cells convert
+    left to right into a PacketRecord; the first bad row raises a ParseError
+    naming its line.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != PACKET_HEADER:
         raise ParseError(f"expected header {PACKET_HEADER!r}", line=1)
-    rows = [line for line in lines[1:] if line.strip()]
-    if not rows:
-        return []
-    if set(map(str.count, rows, repeat(","))) == {len(PACKET_COLUMNS) - 1}:
-        cells = ",".join(rows).split(",")
-        ts, src, dst, sport, dport, flags, seq, ack, length = (
-            cells[j :: len(PACKET_COLUMNS)] for j in range(len(PACKET_COLUMNS))
-        )
-        try:
-            return list(
-                map(
-                    PacketRecord,
-                    map(float, ts),
-                    src,
-                    dst,
-                    map(int, sport),
-                    map(int, dport),
-                    flags,
-                    map(int, seq),
-                    map(int, ack),
-                    map(int, length),
-                )
-            )
-        except (ValueError, ParseError):
-            pass
-    _raise_first_row_error(lines)
-
-
-def _raise_first_row_error(lines: list[str]) -> NoReturn:
-    """Raise the error of the first bad row of a packet CSV parse_packet_csv rejected."""
+    records = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -173,31 +145,21 @@ def _raise_first_row_error(lines: list[str]) -> NoReturn:
             raise ParseError(
                 f"expected {len(PACKET_COLUMNS)} fields, got {len(cells)}", line=lineno
             )
+        ts, src, dst, sport, dport, flags, seq, ack, length = cells
         try:
-            PacketRecord(
-                timestamp=float(cells[0]),
-                src=cells[1],
-                dst=cells[2],
-                sport=int(cells[3]),
-                dport=int(cells[4]),
-                flags=cells[5],
-                seq=int(cells[6]),
-                ack=int(cells[7]),
-                length=int(cells[8]),
+            record = PacketRecord(
+                float(ts), src, dst, int(sport), int(dport), flags, int(seq), int(ack), int(length)
             )
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from exc
         except ValueError as exc:
             raise ParseError(f"bad packet row: {exc}", line=lineno) from exc
-    raise ParseError("packet CSV could not be read")
+        records.append(record)
+    return records
 
 
 def load_packet_csv(path: str) -> list[PacketRecord]:
-    text = read_text(path)
-    try:
-        return parse_packet_csv(text)
-    except ParseError as exc:
-        raise exc.in_file(path) from None
+    return read_parsed(path, parse_packet_csv)
 
 
 def extract_sessions(
@@ -256,10 +218,9 @@ def perturb_field(packet: PacketRecord, fld: str, rng: np.random.Generator) -> P
         while new == old:
             new = int(rng.integers(0, 1501))
     else:
+        # Toggle one letter; PacketRecord puts the letters in canonical order.
         letter = FLAG_ALPHABET[int(rng.integers(0, len(FLAG_ALPHABET)))]
-        present = set(old)
-        present.symmetric_difference_update(letter)
-        new = "".join(c for c in FLAG_ALPHABET if c in present)
+        new = old.replace(letter, "") if letter in old else old + letter
     values = list(_key_values(packet))
     values[KEY_FIELDS.index(fld)] = new
     return PacketRecord(packet.timestamp, packet.src, packet.dst, *values)
@@ -433,31 +394,26 @@ def _parse_rendered(text: str) -> list[FinetuneSample] | None:
 def _parse_block(lines: list[str], pos: int) -> tuple[PacketRecord, int]:
     """The record of the block at lines[pos], and the position after it.
 
-    The first fault in line order raises: a field value PacketRecord rejects
-    is reported at its own line, before a fault on any later line.
+    Each field is checked as it is read, so the first fault in line order raises.
     """
     if pos >= len(lines) or lines[pos] != _BLOCK_TAG:
         raise ParseError(f"expected {_BLOCK_TAG}", line=pos + 1)
-    start = pos + 1
-    values: dict = {}
-    try:
-        for pos, name in enumerate(KEY_FIELDS, start=start):
-            if pos >= len(lines):
-                raise ParseError(f"truncated block, missing {name}", line=pos)
-            key, sep, raw = lines[pos].partition(":")
-            if not sep or key != name:
-                raise ParseError(f"expected field {name!r}, got {lines[pos]!r}", line=pos + 1)
-            try:
-                values[name] = raw if name == "flags" else int(raw)
-            except ValueError as exc:
-                raise ParseError(f"bad {name!r} field: {exc}", line=pos + 1) from exc
-        return PacketRecord(timestamp=0.0, src="", dst="", **values), pos + 1
-    except ParseError:
-        for line, (name, value) in enumerate(values.items(), start=start + 1):
-            fault = _field_fault(name, value)
-            if fault is not None:
-                raise ParseError(f"bad {name!r} field: {fault}", line=line) from None
-        raise
+    values = []
+    for pos, name in enumerate(KEY_FIELDS, start=pos + 1):
+        if pos >= len(lines):
+            raise ParseError(f"truncated block, missing {name}", line=pos)
+        key, sep, raw = lines[pos].partition(":")
+        if not sep or key != name:
+            raise ParseError(f"expected field {name!r}, got {lines[pos]!r}", line=pos + 1)
+        try:
+            value = raw if name == "flags" else int(raw)
+        except ValueError as exc:
+            raise ParseError(f"bad {name!r} field: {exc}", line=pos + 1) from exc
+        fault = _field_fault(name, value)
+        if fault is not None:
+            raise ParseError(f"bad {name!r} field: {fault}", line=pos + 1)
+        values.append(value)
+    return PacketRecord(0.0, "", "", *values), pos + 1
 
 
 _BLOCK_LINES = 1 + len(KEY_FIELDS)

@@ -166,6 +166,15 @@ def read_text(path) -> str:
         raise InputError(f"{path} line {line}: not UTF-8 text ({bad})") from None
 
 
+def read_parsed(path, parse):
+    """``parse(read_text(path))``, with path in front of a ParseError's message."""
+    text = read_text(path)
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise exc.in_file(path) from None
+
+
 def format_table(columns: tuple[str, ...], cells, int_columns: frozenset[str]) -> str:
     """Numeric CSV text from one value sequence per column, built column-wise.
 
@@ -336,11 +345,7 @@ def serialize_sensor_csv(series: TelemetrySeries) -> str:
 
 
 def load_sensor_csv(path) -> TelemetrySeries:
-    text = read_text(path)
-    try:
-        return parse_sensor_csv(text)
-    except ParseError as exc:
-        raise exc.in_file(path) from None
+    return read_parsed(path, parse_sensor_csv)
 
 
 def save_sensor_csv(series: TelemetrySeries, path) -> None:

@@ -7,19 +7,26 @@ package's reader to it.  ``reference_forward``, ``reference_loss`` and
 passes, which must match them bit for bit.  ``reference_parse_dataset`` is the
 line-by-line packet dataset reader that ``uavloop.packetset.parse_dataset``
 replaced; it must return equal samples, or raise the same ``ParseError``
-message and line.  ``gradient_check`` and ``ar1_series`` serve the forecast
+message and line.  ``reference_parse_packet_csv`` is the column-wise packet
+CSV reader, with its row-by-row error pass, that
+``uavloop.packetset.parse_packet_csv`` replaced; the same contract holds for
+records.  ``gradient_check`` and ``ar1_series`` serve the forecast
 and acceptance tests.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from typing import NoReturn
 
 import numpy as np
 
 from uavloop.errors import ConfigError, OrderingError, ParseError
 from uavloop.packetset import (
     KEY_FIELDS,
+    PACKET_COLUMNS,
+    PACKET_HEADER,
     FinetuneSample,
     PacketRecord,
     canonical_flags,
@@ -266,3 +273,70 @@ def reference_parse_dataset(text: str) -> list[FinetuneSample]:
                 f"pair {k // 2} differs in {len(diffs)} fields, expected exactly 1"
             ) from None
     return samples
+
+
+def reference_parse_packet_csv(text: str) -> list[PacketRecord]:
+    """Records of a packet CSV; blank and whitespace-only lines are skipped.
+
+    Cells are converted a column at a time.  On any fault the rows are read
+    again one at a time by _raise_first_row_error, which names the first bad
+    line.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != PACKET_HEADER:
+        raise ParseError(f"expected header {PACKET_HEADER!r}", line=1)
+    rows = [line for line in lines[1:] if line.strip()]
+    if not rows:
+        return []
+    if set(map(str.count, rows, repeat(","))) == {len(PACKET_COLUMNS) - 1}:
+        cells = ",".join(rows).split(",")
+        ts, src, dst, sport, dport, flags, seq, ack, length = (
+            cells[j :: len(PACKET_COLUMNS)] for j in range(len(PACKET_COLUMNS))
+        )
+        try:
+            return list(
+                map(
+                    PacketRecord,
+                    map(float, ts),
+                    src,
+                    dst,
+                    map(int, sport),
+                    map(int, dport),
+                    flags,
+                    map(int, seq),
+                    map(int, ack),
+                    map(int, length),
+                )
+            )
+        except (ValueError, ParseError):
+            pass
+    _raise_first_row_error(lines)
+
+
+def _raise_first_row_error(lines: list[str]) -> NoReturn:
+    """Raise the error of the first bad row of a packet CSV the reference rejected."""
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        cells = raw.split(",")
+        if len(cells) != len(PACKET_COLUMNS):
+            raise ParseError(
+                f"expected {len(PACKET_COLUMNS)} fields, got {len(cells)}", line=lineno
+            )
+        try:
+            PacketRecord(
+                timestamp=float(cells[0]),
+                src=cells[1],
+                dst=cells[2],
+                sport=int(cells[3]),
+                dport=int(cells[4]),
+                flags=cells[5],
+                seq=int(cells[6]),
+                ack=int(cells[7]),
+                length=int(cells[8]),
+            )
+        except ParseError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+        except ValueError as exc:
+            raise ParseError(f"bad packet row: {exc}", line=lineno) from exc
+    raise ParseError("packet CSV could not be read")

@@ -601,3 +601,121 @@ class TestDeterminism:
         assert names == sorted(os.listdir(outs[1]))
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+class TestExitMessages:
+    """One-line messages of bad-input paths that no other CLI test reaches."""
+
+    def test_empty_data_file(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("")
+        capsys.readouterr()
+        assert run("ingest", "--data", str(data), "--out", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == (
+            f"error: {data}: line 1: empty input: missing header row\n"
+        )
+
+    def test_unknown_norm_scope(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("train", *TINY_TRAIN, "--norm-scope", "bogus",
+                   "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == "error: unknown norm_scope 'bogus'\n"
+        assert not (tmp_path / "o" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        ("no-params", "checkpoint is missing its parameter block"),
+        ("bad-seq-len",
+         "malformed checkpoint header: invalid literal for int() with base 10: 'x'"),
+        ("no-mean", "checkpoint has norm= but no mean= line"),
+    ])
+    def test_bad_checkpoint_names_path(self, trained, tmp_path, capsys, edit, message):
+        lines = (trained / "recon" / "model.ckpt").read_text().splitlines()
+        if edit == "no-params":
+            lines = [line for line in lines if not line.startswith("params=")]
+        elif edit == "bad-seq-len":
+            lines = ["seq_len=x" if line.startswith("seq_len=") else line for line in lines]
+        else:
+            lines = [line for line in lines if not line.startswith("mean=")]
+        model = tmp_path / "model.ckpt"
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("forecast", "--model", str(model), "--records", "200",
+                   "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
+        assert not (tmp_path / "o" / "forecast_report.txt").exists()
+
+    def test_forecast_with_reconstruction_checkpoint(self, trained, tmp_path):
+        out = tmp_path / "o"
+        assert run("forecast", "--model", str(trained / "recon" / "model.ckpt"),
+                   "--records", "600", "--out", str(out)) == 0
+        assert manifest(str(out))["outputs"] == ["forecast_report.txt"]
+        text = (out / "forecast_report.txt").read_text()
+        assert text.startswith("mse: ") and "persistence_mse: " in text
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2c8e068bbc2b827508b30ab44e582c79551149d17ea0a5dd668901ffcd7ea589"
+        )
+
+
+def blank_cells(text):
+    """A sensor CSV with blank sensor cells: one at a time, two adjacent in a
+    row, two adjacent in a column, and one in the last row."""
+    lines = text.splitlines()
+    for r in range(1, len(lines)):
+        cells = lines[r].split(",")
+        if r % 11 == 5:
+            cells[(1, 2, 3, 6, 7, 8)[r % 6]] = ""
+        if r % 13 == 7:
+            cells[1] = cells[2] = ""
+        if r % 97 in (40, 41):
+            cells[8] = ""
+        if r == len(lines) - 1:
+            cells[3] = ""
+        lines[r] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def blank_runs(tmp_path_factory):
+    """The CLI recipes that impute, run on a --data CSV with blank sensor cells."""
+    root = tmp_path_factory.mktemp("blank")
+    assert run("ingest", "--records", "3000", "--seed", "2", "--out", str(root / "clean")) == 0
+    data = root / "blank.csv"
+    data.write_text(blank_cells((root / "clean" / "clean.csv").read_text()))
+    for policy in ("linear", "forward-fill"):
+        assert run("ingest", "--data", str(data), "--impute-policy", policy,
+                   "--out", str(root / f"ingest-{policy}")) == 0
+    assert run("experiment", "nth", "--data", str(data), *GOLDEN_TRAIN,
+               "--out", str(root / "nth")) == 0
+    return root
+
+
+class TestBlankCellGolden:
+    """sha256 of the recipes that fill blank cells, read from a file."""
+
+    def test_input_has_blank_cells(self, blank_runs):
+        text = (blank_runs / "blank.csv").read_text()
+        assert ",," in text and ",,," in text
+        assert load_sensor_csv(str(blank_runs / "blank.csv")).has_missing()
+
+    @pytest.mark.parametrize("path, digest", [
+        ("ingest-linear/clean.csv",
+         "2862a0031bf7ed5ad2be04cf7c6ea2c318a9e92c7f5d2c71199dd6cc9222d452"),
+        ("ingest-linear/run_manifest.json",
+         "d356038793022c6df310320ae92d7fe0a616e6b27bf7780cf1e0fa01d3ab4001"),
+        ("ingest-forward-fill/clean.csv",
+         "dfba098247c1bf1509f72527fec7c810aa286785eb4ba849fa458c89e250df5a"),
+        ("ingest-forward-fill/run_manifest.json",
+         "cfbcdfc7cb9a298cf92588fb00f9c2c023e9eb579bd6694cf7020fd56f84da51"),
+        ("nth/labeled.csv",
+         "90b83935629b5bc9f96f0dc0d11a01e82074e77d0f2f86729124ed0a56770da3"),
+        ("nth/records.csv",
+         "4ae77415f0149b4fa30cb636a106b0482cbec5579181f9514085fb14804ca811"),
+        ("nth/metrics.json",
+         "36c00a9f308549d375e0fdb13fb4503d5815617fc7f7e614a387b1c3fb591f6c"),
+        ("nth/report.jsonl",
+         "a3c38f9f719d457e0cdfd8953f06abb17a79211df39af4922b6eb2a3796a5536"),
+        ("nth/run_manifest.json",
+         "fd6d35af763270247ab6635a8ad6da67bddd5fa97f3619358ed960f8d6c751e9"),
+    ])
+    def test_artifact_digest(self, blank_runs, path, digest):
+        assert hashlib.sha256((blank_runs / path).read_bytes()).hexdigest() == digest

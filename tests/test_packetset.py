@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import reference_parse_dataset
+from support import reference_parse_dataset, reference_parse_packet_csv
 from uavloop import packetset
 from uavloop.errors import ConfigError, DimensionError, ParseError
 from uavloop.packetset import (
@@ -592,6 +592,58 @@ class TestMutatedDataset:
     @given(text=mutated_datasets())
     def test_same_samples_or_same_error(self, text):
         assert outcome(parse_dataset, text) == outcome(reference_parse_dataset, text)
+
+
+def csv_outcome(parse, text):
+    """The records parse returns, or its ParseError's message and line."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+LOG = synth_packet_log(n_packets=8, seed=3, n_flows=2).split("\n")
+BAD_CELLS = st.one_of(
+    st.sampled_from([
+        "", " ", "-1", "abc", "70000", "65536", "4294967296", "1.5", " 7", "7 ", "+7", "0x1",
+        "1_0", "\u0661", "7\r", "nan", "inf", "-inf", "1e3", "Z", "AX", "PA", "AAP", "1,2",
+    ]),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def mutated_logs(draw):
+    """LOG with one line deleted, duplicated, swapped, blanked, or one cell replaced."""
+    lines = LOG.copy()
+    i = draw(st.integers(0, len(lines) - 2))
+    kind = draw(st.sampled_from(["delete", "duplicate", "swap", "blank", "cell"]))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    elif kind == "blank":
+        lines.insert(i, draw(st.sampled_from(["", " ", "\t", "\r"])))
+    else:
+        cells = lines[i].split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(BAD_CELLS)
+        lines[i] = ",".join(cells)
+    return "\n".join(lines)
+
+
+class TestMutatedPacketCsv:
+    """parse_packet_csv against the column-wise reader it replaced."""
+
+    def test_synthetic_log_matches_reference(self):
+        text = synth_packet_log(n_packets=2000, seed=0)
+        assert parse_packet_csv(text) == reference_parse_packet_csv(text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=mutated_logs())
+    def test_same_records_or_same_error(self, text):
+        assert csv_outcome(parse_packet_csv, text) == csv_outcome(reference_parse_packet_csv, text)
 
 
 class TestScoring:
