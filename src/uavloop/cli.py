@@ -231,10 +231,9 @@ def _losses_csv(losses) -> str:
 
 def _load_losses_csv(path: str):
     try:
-        values, _ = tel.parse_table(tel.read_text(path), _LOSS_COLUMNS, _INDEX_COLUMNS)
+        return tel.load_table(path, _LOSS_COLUMNS, _INDEX_COLUMNS, lambda values, _: values[:, 1])
     except ParseError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return values[:, 1]
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_ingest(args, config: RunConfig) -> int:

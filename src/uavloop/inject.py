@@ -11,6 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -227,13 +228,16 @@ def serialize_labeled_csv(labeled: LabeledSeries) -> str:
 
 
 def parse_labeled_csv(text: str, meta: InjectionMeta | None = None) -> LabeledSeries:
-    values, locs = telemetry.parse_table(text, LABELED_COLUMNS, _LABELED_INT_COLUMNS)
-    telemetry.check_physical(values[:, :-1], locs)
+    table = telemetry.parse_table(text.encode(), LABELED_COLUMNS, _LABELED_INT_COLUMNS)
+    return _labeled_series(meta, *table)
+
+
+def _labeled_series(meta: InjectionMeta | None, values: np.ndarray, locs: list[int]):
+    series = telemetry.sensor_series(values[:, :-1], locs)
     label_col = values[:, -1]
     bad = np.nonzero((label_col != 0) & (label_col != 1))[0]
     if bad.size:
         raise ParseError("label cells must be 0 or 1", line=locs[int(bad[0])])
-    series = TelemetrySeries(values[:, :-1])
     if meta is None:
         meta = InjectionMeta("unknown", {})
     return LabeledSeries(series, label_col == 1, meta)
@@ -253,4 +257,6 @@ def load_labeled_csv(csv_path) -> LabeledSeries:
     meta_path = f"{csv_path}.meta.json"
     if os.path.exists(meta_path):
         meta = telemetry.read_parsed(meta_path, InjectionMeta.from_json)
-    return telemetry.read_parsed(csv_path, lambda text: parse_labeled_csv(text, meta))
+    return telemetry.load_table(
+        csv_path, LABELED_COLUMNS, _LABELED_INT_COLUMNS, partial(_labeled_series, meta)
+    )

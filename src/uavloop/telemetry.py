@@ -8,7 +8,9 @@ float), and a blank cell, the only non-finite value, for a missing one.
 ``float``'s own string-to-double routine.  A number is written with ASCII
 digits, sign, decimal point and exponent (``0-9 + - . e E``); spaces around
 a cell and any line break ``str.splitlines`` knows are allowed, and a blank
-cell is the only missing value.  ``read_text`` reads every input file.
+cell is the only missing value.  ``load_table`` reads a numeric CSV file as
+bytes and parses them without a copy of the body; ``read_text`` reads every
+other input file.
 
 A sensor log's columns follow PX4 gyro/accelerometer exports (``COLUMNS``);
 in memory a mission is an ``(N, 11)`` float64 matrix whose NaN cells may sit
@@ -152,12 +154,14 @@ class TelemetrySeries:
         return bool(np.isnan(self.values).any())
 
 
-def read_text(path) -> str:
-    """The text of a UTF-8 input file; any failure is an InputError naming it."""
+def _read_bytes(path) -> bytes:
+    """The bytes of a UTF-8 input file; any failure is an InputError naming it."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        return data.decode("utf-8")
+        if not data.isascii():  # ASCII is UTF-8; other bytes are decoded to check them
+            data.decode("utf-8")
+        return data
     except OSError as exc:
         raise InputError(f"cannot read input file {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -166,11 +170,24 @@ def read_text(path) -> str:
         raise InputError(f"{path} line {line}: not UTF-8 text ({bad})") from None
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 input file; any failure is an InputError naming it."""
+    return _read_bytes(path).decode()
+
+
 def read_parsed(path, parse):
     """``parse(read_text(path))``, with path in front of a ParseError's message."""
-    text = read_text(path)
     try:
-        return parse(text)
+        return parse(read_text(path))
+    except ParseError as exc:
+        raise exc.in_file(path) from None
+
+
+def load_table(path, columns: tuple[str, ...], int_columns: frozenset[str], build):
+    """``build(values, locs)`` of a numeric CSV file's bytes; path prefixes a ParseError."""
+    try:
+        # The bytes are only parse_table's argument, so they are freed before build copies.
+        return build(*parse_table(_read_bytes(path), columns, int_columns))
     except ParseError as exc:
         raise exc.in_file(path) from None
 
@@ -194,86 +211,90 @@ def format_table(columns: tuple[str, ...], cells, int_columns: frozenset[str]) -
 
 
 def parse_table(
-    text: str, columns: tuple[str, ...], int_columns: frozenset[str]
+    data: bytes, columns: tuple[str, ...], int_columns: frozenset[str]
 ) -> tuple[np.ndarray, list[int]]:
-    """Parse numeric CSV into a matrix plus each row's source line number.
+    """Parse UTF-8 numeric CSV into a matrix plus each row's source line number.
 
     The header must list ``columns``.  A blank cell is NaN, except in
     ``int_columns``, where it is an error; every other cell must be a finite
     number written with ASCII digits, sign, point and exponent, and a whole
     number in ``int_columns``.  The first column must strictly increase.
     numpy's C reader converts the cells (``float``'s own string-to-double
-    routine, so values are bit-identical); any failure is reported by
-    ``_raise_first_error`` with the first bad line.
+    routine, so values are bit-identical), from ``data`` itself when it is
+    already exact (``io.BytesIO`` shares a ``bytes`` object, so no copy); any
+    failure is reported by ``_raise_first_error`` with the first bad line.
     """
-    cut = text.find("\n")
-    head = text if cut < 0 else text[:cut]
-    first = (head.splitlines() or [""])[0]
-    if first.strip() != ",".join(columns):
-        _raise_first_error(text, columns, int_columns)
-    cells = text[len(head) + 1 :].encode()
-    if head.removesuffix("\r") != first or cells.translate(None, _PLAIN_BYTES):
-        # Line breaks other than "\n", or spaces or other text in the cells:
-        # split the lines as str.splitlines does and strip each cell as float does.
-        lines = [",".join(map(str.strip, line.split(","))) for line in text.splitlines()[1:]]
-        cells = "\n".join(lines).encode()
-        if cells.translate(None, _PLAIN_BYTES):
-            _raise_first_error(text, columns, int_columns)
-    if not cells or cells.isspace():
+    header = ",".join(columns)
+    head = (header + "\n").encode()
+    # What is left of the header once the plain bytes are deleted; the whole
+    # input leaves the same only when its body is plain bytes.
+    residue = head.translate(None, _PLAIN_BYTES)
+    exact = data
+    if not data.startswith(head) or data.translate(None, _PLAIN_BYTES) != residue:
+        # Line breaks other than "\n", a padded header, or spaces or other text in
+        # the cells: split the lines as str.splitlines does, strip each cell as
+        # float does, and read the result as exact input.
+        lines = data.decode().splitlines()
+        if not lines or lines[0].strip() != header:
+            _raise_first_error(data, columns, int_columns)
+        cells = (",".join(map(str.strip, line.split(","))) for line in lines[1:])
+        exact = "\n".join([header, *cells, ""]).encode()
+        if exact.translate(None, _PLAIN_BYTES) != residue:
+            _raise_first_error(data, columns, int_columns)
+    # An empty body, or one of blank lines only (counted only when it starts blank).
+    body = len(exact) - len(head)
+    if not body or (exact.startswith(b"\n", len(head)) and exact.count(b"\n", len(head)) == body):
         return np.empty((0, len(columns))), []
-    values = _read_cells(cells)
+    values = _read_cells(exact)
     if values is None:
         # numpy's reader rejects an empty cell.  No cell can read "nan" yet,
         # so a written "nan" marks exactly the blanks; then read once more.
-        # One rebinding per replace, so at most two body-sized buffers are alive.
-        cells = cells.replace(b",,", b",nan,")
-        cells = cells.replace(b",,", b",nan,")
-        cells = cells.replace(b"\n,", b"\nnan,")
-        cells = cells.replace(b",\n", b",nan\n")
-        if cells.startswith(b","):
-            cells = b"nan" + cells
-        if cells.endswith(b","):
-            cells += b"nan"
-        values = _read_cells(cells)
+        # One rebinding per replace, so at most two new body-sized buffers are alive.
+        exact = exact.replace(b",,", b",nan,")
+        exact = exact.replace(b",,", b",nan,")
+        exact = exact.replace(b"\n,", b"\nnan,")
+        exact = exact.replace(b",\n", b",nan\n")
+        if exact.endswith(b","):
+            exact += b"nan"
+        values = _read_cells(exact)
         if values is None:
-            _raise_first_error(text, columns, int_columns)
-    if values.shape[1] != len(columns):
-        _raise_first_error(text, columns, int_columns)
+            _raise_first_error(data, columns, int_columns)
     # Checks on the whole matrix: NaN here is a blank cell, inf an overflow.
-    whole = values[:, [j for j, name in enumerate(columns) if name in int_columns]]
+    # Whole numbers are checked a column at a time, so no temporary outgrows a column.
     lead = values[:, 0]
     if (
-        np.isinf(values).any()
-        or (np.trunc(whole) != whole).any()
+        values.shape[1] != len(columns)
+        or np.isinf(values).any()
         or (lead[1:] <= lead[:-1]).any()
+        or any((np.trunc(c) != c).any() for n, c in zip(columns, values.T) if n in int_columns)
     ):
-        _raise_first_error(text, columns, int_columns)
-    if b"\n\n" in cells or cells.startswith(b"\n"):
-        ends = np.flatnonzero(np.frombuffer(cells, dtype=np.uint8) == ord("\n"))
-        lengths = np.diff(np.concatenate(([-1], ends, [len(cells)]))) - 1
-        return values, (np.flatnonzero(lengths > 0) + 2).tolist()
+        _raise_first_error(data, columns, int_columns)
+    if b"\n\n" in exact:
+        ends = np.flatnonzero(np.frombuffer(exact, dtype=np.uint8) == ord("\n"))
+        lengths = np.diff(np.concatenate(([-1], ends, [len(exact)]))) - 1
+        return values, (np.flatnonzero(lengths[1:] > 0) + 2).tolist()
     return values, list(range(2, len(values) + 2))
 
 
-def _read_cells(cells: bytes) -> np.ndarray | None:
-    """numpy's reading of CSV body bytes, or None where its reader raises ValueError."""
+def _read_cells(exact: bytes) -> np.ndarray | None:
+    """numpy's reading of the rows under the header, or None where it raises ValueError."""
     try:
         return np.loadtxt(
-            io.BytesIO(cells), delimiter=",", comments=None, ndmin=2, dtype=np.float64
+            io.BytesIO(exact), delimiter=",", comments=None, skiprows=1, ndmin=2, dtype=np.float64
         )
     except ValueError:
         return None
 
 
 def _raise_first_error(
-    text: str, columns: tuple[str, ...], int_columns: frozenset[str]
+    data: bytes, columns: tuple[str, ...], int_columns: frozenset[str]
 ) -> NoReturn:
     """Raise the error of the first bad line of a table ``parse_table`` rejected.
 
     Lines and cells are checked in order, as ``str.splitlines`` and ``float``
     see them, so the message and line are those of the first fault.
     """
-    lines = text.splitlines()
+    lines = data.decode().splitlines()
     if not lines:
         raise ParseError("empty input: missing header row", line=1)
     header = ",".join(columns)
@@ -322,8 +343,8 @@ def _raise_first_error(
     raise ParseError("numeric table could not be read")
 
 
-def check_physical(values: np.ndarray, locs: list[int]) -> None:
-    """Reject sensor rows with a non-positive integration step or negative clipping."""
+def sensor_series(values: np.ndarray, locs: list[int]) -> TelemetrySeries:
+    """Parsed sensor rows as a series; a step dt <= 0 or negative clipping is an error."""
     for name in ("gyro_integral_dt", "accelerometer_integral_dt"):
         bad = np.nonzero(values[:, _COL_INDEX[name]] <= 0)[0]
         if bad.size:
@@ -332,12 +353,11 @@ def check_physical(values: np.ndarray, locs: list[int]) -> None:
     bad = np.nonzero(clip < 0)[0]
     if bad.size:
         raise ParseError("column accelerometer_clipping must be non-negative", line=locs[int(bad[0])])
+    return TelemetrySeries(values)
 
 
 def parse_sensor_csv(text: str) -> TelemetrySeries:
-    values, locs = parse_table(text, COLUMNS, INT_COLUMNS)
-    check_physical(values, locs)
-    return TelemetrySeries(values)
+    return sensor_series(*parse_table(text.encode(), COLUMNS, INT_COLUMNS))
 
 
 def serialize_sensor_csv(series: TelemetrySeries) -> str:
@@ -345,7 +365,7 @@ def serialize_sensor_csv(series: TelemetrySeries) -> str:
 
 
 def load_sensor_csv(path) -> TelemetrySeries:
-    return read_parsed(path, parse_sensor_csv)
+    return load_table(path, COLUMNS, INT_COLUMNS, sensor_series)
 
 
 def save_sensor_csv(series: TelemetrySeries, path) -> None:

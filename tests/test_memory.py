@@ -1,9 +1,10 @@
-"""Peak memory of the full-set passes, traced with tracemalloc.
+"""Peak memory of the full-set passes and the numeric CSV loads, traced with tracemalloc.
 
 Each bound is one the one-pass forms exceed: ``Predictor.loss`` held one
 (W, n_out) squared-error array, ``record_losses`` one (W, horizon) error
 array and one (W, horizon) record-index array, and the blank fill of
-``parse_table`` three body-sized buffers.
+``parse_table`` three body-sized buffers.  A numeric CSV file load that
+decodes the file and copies its body holds the file two to four times over.
 """
 
 import math
@@ -14,12 +15,15 @@ import numpy as np
 from uavloop import forecast as fc
 from uavloop.detect import record_losses
 from uavloop.forecast import PredictorConfig, init_predictor
+from uavloop.inject import inject_every_nth, load_labeled_csv, save_labeled_csv
 from uavloop.synthetic import synth_mission
 from uavloop.telemetry import (
     COLUMNS,
     INT_COLUMNS,
     WindowedDataset,
+    load_sensor_csv,
     parse_table,
+    save_sensor_csv,
     serialize_sensor_csv,
 )
 
@@ -72,7 +76,26 @@ class TestPeakMemory:
             cells[2] = cells[3] = ""
             lines[k] = ",".join(cells)
         text = "\n".join(lines) + "\n"
-        assert traced_peak(parse_table, text, COLUMNS, INT_COLUMNS) < 2.5 * len(text)
+        assert traced_peak(parse_table, text.encode(), COLUMNS, INT_COLUMNS) < 2.5 * len(text)
+
+
+class TestLoadPeakMemory:
+    """A file load holds the file's bytes once, and never beside two matrices."""
+
+    def test_load_sensor_csv(self, tmp_path):
+        series = synth_mission(n_records=20000, seed=3)
+        path = tmp_path / "clean.csv"
+        save_sensor_csv(series, path)
+        bound = path.stat().st_size + 2 * series.values.nbytes
+        assert traced_peak(load_sensor_csv, path) < bound
+
+    def test_load_labeled_csv(self, tmp_path):
+        labeled = inject_every_nth(synth_mission(n_records=20000, seed=3), 5)
+        path = tmp_path / "labeled.csv"
+        save_labeled_csv(labeled, path)
+        matrix = len(labeled.series) * (len(COLUMNS) + 1) * 8
+        bound = path.stat().st_size + 2 * matrix
+        assert traced_peak(load_labeled_csv, path) < bound
 
 
 class TestBlockedLoss:

@@ -9,10 +9,12 @@ from uavloop.errors import (
     ConfigError,
     DimensionError,
     ImputationError,
+    InputError,
     OrderingError,
     ParseError,
     SizingError,
 )
+from uavloop.inject import load_labeled_csv
 from uavloop.telemetry import (
     COLUMNS,
     DEFAULT_FEATURES,
@@ -175,7 +177,7 @@ class TestTableCodec:
     def test_parse_inverts_format_bit_exact(self, columns, data):
         matrix = data.draw(numeric_tables(columns))
         text = format_table(columns, matrix.T, INT_COLUMNS)
-        values, locs = parse_table(text, columns, INT_COLUMNS | {"label"})
+        values, locs = parse_table(text.encode(), columns, INT_COLUMNS | {"label"})
         assert values.shape == matrix.shape
         assert values.tobytes() == matrix.tobytes()
         assert locs == list(range(2, len(matrix) + 2))
@@ -277,7 +279,7 @@ class TestReaderMatchesReference:
     @given(case=odd_csv_texts())
     def test_same_values_or_same_error(self, case):
         text, int_columns = case
-        got = outcome(parse_table, text, int_columns)
+        got = outcome(parse_table, text.encode(), int_columns)
         want = outcome(reference_parse_table, text, int_columns)
         odd_lines = [
             lineno
@@ -304,7 +306,7 @@ class TestReaderMatchesReference:
     ], ids=["line-start", "middle", "line-end", "no-blanks"])
     def test_blank_cells_read_as_reference(self, body, blanks):
         text = ",".join(TABLE) + "\n" + body
-        got = outcome(parse_table, text, frozenset())
+        got = outcome(parse_table, text.encode(), frozenset())
         assert got == outcome(reference_parse_table, text, frozenset())
         assert np.isnan(np.frombuffer(got[1])).sum() == blanks
 
@@ -322,9 +324,79 @@ class TestReaderMatchesReference:
     def test_other_line_breaks_and_spaces_read_the_same(self, eol):
         rows = [csv_row(212000), " ", csv_row(216000, g0=-0.25).replace(",", " , ")]
         text = make_csv(rows).replace("\n", eol)
-        values, locs = parse_table(text, COLUMNS, INT_COLUMNS)
+        values, locs = parse_table(text.encode(), COLUMNS, INT_COLUMNS)
         assert locs == [2, 4]
-        assert values.tobytes() == parse_table(make_csv(rows[::2]), COLUMNS, INT_COLUMNS)[0].tobytes()
+        exact = make_csv(rows[::2]).encode()
+        assert values.tobytes() == parse_table(exact, COLUMNS, INT_COLUMNS)[0].tobytes()
+
+
+def file_cases(header, rows):
+    """Bytes of the input files a numeric CSV loader must read as the reference parser does."""
+    blank = rows[1].replace("-9.8", "", 1)
+    texts = {
+        "crlf": (header + "\n" + "\n".join(rows) + "\n").replace("\n", "\r\n"),
+        "padded-header": " " + header + "  \n" + "\n".join(rows) + "\n",
+        "bom": "\ufeff" + header + "\n" + "\n".join(rows) + "\n",
+        "blank-lines": "\n\n".join([header, "", rows[0], *rows[1:], ""]),
+        "blank-cell": "\n".join([header, rows[0], blank, rows[2]]),
+        "empty-body": header + "\n",
+        "non-finite": "\n".join([header, rows[0], rows[1].replace("-0.25", "inf")]) + "\n",
+        "not-utf8": "\n".join([header, rows[0], rows[1].replace("-0.25", "-0.2\udcff")]) + "\n",
+    }
+    return {name: text.encode("utf-8", "surrogateescape") for name, text in texts.items()}
+
+
+FILE_ROWS = [csv_row(212000), csv_row(216000, g0=-0.25), csv_row(220000, g0=1e-300)]
+FILE_LOADERS = {
+    "sensor": (load_sensor_csv, COLUMNS, lambda got: got.values),
+    "labeled": (
+        load_labeled_csv,
+        LABELED_COLUMNS,
+        lambda got: np.column_stack([got.series.values, got.labels]),
+    ),
+}
+
+
+class TestFileLoadsMatchReference:
+    """The file loaders, which parse bytes, against the reference parser on the decoded text."""
+
+    @pytest.mark.parametrize("kind", sorted(FILE_LOADERS))
+    @pytest.mark.parametrize("case", sorted(file_cases(HEADER, FILE_ROWS)))
+    def test_same_values_or_same_message(self, tmp_path, kind, case):
+        load, columns, matrix = FILE_LOADERS[kind]
+        rows = FILE_ROWS if kind == "sensor" else [row + ",1" for row in FILE_ROWS]
+        data = file_cases(",".join(columns), rows)[case]
+        path = tmp_path / "input.csv"
+        path.write_bytes(data)
+        if case == "not-utf8":
+            with pytest.raises(InputError) as err:
+                load(str(path))
+            assert str(err.value) == f"{path} line 3: not UTF-8 text (byte 0xff)"
+            return
+        text = data.decode()
+        try:
+            values, locs = reference_parse_table(text, columns, INT_COLUMNS | {"label"})
+        except ParseError as want:
+            with pytest.raises(type(want)) as err:
+                load(str(path))
+            assert (str(err.value), err.value.line) == (f"{path}: {want}", want.line)
+            return
+        assert matrix(load(str(path))).tobytes() == values.tobytes()
+
+    def test_messages_pinned(self, tmp_path):
+        cases = file_cases(HEADER, FILE_ROWS)
+        path = tmp_path / "input.csv"
+        path.write_bytes(cases["bom"])
+        with pytest.raises(ParseError) as err:
+            load_sensor_csv(str(path))
+        bom_header = "\ufeff" + HEADER
+        assert str(err.value) == f"{path}: line 1: expected header {HEADER!r}, got {bom_header!r}"
+        path.write_bytes(cases["non-finite"])
+        with pytest.raises(ParseError) as err:
+            load_sensor_csv(str(path))
+        assert str(err.value) == f"{path}: line 3: non-finite value 'inf' in column gyro_rad_0"
+        path.write_bytes(cases["empty-body"])
+        assert len(load_sensor_csv(str(path))) == 0
 
 
 class TestImputation:
