@@ -148,7 +148,9 @@ def record_losses(predictor, dataset: WindowedDataset) -> np.ndarray:
     squared errors.  The predictor sees the windows one row block at a time,
     and each block's per-row errors are added into the record sums before
     the next block is scored, so no (W, horizon) array is built.  Blocks go
-    in window order, so every sum gets its terms in window order.
+    in window order, so every sum gets its terms in window order.  Each
+    block's squared error is taken in place in the array predict_batch
+    returns, which must therefore be the predictor's own new array.
     """
     width = dataset.feature_count
     # The window that starts last holds the last record any window covers.
@@ -163,7 +165,9 @@ def record_losses(predictor, dataset: WindowedDataset) -> np.ndarray:
             raise DimensionError(
                 f"predictor output {preds.shape} does not match targets {targets.shape}"
             )
-        per_row = pointwise_loss(preds.reshape(-1, width), targets.reshape(-1, width))
+        preds -= targets
+        np.square(preds, out=preds)
+        per_row = np.mean(preds.reshape(-1, width), axis=1)
         rows = dataset.target_record_indices(block).ravel()
         np.add.at(sums, rows, per_row)
         np.add.at(counts, rows, 1.0)

@@ -7,7 +7,8 @@ perturbation and gradient checking all operate on one array.
 
 Training is plain mini-batch gradient descent on the mean squared error,
 with the mean taken over every output element of the batch.  Gradients are
-hand-derived and validated against central finite differences.
+hand-derived and validated against central finite differences.  An epoch's
+train_mse is the size-weighted mean of its batch losses, as Keras reports it.
 
 Full-set passes (``Predictor.loss``, ``predict_batch``,
 ``evaluate_forecast``) run over fixed blocks of windows, arithmetic in
@@ -196,22 +197,26 @@ class Predictor:
         if x.shape[0] != y.shape[0]:
             raise DimensionError("window and target counts differ")
         xf = x.reshape(x.shape[0], self.n_in)
-        yf = y.reshape(y.shape[0], self.n_out)
         w1, b1, w2, b2 = self._unpack(p)
-        pre = xf @ w1 + b1
-        hidden = np.maximum(pre, 0.0)
-        out = hidden @ w2 + b2
-        diff = out - yf
+        hidden = xf @ w1
+        hidden += b1
+        np.maximum(hidden, 0.0, out=hidden)
+        diff = hidden @ w2
+        diff += b2
+        diff -= y.reshape(y.shape[0], self.n_out)
         loss = float(np.mean(diff**2))
         # MSE over all elements: d loss / d out = 2 * diff / diff.size.
-        dout = 2.0 * diff / diff.size
-        dw2 = hidden.T @ dout
-        db2 = dout.sum(axis=0)
-        dhidden = dout @ w2.T
-        dpre = np.where(pre > 0.0, dhidden, 0.0)
-        dw1 = xf.T @ dpre
-        db1 = dpre.sum(axis=0)
-        grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+        diff *= 2.0
+        diff /= diff.size
+        grad = np.empty(p.size)
+        dw1, db1, dw2, db2 = self._unpack(grad)
+        np.matmul(hidden.T, diff, out=dw2)
+        np.sum(diff, axis=0, out=db2)
+        dpre = diff @ w2.T
+        # ReLU: no gradient where the pre-activation was not positive.
+        np.copyto(dpre, 0.0, where=hidden <= 0.0)
+        np.matmul(xf.T, dpre, out=dw1)
+        np.sum(dpre, axis=0, out=db1)
         return loss, grad
 
     def with_params(self, params) -> "Predictor":
@@ -232,6 +237,9 @@ def init_predictor(
 
 @dataclass(frozen=True)
 class EpochStats:
+    """train_mse: size-weighted mean of the epoch's batch losses, each taken
+    before its step.  val_mse: validation-set MSE after the epoch's last step."""
+
     train_mse: float
     val_mse: float | None = None
 
@@ -244,7 +252,8 @@ def train(
     """Mini-batch gradient descent; returns a new predictor with history.
 
     Batch order is reshuffled each epoch from a dedicated seeded stream.  A
-    non-finite loss raises DivergenceError naming the epoch and batch.
+    non-finite loss raises DivergenceError naming the epoch and batch.  No
+    forward pass runs over the whole training set (see EpochStats).
     """
     cfg = predictor.config
     if train_data.feature_count != predictor.feature_count:
@@ -262,17 +271,23 @@ def train(
     with np.errstate(all="ignore"):
         for epoch in range(cfg.epochs):
             order = rng.permutation(n)
+            total = 0.0
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                loss, grad = predictor.loss_and_grad(x[batch], y[batch], params)
+                xb = x[batch]
+                # A reconstruction batch is its own target: gather it once.
+                loss, grad = predictor.loss_and_grad(xb, xb if y is x else y[batch], params)
                 if not math.isfinite(loss):
                     raise DivergenceError(
                         f"training diverged at epoch {epoch}, batch {start // cfg.batch_size}"
                     )
-                params -= cfg.learning_rate * grad
-            train_mse = predictor.loss(x, y, params)
-            if not math.isfinite(train_mse):
-                raise DivergenceError(f"training diverged at epoch {epoch} (post-epoch loss)")
+                total += loss * batch.size
+                grad *= cfg.learning_rate
+                params -= grad
+            train_mse = total / n
+            # No batch loss sees the parameters of an epoch's last step.
+            if not (math.isfinite(train_mse) and np.isfinite(params).all()):
+                raise DivergenceError(f"training diverged at epoch {epoch} (end of epoch)")
             val_mse = None
             if val_data is not None:
                 val_mse = predictor.loss(val_data.inputs, val_data.targets, params)

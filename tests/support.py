@@ -4,7 +4,10 @@
 ``uavloop.telemetry.parse_table`` replaced; the differential tests hold the
 package's reader to it.  ``reference_forward``, ``reference_loss`` and
 ``reference_record_losses`` are the one-pass forms of the blocked full-set
-passes, which must match them bit for bit.  ``reference_parse_dataset`` is the
+passes, which must match them bit for bit.  ``reference_loss_and_grad`` is the
+allocating form of the in-place SGD step, and ``reference_train`` the training
+loop on it that also records every batch loss; ``forecast.train`` must match
+its parameters and validation losses bit for bit.  ``reference_parse_dataset`` is the
 line-by-line packet dataset reader that ``uavloop.packetset.parse_dataset``
 replaced; it must return equal samples, or raise the same ``ParseError``
 message and line.  ``reference_parse_packet_csv`` is the column-wise packet
@@ -127,6 +130,53 @@ def reference_record_losses(predictor, dataset) -> np.ndarray:
     np.add.at(counts, rows.ravel(), 1.0)
     covered = counts > 0
     return sums[covered] / counts[covered]
+
+
+def reference_loss_and_grad(predictor, windows, targets, params):
+    """Batch MSE and gradient, one new array per expression and one concatenate."""
+    w1, b1, w2, b2 = predictor._unpack(params)
+    xf = np.asarray(windows, dtype=np.float64).reshape(len(windows), predictor.n_in)
+    yf = np.asarray(targets, dtype=np.float64).reshape(len(targets), predictor.n_out)
+    pre = xf @ w1 + b1
+    hidden = np.maximum(pre, 0.0)
+    out = hidden @ w2 + b2
+    diff = out - yf
+    loss = float(np.mean(diff**2))
+    dout = 2.0 * diff / diff.size
+    dw2 = hidden.T @ dout
+    db2 = dout.sum(axis=0)
+    dhidden = dout @ w2.T
+    dpre = np.where(pre > 0.0, dhidden, 0.0)
+    dw1 = xf.T @ dpre
+    db1 = dpre.sum(axis=0)
+    return loss, np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+
+
+def reference_train(predictor, train_data, val_data=None):
+    """``forecast.train``'s batches and steps on ``reference_loss_and_grad``.
+
+    Returns the final parameters, each epoch's list of (batch loss, batch
+    size) pairs, and each epoch's validation loss (``Predictor.loss`` after
+    the epoch's last step; an empty list without val_data).
+    """
+    cfg = predictor.config
+    x, y = train_data.inputs, train_data.targets
+    n = len(x)
+    rng = np.random.default_rng([cfg.seed, 1])
+    params = predictor.params.copy()
+    batch_losses, val_losses = [], []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch = []
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            loss, grad = reference_loss_and_grad(predictor, x[batch], y[batch], params)
+            epoch.append((loss, batch.size))
+            params -= cfg.learning_rate * grad
+        batch_losses.append(epoch)
+        if val_data is not None:
+            val_losses.append(predictor.loss(val_data.inputs, val_data.targets, params))
+    return params, batch_losses, val_losses
 
 
 def gradient_check(

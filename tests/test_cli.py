@@ -509,10 +509,10 @@ class TestCsvGolden:
     @pytest.mark.parametrize("path, digest", [
         ("ingest/clean.csv", "c182d901f1497b85e36f505a484f389d3d4d8e65c209cfb1a5fd221e9719862f"),
         ("inject/labeled.csv", "820d58ee5d0ab22190a5a4b58cf394039c299b2bacaaa4eb4afeb29b6661fcca"),
-        ("train/history.csv", "f3d0344699d473361d9ffe919f9353c75ce10618c646fca8433578d0ba30b109"),
+        ("train/history.csv", "c859a89bc1eeaa0809ef9837ec84e888744c050f8b98df9818f66d204abc5ebd"),
         ("train/train_losses.csv",
          "291b8465dd41afe693fceea32687bcec7ba6c0a813e2c002d9ac592f2205d983"),
-        ("train/model.ckpt", "a7c2eca5cd2f24680a1f44c7c545207f9f83348be4e896eb1af5a5f6a639a502"),
+        ("train/model.ckpt", "e60a8310527661460f7f33f69f162659095cbe6666855d3b2c9fc124b35d6240"),
         ("detect/records.csv", "f618633e1a683bcc183db3f3ef061f3537439e1763f1f0e834483f73cc22d32c"),
         ("nth/labeled.csv", "17d24081fffa77657583f88a0fd07241546683604c3dd90e685e23cabb4607b1"),
         ("nth/records.csv", "83c1b4b4b9085c4e7876cd4d5cffb13ad496bfeaab80b53bff55e8897c2a82d3"),
@@ -573,20 +573,41 @@ class TestMultiBlockGolden:
     """Digests taken before the forward passes were blocked; blocking keeps every bit."""
 
     @pytest.mark.parametrize("path, digest", [
-        ("train/history.csv", "7b774d8125a2ded66951185d28d6a0462c4cd6e5a7a3ee1684c468b3d23f2315"),
+        ("train/history.csv", "44da03c63b8dd708a9369f8d75fda4b691e0c779ae43bd2f977a892ada650d31"),
         ("train/train_losses.csv",
          "deba441f86606b314c5d63d8e5fc93c08dd67135eee9edcc037abcaefd9d42cc"),
-        ("train/model.ckpt", "5bfc2527a0105abec3869cf7a35b4dc65c2394c43f2ca671fb178d9a7b8f24b9"),
+        ("train/model.ckpt", "f676fb43e03bba174a0933cb3a78cca3e477d59936bee4dfe138108b7fd50bbf"),
         ("nth/labeled.csv", "f6c6a77d925d44e3b60b2e53a48856bec8137b36c6d2bd8e80d13e10ee684105"),
         ("nth/records.csv", "86096d7d98f16ecc5644a5897396ae67213cedda78be969605df914d6d0f3929"),
         ("nth/metrics.json", "6ed407c35c68db95c7773c5a7941b77f961ced1a7ce4038c0c9ab1731830027b"),
         ("fctrain/model.ckpt",
-         "3dd5622e3d26ac469e16148fe6914b3b44d7518ce996f50bb2ee75264cb6ba79"),
+         "bd0af348cd9446c34d577ef46d90e911e303be4d61fe098694626755a226cf92"),
         ("fc/forecast_report.txt",
          "44f2b38dd5436a32595f06e0f2059ab8237f51e1b040596c69b59e2c34450192"),
     ])
     def test_artifact_digest(self, multiblock_runs, path, digest):
         assert hashlib.sha256((multiblock_runs / path).read_bytes()).hexdigest() == digest
+
+
+class TestCheckpointWithoutHistory:
+    """Checkpoint digests with the history= line left out.
+
+    Taken while train_mse was still a full-set pass after each epoch: taking
+    it from the batch losses moved that line and no other.
+    """
+
+    @pytest.mark.parametrize("runs, path, digest", [
+        ("golden_runs", "train/model.ckpt",
+         "c5c8456f8e17a61d2cbf4f6315fb65cd432b0315d49b1f0396f2549bfa5b8fca"),
+        ("multiblock_runs", "train/model.ckpt",
+         "9db81182448c21b85c39b512a48eb25deb67006bddfa8bb838dc3206ad58bd03"),
+        ("multiblock_runs", "fctrain/model.ckpt",
+         "c00f234f39610e66bb534d33f7cb4271e580983837022b0eb155a9b31b4fa86a"),
+    ])
+    def test_digest(self, request, runs, path, digest):
+        lines = (request.getfixturevalue(runs) / path).read_bytes().splitlines(keepends=True)
+        kept = b"".join(line for line in lines if not line.startswith(b"history="))
+        assert hashlib.sha256(kept).hexdigest() == digest
 
 
 class TestDeterminism:

@@ -23,7 +23,9 @@ from support import (
     gradient_check,
     reference_forward,
     reference_loss,
+    reference_loss_and_grad,
     reference_record_losses,
+    reference_train,
 )
 
 
@@ -132,6 +134,16 @@ class TestGradients:
         _, g2 = p.loss_and_grad(x, np.array([[[3.25]]]))  # residual 2
         assert np.allclose(g2, 2.0 * g1)
 
+    @pytest.mark.parametrize("rows", [1, 44, 128])
+    @pytest.mark.parametrize("mode", ["reconstruction", "forecast"])
+    def test_step_matches_reference_bit_for_bit(self, rows, mode):
+        predictor, data = blocked_case(rows, mode)
+        probe = predictor.params * 1.5
+        loss, grad = predictor.loss_and_grad(data.inputs, data.targets, probe)
+        want_loss, want_grad = reference_loss_and_grad(predictor, data.inputs, data.targets, probe)
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+
 
 class TestTraining:
     @staticmethod
@@ -155,7 +167,28 @@ class TestTraining:
         trained = train(p, data)
         assert len(trained.history) == 10
         assert trained.history[-1].train_mse < trained.history[0].train_mse
-        assert trained.loss(data.inputs, data.targets) == trained.history[-1].train_mse
+        # 396 windows: three batches of 128 and a last one of 12.
+        _, batch_losses, _ = reference_train(p, data)
+        for stats, epoch in zip(trained.history, batch_losses, strict=True):
+            assert stats.train_mse == sum(loss * size for loss, size in epoch) / len(data)
+
+    @pytest.mark.parametrize("mode", ["reconstruction", "forecast"])
+    def test_params_and_val_loss_match_reference(self, mode):
+        lead = 2 if mode == "forecast" else 0
+        rng = np.random.default_rng(3)
+        data = window_matrix(rng.normal(size=(300 + 15 + lead, 6)), 16, 1, mode, 2)
+        val = window_matrix(rng.normal(size=(80 + 15 + lead, 6)), 16, 1, mode, 2)
+        assert (data.targets is data.inputs) == (mode == "reconstruction")
+        cfg = PredictorConfig(seq_len=16, horizon=data.horizon, fcn_dim=64, epochs=2, seed=5)
+        assert len(data) % cfg.batch_size == 44
+        p = init_predictor(cfg, 6)
+        trained = train(p, data, val)
+        params, batch_losses, val_losses = reference_train(p, data, val)
+        assert trained.params.tobytes() == params.tobytes()
+        assert [s.val_mse for s in trained.history] == val_losses
+        assert [s.train_mse for s in trained.history] == [
+            sum(loss * size for loss, size in epoch) / len(data) for epoch in batch_losses
+        ]
 
     def test_val_history(self):
         cfg = PredictorConfig(seq_len=4, horizon=1, fcn_dim=8, epochs=3, seed=2)
@@ -182,6 +215,17 @@ class TestTraining:
             train(p, data)
         assert "epoch" in str(err.value)
         assert "batch" in str(err.value)
+
+    def test_divergence_at_the_last_step_names_the_epoch(self):
+        # One batch per epoch: its loss is finite, but no later batch sees its step.
+        series = ar1_series(100, phi=0.9, sigma=0.1, seed=0) * 1e3
+        data = window_matrix(series[:, None], 4, 1, "forecast", 1)
+        cfg = PredictorConfig(
+            seq_len=4, horizon=1, fcn_dim=8, epochs=1, learning_rate=1e308,
+            batch_size=len(data), seed=2,
+        )
+        with pytest.raises(DivergenceError, match="epoch 0"):
+            train(init_predictor(cfg, 1), data)
 
     def test_feature_count_mismatch(self):
         cfg = PredictorConfig(seq_len=4, horizon=1, fcn_dim=8, epochs=1)

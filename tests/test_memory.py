@@ -68,6 +68,14 @@ class TestPeakMemory:
         # of one (W, horizon) array here, so a single array is out of reach.
         assert traced_peak(record_losses, predictor, data) < 2 * one
 
+    def test_record_losses_squares_each_block_in_place(self):
+        predictor, data = forecast_set()
+        one = WINDOWS * HORIZON * 8
+        # A block's predictions, per-row losses and record indices are each a
+        # third of one (W, horizon) array.  A separate error block, or the two
+        # that pointwise_loss made, takes the peak past five thirds.
+        assert traced_peak(record_losses, predictor, data) < 5 / 3 * one
+
     def test_blank_fill_holds_two_body_buffers(self):
         lines = serialize_sensor_csv(synth_mission(n_records=20000, seed=3)).splitlines()
         for k in range(8, len(lines), 50):
