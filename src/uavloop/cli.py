@@ -119,7 +119,7 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _finish(out_dir: str, command: str, config: RunConfig, inputs: dict, outputs: list) -> int:
+def _finish(out_dir: str, config: RunConfig, command: str, inputs: dict, outputs: list) -> int:
     manifest = {
         "command": command,
         "config": config.echo(),
@@ -231,42 +231,31 @@ def _losses_csv(losses) -> str:
 
 def _load_losses_csv(path: str):
     try:
-        return tel.load_table(path, _LOSS_COLUMNS, _INDEX_COLUMNS, lambda values, _: values[:, 1])
+        return tel.load_table(path, _LOSS_COLUMNS, _INDEX_COLUMNS)[:, 1]
     except ParseError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def cmd_ingest(args, config: RunConfig) -> int:
-    out = _out_dir(config)
+def cmd_ingest(args, config: RunConfig, out: str) -> tuple:
     series, inputs = _load_or_synth(config)
     tel.save_sensor_csv(series, os.path.join(out, "clean.csv"))
-    return _finish(out, "ingest", config, inputs, ["clean.csv"])
+    return "ingest", inputs, ["clean.csv"]
 
 
-def cmd_inject(args, config: RunConfig) -> int:
-    out = _out_dir(config)
+def cmd_inject(args, config: RunConfig, out: str) -> tuple:
     series, inputs = _load_or_synth(config)
     labeled = _inject_series(series, config, args.scheme)
     inj.save_labeled_csv(labeled, os.path.join(out, "labeled.csv"))
-    return _finish(
-        out, f"inject {args.scheme}", config, inputs, ["labeled.csv", "labeled.csv.meta.json"]
-    )
+    return f"inject {args.scheme}", inputs, ["labeled.csv", "labeled.csv.meta.json"]
 
 
-def cmd_train(args, config: RunConfig) -> int:
-    out = _out_dir(config)
+def cmd_train(args, config: RunConfig, out: str) -> tuple:
     series, inputs = _load_or_synth(config)
     _, predictor, train_losses = _train_predictor(config, series, args.mode)
     fc.save_predictor(predictor, os.path.join(out, "model.ckpt"))
     _write_text(os.path.join(out, "history.csv"), _history_csv(predictor))
     _write_text(os.path.join(out, "train_losses.csv"), _losses_csv(train_losses))
-    return _finish(
-        out,
-        f"train {args.mode}",
-        config,
-        inputs,
-        ["model.ckpt", "history.csv", "train_losses.csv"],
-    )
+    return f"train {args.mode}", inputs, ["model.ckpt", "history.csv", "train_losses.csv"]
 
 
 def _detect_labeled(config: RunConfig, predictor, labeled: inj.LabeledSeries, train_losses):
@@ -295,8 +284,7 @@ def _detection_outputs(out: str, config: RunConfig, tier, result) -> list:
     return ["metrics.json", "records.csv", "report.jsonl"]
 
 
-def cmd_detect(args, config: RunConfig) -> int:
-    out = _out_dir(config)
+def cmd_detect(args, config: RunConfig, out: str) -> tuple:
     if not config["data"]:
         raise ConfigError("detect needs --data pointing at a labeled CSV")
     predictor = fc.load_predictor(args.model)
@@ -308,11 +296,10 @@ def cmd_detect(args, config: RunConfig) -> int:
         inputs["train_losses"] = args.train_losses
     result = _detect_labeled(config, predictor, labeled, train_losses)
     outputs = _detection_outputs(out, config, config.tier(), result)
-    return _finish(out, "detect", config, inputs, outputs)
+    return "detect", inputs, outputs
 
 
-def cmd_forecast(args, config: RunConfig) -> int:
-    out = _out_dir(config)
+def cmd_forecast(args, config: RunConfig, out: str) -> tuple:
     predictor = fc.load_predictor(args.model)
     series, inputs = _load_or_synth(config)
     inputs["model"] = args.model
@@ -326,11 +313,10 @@ def cmd_forecast(args, config: RunConfig) -> int:
     base_mse = float(((baseline - test_windows.targets) ** 2).mean())
     text = report.to_text() + f"persistence_mse: {base_mse!r}\n"
     _write_text(os.path.join(out, "forecast_report.txt"), text)
-    return _finish(out, "forecast", config, inputs, ["forecast_report.txt"])
+    return "forecast", inputs, ["forecast_report.txt"]
 
 
-def cmd_packetset_build(args, config: RunConfig) -> int:
-    out = _out_dir(config)
+def cmd_packetset_build(args, config: RunConfig, out: str) -> tuple:
     path = config["data"]
     if path:
         packets = ps.load_packet_csv(path)
@@ -345,17 +331,16 @@ def cmd_packetset_build(args, config: RunConfig) -> int:
         idle_timeout_s=config["session_timeout_s"],
     )
     _write_text(os.path.join(out, "samples.txt"), ps.render_dataset(samples))
-    return _finish(out, "packetset build", config, inputs, ["samples.txt"])
+    return "packetset build", inputs, ["samples.txt"]
 
 
-def cmd_packetset_score(args, config: RunConfig) -> int:
-    out = _out_dir(config)
+def cmd_packetset_score(args, config: RunConfig, out: str) -> tuple:
     pred = ps.load_packet_csv(args.pred)
     truth = ps.load_packet_csv(args.truth)
     report = ps.score_fields(pred, truth)
     _write_text(os.path.join(out, "score_report.txt"), report.to_text())
     inputs = {"pred": args.pred, "truth": args.truth}
-    return _finish(out, "packetset score", config, inputs, ["score_report.txt"])
+    return "packetset score", inputs, ["score_report.txt"]
 
 
 def _labeled_for_stream(config: RunConfig) -> tuple[inj.LabeledSeries, dict]:
@@ -367,8 +352,7 @@ def _labeled_for_stream(config: RunConfig) -> tuple[inj.LabeledSeries, dict]:
     return _inject_series(series, config, "nth"), {}
 
 
-def cmd_simulate(args, config: RunConfig) -> int:
-    out = _out_dir(config)
+def cmd_simulate(args, config: RunConfig, out: str) -> tuple:
     labeled, inputs = _labeled_for_stream(config)
     stats, reports = ts.simulate_stream(
         labeled,
@@ -388,7 +372,7 @@ def cmd_simulate(args, config: RunConfig) -> int:
     }
     _write_text(os.path.join(out, "stats.json"), json.dumps(payload, sort_keys=True, indent=2) + "\n")
     _write_text(os.path.join(out, "report.jsonl"), "".join(r.to_json() + "\n" for r in reports))
-    return _finish(out, "simulate", config, inputs, ["stats.json", "report.jsonl"])
+    return "simulate", inputs, ["stats.json", "report.jsonl"]
 
 
 def _run_detection_experiment(config: RunConfig, scheme: str):
@@ -399,27 +383,25 @@ def _run_detection_experiment(config: RunConfig, scheme: str):
     return inputs, labeled, _detect_labeled(config, predictor, labeled, train_losses)
 
 
-def _cmd_experiment_detection(config: RunConfig, scheme: str, command: str) -> int:
-    out = _out_dir(config)
+def _cmd_experiment_detection(config: RunConfig, out: str, scheme: str, command: str) -> tuple:
     # An unknown tier fails here, before training and before any output is written.
     tier = config.tier()
     inputs, labeled, result = _run_detection_experiment(config, scheme)
     inj.save_labeled_csv(labeled, os.path.join(out, "labeled.csv"))
     outputs = ["labeled.csv", "labeled.csv.meta.json"]
     outputs += _detection_outputs(out, config, tier, result)
-    return _finish(out, command, config, inputs, outputs)
+    return command, inputs, outputs
 
 
-def cmd_experiment_nth(args, config: RunConfig) -> int:
-    return _cmd_experiment_detection(config, "nth", "experiment nth")
+def cmd_experiment_nth(args, config: RunConfig, out: str) -> tuple:
+    return _cmd_experiment_detection(config, out, "nth", "experiment nth")
 
 
-def cmd_experiment_poisson(args, config: RunConfig) -> int:
-    return _cmd_experiment_detection(config, "poisson", "experiment poisson")
+def cmd_experiment_poisson(args, config: RunConfig, out: str) -> tuple:
+    return _cmd_experiment_detection(config, out, "poisson", "experiment poisson")
 
 
-def cmd_experiment_variance_sweep(args, config: RunConfig) -> int:
-    out = _out_dir(config)
+def cmd_experiment_variance_sweep(args, config: RunConfig, out: str) -> tuple:
     series, inputs = _load_or_synth(config)
     parts, predictor, train_losses = _train_predictor(config, series, "reconstruction")
 
@@ -433,11 +415,10 @@ def cmd_experiment_variance_sweep(args, config: RunConfig) -> int:
     cells += [[getattr(m, name) for _, m in rows] for name in RATIO_NAMES]
     text = tel.format_table(("target_value", *RATIO_NAMES), cells, frozenset())
     _write_text(os.path.join(out, "sweep.csv"), text)
-    return _finish(out, "experiment variance-sweep", config, inputs, ["sweep.csv"])
+    return "experiment variance-sweep", inputs, ["sweep.csv"]
 
 
-def cmd_experiment_batch_sweep(args, config: RunConfig) -> int:
-    out = _out_dir(config)
+def cmd_experiment_batch_sweep(args, config: RunConfig, out: str) -> tuple:
     labeled, inputs = _labeled_for_stream(config)
     results = ts.run_batch_experiment(
         labeled,
@@ -448,9 +429,11 @@ def cmd_experiment_batch_sweep(args, config: RunConfig) -> int:
         config["anomaly_ratio"],
     )
     _write_text(os.path.join(out, "sweep.csv"), ts.batch_experiment_csv(results))
-    return _finish(out, "experiment batch-sweep", config, inputs, ["sweep.csv"])
+    return "experiment batch-sweep", inputs, ["sweep.csv"]
 
 
+# Each handler writes its products into out and returns (command, inputs,
+# outputs); main makes out first and writes the run manifest last.
 _COMMANDS = {
     "ingest": cmd_ingest,
     "inject": cmd_inject,
@@ -474,7 +457,8 @@ def main(argv=None) -> int:
         if getattr(args, "subcommand", None):
             name = f"{args.command} {args.subcommand}"
         config = _effective_config(args)
-        return _COMMANDS[name](args, config)
+        out = _out_dir(config)
+        return _finish(out, config, *_COMMANDS[name](args, config, out))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

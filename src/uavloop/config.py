@@ -105,13 +105,20 @@ class RunConfig:
                 continue
             key, sep, value = line.partition("=")
             if not sep:
-                raise ConfigError(f"config line {lineno} is not key=value: {raw!r}")
-            values[key.strip()] = _coerce(key.strip(), value)
+                raise ConfigError(f"line {lineno}: not key=value: {raw!r}")
+            try:
+                values[key.strip()] = _coerce(key.strip(), value)
+            except ConfigError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
         return cls(values)
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
-        return cls.parse(read_text(path))
+        """``parse`` of a config file; path prefixes a ConfigError's message."""
+        try:
+            return cls.parse(read_text(path))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def override(self, key: str, raw) -> "RunConfig":
         values = dict(self.values)
@@ -180,10 +187,7 @@ class RunConfig:
         return LatencyModel(a=self["latency_a"], b=self["latency_b"], c=self["latency_c"])
 
     def batch_list(self) -> list[int]:
-        sizes = self._list("batches", int)
-        if any(b < 1 for b in sizes):
-            raise ConfigError("batch sizes must be >= 1")
-        return sizes
+        return self._list("batches", int)
 
     def variance_target_list(self) -> list[float]:
         return self._list("variance_targets", float)

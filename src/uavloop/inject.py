@@ -11,7 +11,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -23,6 +22,9 @@ from .telemetry import TelemetrySeries
 LABEL_COLUMN = "label"
 LABELED_COLUMNS = telemetry.COLUMNS + (LABEL_COLUMN,)
 _LABELED_INT_COLUMNS = telemetry.INT_COLUMNS | {LABEL_COLUMN}
+_LABELED_RULES = telemetry.SENSOR_RULES + (
+    (LABEL_COLUMN, lambda c: (c != 0) & (c != 1), "label cells must be 0 or 1"),
+)
 
 
 @dataclass(frozen=True)
@@ -228,19 +230,16 @@ def serialize_labeled_csv(labeled: LabeledSeries) -> str:
 
 
 def parse_labeled_csv(text: str, meta: InjectionMeta | None = None) -> LabeledSeries:
-    table = telemetry.parse_table(text.encode(), LABELED_COLUMNS, _LABELED_INT_COLUMNS)
-    return _labeled_series(meta, *table)
+    values = telemetry.parse_table(
+        text.encode(), LABELED_COLUMNS, _LABELED_INT_COLUMNS, _LABELED_RULES
+    )
+    return _labeled_series(values, meta)
 
 
-def _labeled_series(meta: InjectionMeta | None, values: np.ndarray, locs: list[int]):
-    series = telemetry.sensor_series(values[:, :-1], locs)
-    label_col = values[:, -1]
-    bad = np.nonzero((label_col != 0) & (label_col != 1))[0]
-    if bad.size:
-        raise ParseError("label cells must be 0 or 1", line=locs[int(bad[0])])
+def _labeled_series(values: np.ndarray, meta: InjectionMeta | None) -> LabeledSeries:
     if meta is None:
         meta = InjectionMeta("unknown", {})
-    return LabeledSeries(series, label_col == 1, meta)
+    return LabeledSeries(TelemetrySeries(values[:, :-1]), values[:, -1] == 1, meta)
 
 
 def save_labeled_csv(labeled: LabeledSeries, csv_path) -> None:
@@ -257,6 +256,5 @@ def load_labeled_csv(csv_path) -> LabeledSeries:
     meta_path = f"{csv_path}.meta.json"
     if os.path.exists(meta_path):
         meta = telemetry.read_parsed(meta_path, InjectionMeta.from_json)
-    return telemetry.load_table(
-        csv_path, LABELED_COLUMNS, _LABELED_INT_COLUMNS, partial(_labeled_series, meta)
-    )
+    values = telemetry.load_table(csv_path, LABELED_COLUMNS, _LABELED_INT_COLUMNS, _LABELED_RULES)
+    return _labeled_series(values, meta)

@@ -4,13 +4,13 @@ Every numeric CSV uavloop reads or writes goes through ``format_table`` and
 ``parse_table``: a header of column names, integer columns as integers,
 other values by ``repr`` (the shortest text that parses back to the same
 float), and a blank cell, the only non-finite value, for a missing one.
-``parse_table`` converts the cells with numpy's C reader, which uses
-``float``'s own string-to-double routine.  A number is written with ASCII
-digits, sign, decimal point and exponent (``0-9 + - . e E``); spaces around
-a cell and any line break ``str.splitlines`` knows are allowed, and a blank
-cell is the only missing value.  ``load_table`` reads a numeric CSV file as
-bytes and parses them without a copy of the body; ``read_text`` reads every
-other input file.
+``parse_table`` has two paths: numpy's C reader, which uses ``float``'s own
+string-to-double routine, for ``format_table``'s exact layout, and a line
+reader for any other text (other line breaks, spaces around cells) and for
+every fault, which it alone reports with the first bad line.  Each format
+passes in its row rules, such as a positive sensor step dt or a 0/1 label.
+``load_table`` reads a numeric CSV file as bytes and parses them without a
+copy of the body; ``read_text`` reads every other input file.
 
 A sensor log's columns follow PX4 gyro/accelerometer exports (``COLUMNS``);
 in memory a mission is an ``(N, 11)`` float64 matrix whose NaN cells may sit
@@ -25,7 +25,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -133,8 +132,9 @@ class TelemetrySeries:
         return self.values[:, column_index(name)]
 
     def features(self) -> np.ndarray:
-        """The (N, D) modeling-feature matrix, as a writable copy."""
-        return self.values[:, list(self.feature_indices)].copy()
+        """The (N, D) modeling-feature matrix, as a writable C-ordered copy."""
+        # values[:, cols] would be Fortran-ordered, and matrix products round differently on it.
+        return self.values.take(self.feature_indices, axis=1)
 
     def with_values(self, values: np.ndarray) -> "TelemetrySeries":
         return TelemetrySeries(values)
@@ -183,11 +183,12 @@ def read_parsed(path, parse):
         raise exc.in_file(path) from None
 
 
-def load_table(path, columns: tuple[str, ...], int_columns: frozenset[str], build):
-    """``build(values, locs)`` of a numeric CSV file's bytes; path prefixes a ParseError."""
+def load_table(
+    path, columns: tuple[str, ...], int_columns: frozenset[str], rules=()
+) -> np.ndarray:
+    """``parse_table`` of a numeric CSV file's bytes; path prefixes a ParseError."""
     try:
-        # The bytes are only parse_table's argument, so they are freed before build copies.
-        return build(*parse_table(_read_bytes(path), columns, int_columns))
+        return parse_table(_read_bytes(path), columns, int_columns, rules)
     except ParseError as exc:
         raise exc.in_file(path) from None
 
@@ -211,69 +212,67 @@ def format_table(columns: tuple[str, ...], cells, int_columns: frozenset[str]) -
 
 
 def parse_table(
-    data: bytes, columns: tuple[str, ...], int_columns: frozenset[str]
-) -> tuple[np.ndarray, list[int]]:
-    """Parse UTF-8 numeric CSV into a matrix plus each row's source line number.
+    data: bytes, columns: tuple[str, ...], int_columns: frozenset[str], rules=()
+) -> np.ndarray:
+    """Parse UTF-8 numeric CSV into a matrix with one row per non-blank line.
 
     The header must list ``columns``.  A blank cell is NaN, except in
     ``int_columns``, where it is an error; every other cell must be a finite
     number written with ASCII digits, sign, point and exponent, and a whole
     number in ``int_columns``.  The first column must strictly increase.
-    numpy's C reader converts the cells (``float``'s own string-to-double
-    routine, so values are bit-identical), from ``data`` itself when it is
-    already exact (``io.BytesIO`` shares a ``bytes`` object, so no copy); any
-    failure is reported by ``_raise_first_error`` with the first bad line.
+    Then each ``(column, bad, message)`` rule, in order, rejects with
+    ``message`` the first row where ``bad`` of the column's values is true.
+
+    Text in ``format_table``'s exact layout is read by ``_read_exact``; any
+    other text (other line breaks, spaces, a padded header), and any fault,
+    goes to the line reader ``_read_lines``, which alone raises errors.
     """
-    header = ",".join(columns)
-    head = (header + "\n").encode()
+    values = _read_exact(data, columns, int_columns, rules)
+    return _read_lines(data, columns, int_columns, rules) if values is None else values
+
+
+def _read_exact(
+    data: bytes, columns: tuple[str, ...], int_columns: frozenset[str], rules
+) -> np.ndarray | None:
+    """``parse_table`` of text in ``format_table``'s layout, else None.
+
+    numpy's C reader converts the cells from ``data`` itself (``io.BytesIO``
+    shares a ``bytes`` object), and the checks run on the whole matrix.
+    """
+    head = (",".join(columns) + "\n").encode()
     # What is left of the header once the plain bytes are deleted; the whole
-    # input leaves the same only when its body is plain bytes.
-    residue = head.translate(None, _PLAIN_BYTES)
-    exact = data
-    if not data.startswith(head) or data.translate(None, _PLAIN_BYTES) != residue:
-        # Line breaks other than "\n", a padded header, or spaces or other text in
-        # the cells: split the lines as str.splitlines does, strip each cell as
-        # float does, and read the result as exact input.
-        lines = data.decode().splitlines()
-        if not lines or lines[0].strip() != header:
-            _raise_first_error(data, columns, int_columns)
-        cells = (",".join(map(str.strip, line.split(","))) for line in lines[1:])
-        exact = "\n".join([header, *cells, ""]).encode()
-        if exact.translate(None, _PLAIN_BYTES) != residue:
-            _raise_first_error(data, columns, int_columns)
-    # An empty body, or one of blank lines only (counted only when it starts blank).
-    body = len(exact) - len(head)
-    if not body or (exact.startswith(b"\n", len(head)) and exact.count(b"\n", len(head)) == body):
-        return np.empty((0, len(columns))), []
-    values = _read_cells(exact)
+    # input leaves the same only when its body is plain bytes.  A body of
+    # line breaks only holds no row for numpy to read.
+    if not (
+        data.startswith(head)
+        and data.count(b"\n", len(head)) < len(data) - len(head)
+        and data.translate(None, _PLAIN_BYTES) == head.translate(None, _PLAIN_BYTES)
+    ):
+        return None
+    values = _read_cells(data)
     if values is None:
         # numpy's reader rejects an empty cell.  No cell can read "nan" yet,
         # so a written "nan" marks exactly the blanks; then read once more.
         # One rebinding per replace, so at most two new body-sized buffers are alive.
-        exact = exact.replace(b",,", b",nan,")
-        exact = exact.replace(b",,", b",nan,")
-        exact = exact.replace(b"\n,", b"\nnan,")
-        exact = exact.replace(b",\n", b",nan\n")
-        if exact.endswith(b","):
-            exact += b"nan"
-        values = _read_cells(exact)
-        if values is None:
-            _raise_first_error(data, columns, int_columns)
-    # Checks on the whole matrix: NaN here is a blank cell, inf an overflow.
-    # Whole numbers are checked a column at a time, so no temporary outgrows a column.
-    lead = values[:, 0]
+        data = data.replace(b",,", b",nan,")
+        data = data.replace(b",,", b",nan,")
+        data = data.replace(b"\n,", b"\nnan,")
+        data = data.replace(b",\n", b",nan\n")
+        if data.endswith(b","):
+            data += b"nan"
+        values = _read_cells(data)
+    # NaN here is a blank cell and inf an overflow.  Whole numbers are checked a
+    # column at a time, so no temporary outgrows a column.
     if (
-        values.shape[1] != len(columns)
+        values is None
+        or values.shape[1] != len(columns)
         or np.isinf(values).any()
-        or (lead[1:] <= lead[:-1]).any()
+        or (values[1:, 0] <= values[:-1, 0]).any()
         or any((np.trunc(c) != c).any() for n, c in zip(columns, values.T) if n in int_columns)
+        or any(bad(values[:, columns.index(name)]).any() for name, bad, _ in rules)
     ):
-        _raise_first_error(data, columns, int_columns)
-    if b"\n\n" in exact:
-        ends = np.flatnonzero(np.frombuffer(exact, dtype=np.uint8) == ord("\n"))
-        lengths = np.diff(np.concatenate(([-1], ends, [len(exact)]))) - 1
-        return values, (np.flatnonzero(lengths[1:] > 0) + 2).tolist()
-    return values, list(range(2, len(values) + 2))
+        return None
+    return values
 
 
 def _read_cells(exact: bytes) -> np.ndarray | None:
@@ -286,13 +285,14 @@ def _read_cells(exact: bytes) -> np.ndarray | None:
         return None
 
 
-def _raise_first_error(
-    data: bytes, columns: tuple[str, ...], int_columns: frozenset[str]
-) -> NoReturn:
-    """Raise the error of the first bad line of a table ``parse_table`` rejected.
+def _read_lines(
+    data: bytes, columns: tuple[str, ...], int_columns: frozenset[str], rules
+) -> np.ndarray:
+    """``parse_table`` of any text, one line at a time; raises the first error.
 
-    Lines and cells are checked in order, as ``str.splitlines`` and ``float``
-    see them, so the message and line are those of the first fault.
+    Lines and cells are read in order, as ``str.splitlines`` and ``float``
+    see them, so a fault's message and line are those of its first bad
+    line.  The rules are checked only once every line has parsed.
     """
     lines = data.decode().splitlines()
     if not lines:
@@ -302,6 +302,8 @@ def _raise_first_error(
         raise ParseError(f"expected header {header!r}, got {lines[0].strip()!r}", line=1)
     n_cols = len(columns)
     is_int = [name in int_columns for name in columns]
+    values = np.empty((len(lines) - 1, n_cols))
+    count = 0
     prev: float | None = None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -340,24 +342,31 @@ def _raise_first_error(
                 line=lineno,
             )
         prev = row[0]
-    raise ParseError("numeric table could not be read")
+        values[count] = row
+        count += 1
+    values = values[:count]
+    for name, bad, message in rules:
+        rows = np.flatnonzero(bad(values[:, columns.index(name)]))
+        if rows.size:
+            linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+            raise ParseError(message, line=linenos[rows[0]])
+    return values
 
 
-def sensor_series(values: np.ndarray, locs: list[int]) -> TelemetrySeries:
-    """Parsed sensor rows as a series; a step dt <= 0 or negative clipping is an error."""
-    for name in ("gyro_integral_dt", "accelerometer_integral_dt"):
-        bad = np.nonzero(values[:, _COL_INDEX[name]] <= 0)[0]
-        if bad.size:
-            raise ParseError(f"column {name} must be positive", line=locs[int(bad[0])])
-    clip = values[:, _COL_INDEX["accelerometer_clipping"]]
-    bad = np.nonzero(clip < 0)[0]
-    if bad.size:
-        raise ParseError("column accelerometer_clipping must be non-negative", line=locs[int(bad[0])])
-    return TelemetrySeries(values)
+def _positive(name: str) -> tuple:
+    return (name, lambda c: c <= 0, f"column {name} must be positive")
+
+
+# A sensor row's step dt must be positive and its clipping count non-negative.
+SENSOR_RULES = (
+    _positive("gyro_integral_dt"),
+    _positive("accelerometer_integral_dt"),
+    ("accelerometer_clipping", lambda c: c < 0, "column accelerometer_clipping must be non-negative"),
+)
 
 
 def parse_sensor_csv(text: str) -> TelemetrySeries:
-    return sensor_series(*parse_table(text.encode(), COLUMNS, INT_COLUMNS))
+    return TelemetrySeries(parse_table(text.encode(), COLUMNS, INT_COLUMNS, SENSOR_RULES))
 
 
 def serialize_sensor_csv(series: TelemetrySeries) -> str:
@@ -365,7 +374,7 @@ def serialize_sensor_csv(series: TelemetrySeries) -> str:
 
 
 def load_sensor_csv(path) -> TelemetrySeries:
-    return load_table(path, COLUMNS, INT_COLUMNS, sensor_series)
+    return TelemetrySeries(load_table(path, COLUMNS, INT_COLUMNS, SENSOR_RULES))
 
 
 def save_sensor_csv(series: TelemetrySeries, path) -> None:

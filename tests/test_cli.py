@@ -10,7 +10,7 @@ from uavloop import forecast as fc
 from uavloop import packetset as ps
 from uavloop.cli import main
 from uavloop.synthetic import synth_packet_log
-from uavloop.telemetry import fit_normalize, load_sensor_csv
+from uavloop.telemetry import HEADER, fit_normalize, load_sensor_csv
 
 TINY_TRAIN = ["--records", "600", "--seq-len", "8", "--fcn-dim", "8", "--epochs", "1"]
 
@@ -634,6 +634,56 @@ class TestExitMessages:
         assert run("ingest", "--data", str(data), "--out", str(tmp_path / "o")) == 4
         assert capsys.readouterr().err == (
             f"error: {data}: line 1: empty input: missing header row\n"
+        )
+
+    @pytest.mark.parametrize("text, message", [
+        ("records=300\nbogus line\n", "line 2: not key=value: 'bogus line'"),
+        ("# seed\nrecords=300\nseed=x\n", "line 3: bad value for seed: 'x' is not int"),
+        ("nokey=1\n", "line 1: unknown config key 'nokey'"),
+    ], ids=["not-key-value", "bad-value", "unknown-key"])
+    def test_config_file_error_names_file_and_line(self, tmp_path, capsys, text, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        capsys.readouterr()
+        assert run("ingest", "--config", str(config), "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+
+    def test_config_flag_error_unchanged(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("ingest", "--seed", "x", "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == "error: bad value for seed: 'x' is not int\n"
+
+    def test_zero_batch_size(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("experiment", "batch-sweep", "--records", "300", "--batches", "4,0",
+                   "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == "error: batch sizes must be >= 1\n"
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--perturb-mode", "bogus"], "unknown perturbation mode 'bogus'"),
+        (["--sigma-k", "inf"], "offset-sigma multiplier must be finite, got inf"),
+        (["--perturb-mode", "set-value", "--set-value", "nan"],
+         "set-value mode needs a finite value"),
+    ], ids=["mode", "sigma-k", "set-value"])
+    def test_bad_perturbation(self, tmp_path, capsys, flags, message):
+        capsys.readouterr()
+        assert run("inject", "--scheme", "nth", "--records", "300", *flags,
+                   "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o" / "labeled.csv").exists()
+
+    def test_fractional_timestamp(self, tmp_path, capsys):
+        data = tmp_path / "mission.csv"
+        rows = [
+            f"{ts},0.1,0.0,0.0,4000,0,0.0,0.0,-9.8,4000,0"
+            for ts in ("212000", "216000", "220000.5", "224000")
+        ]
+        data.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run("ingest", "--data", str(data), "--out", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == (
+            f"error: {data}: line 4: column timestamp must be an integer, got '220000.5'\n"
         )
 
     def test_unknown_norm_scope(self, tmp_path, capsys):

@@ -213,6 +213,27 @@ class TestLabeledCsv:
         with pytest.raises(ParseError):
             parse_labeled_csv("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["exact", "crlf"])
+    def test_row_rules_keep_their_order(self, eol):
+        """The first rule failing on any row wins: the dt rules, clipping, then label."""
+        lines = serialize_labeled_csv(inject_every_nth(make_series(4), 2)).splitlines()
+        cells = [line.split(",") for line in lines]
+        cells[1][-1] = "2"
+        cells[2][-2] = "-1"
+        cells[3][4] = "0"
+        expected = [
+            "line 4: column gyro_integral_dt must be positive",
+            "line 3: column accelerometer_clipping must be non-negative",
+            "line 2: label cells must be 0 or 1",
+        ]
+        repairs = [(3, 4, "4000"), (2, -2, "0"), (1, -1, "1")]
+        for message, (row, col, fixed) in zip(expected, repairs):
+            with pytest.raises(ParseError) as err:
+                parse_labeled_csv(eol.join(map(",".join, cells)) + eol)
+            assert str(err.value) == message
+            cells[row][col] = fixed
+        assert len(parse_labeled_csv(eol.join(map(",".join, cells)) + eol).series) == 4
+
     def test_meta_json_round_trip(self):
         meta = InjectionMeta("random", {"fraction": 0.05, "selection": "fixed-count"}, 7)
         again = InjectionMeta.from_json(meta.to_json())

@@ -177,10 +177,9 @@ class TestTableCodec:
     def test_parse_inverts_format_bit_exact(self, columns, data):
         matrix = data.draw(numeric_tables(columns))
         text = format_table(columns, matrix.T, INT_COLUMNS)
-        values, locs = parse_table(text.encode(), columns, INT_COLUMNS | {"label"})
+        values = parse_table(text.encode(), columns, INT_COLUMNS | {"label"})
         assert values.shape == matrix.shape
         assert values.tobytes() == matrix.tobytes()
-        assert locs == list(range(2, len(matrix) + 2))
 
     def test_layout(self):
         text = format_table(
@@ -264,12 +263,24 @@ def odd_csv_texts(draw):
     return text, int_columns
 
 
-def outcome(parse, text, int_columns):
+def reference_values(text, columns, int_columns, rules=()):
+    """The reference parser's matrix, without its row line numbers."""
+    return reference_parse_table(text, columns, int_columns)[0]
+
+
+def outcome(parse, text, int_columns, rules=()):
     try:
-        values, locs = parse(text, TABLE, int_columns)
+        values = parse(text, TABLE, int_columns, rules)
     except ParseError as exc:
         return type(exc), str(exc), exc.line
-    return values.shape, values.tobytes(), list(locs)
+    return values.shape, values.tobytes()
+
+
+# Two row rules on TABLE; the first rule that fails anywhere wins, not the first bad row.
+RULES = (
+    ("k", lambda c: c > 10**6, "column k is too large"),
+    ("x", lambda c: c < 0, "column x must be non-negative"),
+)
 
 
 class TestReaderMatchesReference:
@@ -280,7 +291,7 @@ class TestReaderMatchesReference:
     def test_same_values_or_same_error(self, case):
         text, int_columns = case
         got = outcome(parse_table, text.encode(), int_columns)
-        want = outcome(reference_parse_table, text, int_columns)
+        want = outcome(reference_values, text, int_columns)
         odd_lines = [
             lineno
             for lineno, line in enumerate(text.splitlines()[1:], start=2)
@@ -307,7 +318,7 @@ class TestReaderMatchesReference:
     def test_blank_cells_read_as_reference(self, body, blanks):
         text = ",".join(TABLE) + "\n" + body
         got = outcome(parse_table, text.encode(), frozenset())
-        assert got == outcome(reference_parse_table, text, frozenset())
+        assert got == outcome(reference_values, text, frozenset())
         assert np.isnan(np.frombuffer(got[1])).sum() == blanks
 
     @pytest.mark.parametrize("token", ["1_0", "١", "2_5.5"])
@@ -324,10 +335,36 @@ class TestReaderMatchesReference:
     def test_other_line_breaks_and_spaces_read_the_same(self, eol):
         rows = [csv_row(212000), " ", csv_row(216000, g0=-0.25).replace(",", " , ")]
         text = make_csv(rows).replace("\n", eol)
-        values, locs = parse_table(text.encode(), COLUMNS, INT_COLUMNS)
-        assert locs == [2, 4]
+        values = parse_table(text.encode(), COLUMNS, INT_COLUMNS)
         exact = make_csv(rows[::2]).encode()
-        assert values.tobytes() == parse_table(exact, COLUMNS, INT_COLUMNS)[0].tobytes()
+        assert values.tobytes() == parse_table(exact, COLUMNS, INT_COLUMNS).tobytes()
+        rows[2] = csv_row(216000, dt=0).replace(",", " , ")
+        with pytest.raises(ParseError) as err:
+            parse_sensor_csv(make_csv(rows).replace("\n", eol))
+        assert str(err.value) == "line 4: column gyro_integral_dt must be positive"
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=odd_csv_texts())
+    def test_row_rules_fail_at_reference_line(self, case):
+        """A failing rule names the reference's line of its first bad row; rules
+        run only on a table that parsed, so a parse error still wins."""
+        text, int_columns = case
+        got = outcome(parse_table, text.encode(), int_columns, RULES)
+        try:
+            values, locs = reference_parse_table(text, TABLE, int_columns)
+        except ParseError:
+            assert got == outcome(parse_table, text.encode(), int_columns)
+            return
+        if any(unsupported(token) for line in text.splitlines()[1:] for token in line.split(",")):
+            assert got == outcome(parse_table, text.encode(), int_columns)
+            return
+        for name, bad, message in RULES:
+            rows = np.flatnonzero(bad(values[:, TABLE.index(name)]))
+            if rows.size:
+                line = locs[rows[0]]
+                assert got == (ParseError, f"line {line}: {message}", line)
+                return
+        assert got == (values.shape, values.tobytes())
 
 
 def file_cases(header, rows):
@@ -375,7 +412,7 @@ class TestFileLoadsMatchReference:
             return
         text = data.decode()
         try:
-            values, locs = reference_parse_table(text, columns, INT_COLUMNS | {"label"})
+            values = reference_values(text, columns, INT_COLUMNS | {"label"})
         except ParseError as want:
             with pytest.raises(type(want)) as err:
                 load(str(path))
