@@ -23,7 +23,6 @@ from .telemetry import (
     fit_normalize,
     impute_missing,
     load_sensor_csv,
-    parse_sensor_csv,
     save_sensor_csv,
     serialize_sensor_csv,
     split,
@@ -39,7 +38,6 @@ from .inject import (
     inject_random,
     inject_variance,
     load_labeled_csv,
-    parse_labeled_csv,
     save_labeled_csv,
     serialize_labeled_csv,
     variance_sweep,

@@ -229,19 +229,6 @@ def serialize_labeled_csv(labeled: LabeledSeries) -> str:
     return telemetry.format_table(LABELED_COLUMNS, cells, _LABELED_INT_COLUMNS)
 
 
-def parse_labeled_csv(text: str, meta: InjectionMeta | None = None) -> LabeledSeries:
-    values = telemetry.parse_table(
-        text.encode(), LABELED_COLUMNS, _LABELED_INT_COLUMNS, _LABELED_RULES
-    )
-    return _labeled_series(values, meta)
-
-
-def _labeled_series(values: np.ndarray, meta: InjectionMeta | None) -> LabeledSeries:
-    if meta is None:
-        meta = InjectionMeta("unknown", {})
-    return LabeledSeries(TelemetrySeries(values[:, :-1]), values[:, -1] == 1, meta)
-
-
 def save_labeled_csv(labeled: LabeledSeries, csv_path) -> None:
     """Write the CSV and, beside it as ``<csv_path>.meta.json``, its metadata."""
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -252,9 +239,9 @@ def save_labeled_csv(labeled: LabeledSeries, csv_path) -> None:
 
 def load_labeled_csv(csv_path) -> LabeledSeries:
     """Read a labeled CSV and, if ``<csv_path>.meta.json`` exists, its metadata."""
-    meta = None
+    meta = InjectionMeta("unknown", {})
     meta_path = f"{csv_path}.meta.json"
     if os.path.exists(meta_path):
         meta = telemetry.read_parsed(meta_path, InjectionMeta.from_json)
     values = telemetry.load_table(csv_path, LABELED_COLUMNS, _LABELED_INT_COLUMNS, _LABELED_RULES)
-    return _labeled_series(values, meta)
+    return LabeledSeries(TelemetrySeries(values[:, :-1]), values[:, -1] == 1, meta)

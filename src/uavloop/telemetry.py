@@ -4,13 +4,16 @@ Every numeric CSV uavloop reads or writes goes through ``format_table`` and
 ``parse_table``: a header of column names, integer columns as integers,
 other values by ``repr`` (the shortest text that parses back to the same
 float), and a blank cell, the only non-finite value, for a missing one.
-``parse_table`` has two paths: numpy's C reader, which uses ``float``'s own
-string-to-double routine, for ``format_table``'s exact layout, and a line
-reader for any other text (other line breaks, spaces around cells) and for
-every fault, which it alone reports with the first bad line.  Each format
-passes in its row rules, such as a positive sensor step dt or a 0/1 label.
-``load_table`` reads a numeric CSV file as bytes and parses them without a
-copy of the body; ``read_text`` reads every other input file.
+``parse_table`` has two paths.  Text in ``format_table``'s layout, with LF
+or CRLF line ends, is read in line-aligned chunks of about 1 MiB by numpy's
+C reader, which uses ``float``'s own string-to-double routine, and each
+chunk's rows are checked and copied into one preallocated matrix.  Any other
+text (other line breaks, blank lines, spaces around cells), and every fault,
+goes to a line reader, which alone reports errors, with the first bad line.
+Each format passes in its row rules, such as a positive sensor step dt or a
+0/1 label.  ``load_table`` reads a numeric CSV file the same way, so a file
+in the exact layout is never held whole: a load costs its matrix and a few
+chunk-sized buffers.  ``read_text`` reads every other input file.
 
 A sensor log's columns follow PX4 gyro/accelerometer exports (``COLUMNS``);
 in memory a mission is an ``(N, 11)`` float64 matrix whose NaN cells may sit
@@ -84,6 +87,9 @@ _STD_EPS = 1e-12
 # line break they are the only bytes parse_table hands to numpy's reader.
 _NUMBER_CHARS = "0123456789+-.eE"
 _PLAIN_BYTES = (_NUMBER_CHARS + ",\n").encode()
+_LF = ord("\n")
+# Bytes a numeric CSV file is read in; each chunk runs on to the end of its last line.
+_CHUNK_BYTES = 1 << 20
 
 
 def column_index(name: str) -> int:
@@ -96,13 +102,15 @@ def column_index(name: str) -> int:
 class TelemetrySeries:
     """A mission's records as a read-only ``(N, 11)`` matrix in COLUMNS order.
 
-    The modeling features are always ``DEFAULT_FEATURES``.
+    The modeling features are always ``DEFAULT_FEATURES``.  A read-only
+    C-ordered float64 matrix that no writable array shares, such as the one
+    ``load_table`` returns, is kept as it is; any other matrix is copied.
     """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)
+        values = self.values if _sealed(self.values) else np.array(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != len(COLUMNS):
             raise DimensionError(
                 f"expected an (N, {len(COLUMNS)}) value matrix, got shape {values.shape}"
@@ -154,6 +162,19 @@ class TelemetrySeries:
         return bool(np.isnan(self.values).any())
 
 
+def _sealed(values) -> bool:
+    """Whether values is a read-only C-ordered float64 array that no writable array shares."""
+    if type(values) is not np.ndarray or values.dtype != np.float64:
+        return False
+    if not values.flags.c_contiguous:
+        return False
+    while isinstance(values, np.ndarray):
+        if values.flags.writeable:
+            return False
+        values = values.base
+    return values is None
+
+
 def _read_bytes(path) -> bytes:
     """The bytes of a UTF-8 input file; any failure is an InputError naming it."""
     try:
@@ -186,9 +207,20 @@ def read_parsed(path, parse):
 def load_table(
     path, columns: tuple[str, ...], int_columns: frozenset[str], rules=()
 ) -> np.ndarray:
-    """``parse_table`` of a numeric CSV file's bytes; path prefixes a ParseError."""
+    """``parse_table`` of a numeric CSV file; path prefixes a ParseError.
+
+    A file in ``format_table``'s layout is read in chunks and never held
+    whole; any other file is read whole for the line reader.
+    """
     try:
-        return parse_table(_read_bytes(path), columns, int_columns, rules)
+        try:
+            with open(path, "rb") as fh:
+                values = _read_exact(fh, columns, int_columns, rules)
+        except OSError as exc:
+            raise InputError(f"cannot read input file {path}: {exc.strerror}") from None
+        if values is None:
+            values = _read_lines(_read_bytes(path), columns, int_columns, rules)
+        return values
     except ParseError as exc:
         raise exc.in_file(path) from None
 
@@ -214,72 +246,108 @@ def format_table(columns: tuple[str, ...], cells, int_columns: frozenset[str]) -
 def parse_table(
     data: bytes, columns: tuple[str, ...], int_columns: frozenset[str], rules=()
 ) -> np.ndarray:
-    """Parse UTF-8 numeric CSV into a matrix with one row per non-blank line.
+    """Parse UTF-8 numeric CSV into a read-only matrix with one row per non-blank line.
 
     The header must list ``columns``.  A blank cell is NaN, except in
     ``int_columns``, where it is an error; every other cell must be a finite
     number written with ASCII digits, sign, point and exponent, and a whole
     number in ``int_columns``.  The first column must strictly increase.
     Then each ``(column, bad, message)`` rule, in order, rejects with
-    ``message`` the first row where ``bad`` of the column's values is true.
+    ``message`` the first row where ``bad``, applied elementwise to the
+    column's values, is true.
 
-    Text in ``format_table``'s exact layout is read by ``_read_exact``; any
-    other text (other line breaks, spaces, a padded header), and any fault,
-    goes to the line reader ``_read_lines``, which alone raises errors.
+    Text in ``format_table``'s layout, with LF or CRLF line ends, is read in
+    chunks by ``_read_exact``; any other text (other line breaks, blank
+    lines, spaces, a padded header), and any fault, goes to the line reader
+    ``_read_lines``, which alone raises errors.
     """
-    values = _read_exact(data, columns, int_columns, rules)
+    values = _read_exact(io.BytesIO(data), columns, int_columns, rules)
     return _read_lines(data, columns, int_columns, rules) if values is None else values
 
 
-def _read_exact(
-    data: bytes, columns: tuple[str, ...], int_columns: frozenset[str], rules
-) -> np.ndarray | None:
-    """``parse_table`` of text in ``format_table``'s layout, else None.
+def _chunks(fh):
+    """The rest of binary file fh in pieces of about _CHUNK_BYTES, each cut at a line end."""
+    while chunk := fh.read(_CHUNK_BYTES):
+        yield chunk if chunk.endswith(b"\n") else chunk + fh.readline()
 
-    numpy's C reader converts the cells from ``data`` itself (``io.BytesIO``
-    shares a ``bytes`` object), and the checks run on the whole matrix.
+
+def _read_exact(
+    fh, columns: tuple[str, ...], int_columns: frozenset[str], rules
+) -> np.ndarray | None:
+    """``parse_table`` of binary file fh in ``format_table``'s layout, else None.
+
+    A first pass counts the rows.  A second pass reads each chunk with
+    numpy's C reader, checks its rows, and copies them into one matrix, so
+    no buffer but that matrix grows with the file.
     """
-    head = (",".join(columns) + "\n").encode()
-    # What is left of the header once the plain bytes are deleted; the whole
-    # input leaves the same only when its body is plain bytes.  A body of
-    # line breaks only holds no row for numpy to read.
-    if not (
-        data.startswith(head)
-        and data.count(b"\n", len(head)) < len(data) - len(head)
-        and data.translate(None, _PLAIN_BYTES) == head.translate(None, _PLAIN_BYTES)
-    ):
+    if fh.readline().replace(b"\r\n", b"\n") != (",".join(columns) + "\n").encode():
         return None
-    values = _read_cells(data)
-    if values is None:
-        # numpy's reader rejects an empty cell.  No cell can read "nan" yet,
-        # so a written "nan" marks exactly the blanks; then read once more.
-        # One rebinding per replace, so at most two new body-sized buffers are alive.
-        data = data.replace(b",,", b",nan,")
-        data = data.replace(b",,", b",nan,")
-        data = data.replace(b"\n,", b"\nnan,")
-        data = data.replace(b",\n", b",nan\n")
-        if data.endswith(b","):
-            data += b"nan"
-        values = _read_cells(data)
-    # NaN here is a blank cell and inf an overflow.  Whole numbers are checked a
-    # column at a time, so no temporary outgrows a column.
-    if (
-        values is None
-        or values.shape[1] != len(columns)
-        or np.isinf(values).any()
-        or (values[1:, 0] <= values[:-1, 0]).any()
-        or any((np.trunc(c) != c).any() for n, c in zip(columns, values.T) if n in int_columns)
-        or any(bad(values[:, columns.index(name)]).any() for name, bad, _ in rules)
-    ):
+    body = fh.tell()
+    rows = 0
+    for chunk in _chunks(fh):
+        # numpy counts line breaks about three times as fast as bytes.count.
+        # Only the last chunk can end without one.
+        rows += np.count_nonzero(np.frombuffer(chunk, np.uint8) == _LF)
+        rows += not chunk.endswith(b"\n")
+    if not rows:
         return None
+    fh.seek(body)
+    values = np.empty((rows, len(columns)))
+    whole = [j for j, name in enumerate(columns) if name in int_columns]
+    ruled = [(columns.index(name), bad) for name, bad, _ in rules]
+    done = 0
+    for chunk in _chunks(fh):
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n")
+        # The checks run on the bytes numpy reads, which would take "nan",
+        # "inf" or spaces around a number.  numpy skips a blank line, which
+        # leaves the rows short of the count, and warns on a chunk of blank
+        # lines only, which starts with one.
+        if chunk.translate(None, _PLAIN_BYTES) or chunk.startswith(b"\n"):
+            return None
+        cells = _read_cells(chunk)
+        if cells is None:
+            cells = _read_cells(_fill_blanks(chunk))
+        # NaN here is a blank cell and inf an overflow.
+        if (
+            cells is None
+            or cells.shape[1] != len(columns)
+            or len(cells) > rows - done
+            or np.isinf(cells).any()
+            or (cells[1:, 0] <= cells[:-1, 0]).any()
+            or (done and cells[0, 0] <= values[done - 1, 0])
+            or any((np.trunc(cells[:, j]) != cells[:, j]).any() for j in whole)
+            or any(bad(cells[:, j]).any() for j, bad in ruled)
+        ):
+            return None
+        values[done : done + len(cells)] = cells
+        done += len(cells)
+    if done != rows:  # a blank line, or the file changed between the passes
+        return None
+    values.setflags(write=False)
     return values
 
 
-def _read_cells(exact: bytes) -> np.ndarray | None:
-    """numpy's reading of the rows under the header, or None where it raises ValueError."""
+def _fill_blanks(chunk: bytes) -> bytes:
+    """chunk, whole lines of plain bytes, with "nan" written in every blank cell.
+
+    numpy's reader rejects an empty cell.  No cell can read "nan" before,
+    so the written ones mark exactly the blanks.  Each replace scans the
+    whole chunk, so this runs only on a chunk numpy could not read.
+    """
+    if chunk.startswith(b","):
+        chunk = b"nan" + chunk
+    # Two passes, since the cell between two adjacent blanks overlaps both matches.
+    chunk = chunk.replace(b",,", b",nan,").replace(b",,", b",nan,")
+    chunk = chunk.replace(b"\n,", b"\nnan,").replace(b",\n", b",nan\n")
+    return chunk + b"nan" if chunk.endswith(b",") else chunk
+
+
+def _read_cells(chunk: bytes) -> np.ndarray | None:
+    """numpy's reading of chunk's rows, or None where it raises ValueError."""
     try:
         return np.loadtxt(
-            io.BytesIO(exact), delimiter=",", comments=None, skiprows=1, ndmin=2, dtype=np.float64
+            io.BytesIO(chunk), delimiter=",", comments=None, ndmin=2, dtype=np.float64
         )
     except ValueError:
         return None
@@ -344,6 +412,7 @@ def _read_lines(
         prev = row[0]
         values[count] = row
         count += 1
+    values.setflags(write=False)
     values = values[:count]
     for name, bad, message in rules:
         rows = np.flatnonzero(bad(values[:, columns.index(name)]))
@@ -363,10 +432,6 @@ SENSOR_RULES = (
     _positive("accelerometer_integral_dt"),
     ("accelerometer_clipping", lambda c: c < 0, "column accelerometer_clipping must be non-negative"),
 )
-
-
-def parse_sensor_csv(text: str) -> TelemetrySeries:
-    return TelemetrySeries(parse_table(text.encode(), COLUMNS, INT_COLUMNS, SENSOR_RULES))
 
 
 def serialize_sensor_csv(series: TelemetrySeries) -> str:

@@ -10,7 +10,8 @@ from uavloop.inject import (
     inject_poisson,
     inject_random,
     inject_variance,
-    parse_labeled_csv,
+    load_labeled_csv,
+    save_labeled_csv,
     serialize_labeled_csv,
     variance_sweep,
 )
@@ -192,10 +193,10 @@ class TestPoisson:
 
 
 class TestLabeledCsv:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         labeled = inject_every_nth(synth_mission(60, seed=2), 7)
-        text = serialize_labeled_csv(labeled)
-        back = parse_labeled_csv(text, labeled.meta)
+        save_labeled_csv(labeled, tmp_path / "labeled.csv")
+        back = load_labeled_csv(tmp_path / "labeled.csv")
         assert np.array_equal(back.labels, labeled.labels)
         assert np.allclose(back.series.values, labeled.series.values, equal_nan=True)
         assert back.meta == labeled.meta
@@ -205,16 +206,18 @@ class TestLabeledCsv:
         header = serialize_labeled_csv(labeled).splitlines()[0]
         assert header.endswith(",label")
 
-    def test_label_cells_must_be_binary(self):
+    def test_label_cells_must_be_binary(self, tmp_path):
         labeled = inject_every_nth(make_series(4), 2)
         text = serialize_labeled_csv(labeled).replace("\n", "\n", 1)
         lines = text.splitlines()
         lines[1] = lines[1][: lines[1].rfind(",")] + ",2"
+        path = tmp_path / "labeled.csv"
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError):
-            parse_labeled_csv("\n".join(lines) + "\n")
+            load_labeled_csv(path)
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["exact", "crlf"])
-    def test_row_rules_keep_their_order(self, eol):
+    def test_row_rules_keep_their_order(self, tmp_path, eol):
         """The first rule failing on any row wins: the dt rules, clipping, then label."""
         lines = serialize_labeled_csv(inject_every_nth(make_series(4), 2)).splitlines()
         cells = [line.split(",") for line in lines]
@@ -227,12 +230,15 @@ class TestLabeledCsv:
             "line 2: label cells must be 0 or 1",
         ]
         repairs = [(3, 4, "4000"), (2, -2, "0"), (1, -1, "1")]
+        path = tmp_path / "labeled.csv"
         for message, (row, col, fixed) in zip(expected, repairs):
+            path.write_bytes((eol.join(map(",".join, cells)) + eol).encode())
             with pytest.raises(ParseError) as err:
-                parse_labeled_csv(eol.join(map(",".join, cells)) + eol)
-            assert str(err.value) == message
+                load_labeled_csv(path)
+            assert str(err.value) == f"{path}: {message}"
             cells[row][col] = fixed
-        assert len(parse_labeled_csv(eol.join(map(",".join, cells)) + eol).series) == 4
+        path.write_bytes((eol.join(map(",".join, cells)) + eol).encode())
+        assert len(load_labeled_csv(path).series) == 4
 
     def test_meta_json_round_trip(self):
         meta = InjectionMeta("random", {"fraction": 0.05, "selection": "fixed-count"}, 7)

@@ -4,15 +4,19 @@ Each bound is one the one-pass forms exceed: ``Predictor.loss`` held one
 (W, n_out) squared-error array, ``record_losses`` one (W, horizon) error
 array and one (W, horizon) record-index array, and the blank fill of
 ``parse_table`` three body-sized buffers.  A numeric CSV file load that
-decodes the file and copies its body holds the file two to four times over.
+decodes the file and copies its body holds the file two to four times over,
+and one that holds the file's bytes holds them once; a load in chunks holds
+its matrices and a few chunk-sized buffers.
 """
 
 import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from uavloop import forecast as fc
+from uavloop import telemetry
 from uavloop.detect import record_losses
 from uavloop.forecast import PredictorConfig, init_predictor
 from uavloop.inject import inject_every_nth, load_labeled_csv, save_labeled_csv
@@ -20,6 +24,7 @@ from uavloop.synthetic import synth_mission
 from uavloop.telemetry import (
     COLUMNS,
     INT_COLUMNS,
+    TelemetrySeries,
     WindowedDataset,
     load_sensor_csv,
     parse_table,
@@ -104,6 +109,44 @@ class TestLoadPeakMemory:
         matrix = len(labeled.series) * (len(COLUMNS) + 1) * 8
         bound = path.stat().st_size + 2 * matrix
         assert traced_peak(load_labeled_csv, path) < bound
+
+
+def blank_mission(n_records):
+    """A synthetic mission with blank cells, two of them adjacent, in its sensor columns."""
+    values = np.array(synth_mission(n_records=n_records, seed=3).values)
+    values[8::50, 2:4] = np.nan
+    values[5::40, 6] = np.nan
+    return TelemetrySeries(values)
+
+
+# What a chunked load holds beside its matrices, whatever the file's size: a
+# chunk, its blank-filled copies, and numpy's reading of it.
+CHUNK_SLACK = 5 * telemetry._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("records", [20000, 80000])
+class TestChunkedLoadPeak:
+    """A load's peak is its result matrices plus a constant that does not grow with the file."""
+
+    def test_load_sensor_csv_holds_one_matrix(self, tmp_path, records):
+        series = blank_mission(records)
+        path = tmp_path / "mission.csv"
+        save_sensor_csv(series, path)
+        assert traced_peak(load_sensor_csv, path) < series.values.nbytes + CHUNK_SLACK
+
+    def test_load_labeled_csv_holds_the_table_and_the_series(self, tmp_path, records):
+        labeled = inject_every_nth(synth_mission(n_records=records, seed=3), 5)
+        path = tmp_path / "labeled.csv"
+        save_labeled_csv(labeled, path)
+        # The (N, 12) table and the (N, 11) series copied out of it.
+        matrices = records * (2 * len(COLUMNS) + 1) * 8
+        assert traced_peak(load_labeled_csv, path) < matrices + CHUNK_SLACK
+
+    def test_blank_cells_in_bytes_hold_one_matrix(self, records):
+        series = blank_mission(records)
+        data = serialize_sensor_csv(series).encode()
+        peak = traced_peak(parse_table, data, COLUMNS, INT_COLUMNS)
+        assert peak < series.values.nbytes + CHUNK_SLACK
 
 
 class TestBlockedLoss:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavloop import telemetry
 from uavloop.errors import (
     ConfigError,
     DimensionError,
@@ -14,12 +15,13 @@ from uavloop.errors import (
     ParseError,
     SizingError,
 )
-from uavloop.inject import load_labeled_csv
+from uavloop.inject import _LABELED_RULES, load_labeled_csv
 from uavloop.telemetry import (
     COLUMNS,
     DEFAULT_FEATURES,
     HEADER,
     INT_COLUMNS,
+    SENSOR_RULES,
     NormStats,
     SplitSpec,
     TelemetrySeries,
@@ -28,7 +30,6 @@ from uavloop.telemetry import (
     format_table,
     impute_missing,
     load_sensor_csv,
-    parse_sensor_csv,
     parse_table,
     serialize_sensor_csv,
     split,
@@ -56,6 +57,12 @@ def csv_row(ts, g0=0.1, dt=4000, clip=0):
 
 def make_csv(rows):
     return HEADER + "\n" + "\n".join(rows) + "\n"
+
+
+def parse_sensor_csv(text):
+    """The series that sensor CSV text holds: ``parse_table`` with the sensor
+    loader's columns and rules, then the series constructor."""
+    return TelemetrySeries(parse_table(text.encode(), COLUMNS, INT_COLUMNS, SENSOR_RULES))
 
 
 class TestParsing:
@@ -434,6 +441,132 @@ class TestFileLoadsMatchReference:
         assert str(err.value) == f"{path}: line 3: non-finite value 'inf' in column gyro_rad_0"
         path.write_bytes(cases["empty-body"])
         assert len(load_sensor_csv(str(path))) == 0
+
+
+def refuse(*args):
+    raise AssertionError("the line reader ran")
+
+
+def outcome_of(parse, text, columns, int_columns, rules):
+    try:
+        values = parse(text.encode(), columns, int_columns, rules)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+    return values.shape, values.tobytes()
+
+
+def expected_outcome(text, columns, int_columns, rules):
+    """The reference parser's values, or its error, or the first failing rule at its row's line."""
+    try:
+        values, locs = reference_parse_table(text, columns, int_columns)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+    for name, bad, message in rules:
+        rows = np.flatnonzero(bad(values[:, columns.index(name)]))
+        if rows.size:
+            line = locs[rows[0]]
+            return ParseError, f"line {line}: {message}", line
+    return values.shape, values.tobytes()
+
+
+def chunk_case_text(case, header, rows):
+    """A numeric CSV text whose blank, fault or last line sits at a chunk boundary
+    once chunks hold one to three of these rows."""
+    cells = [row.split(",") for row in rows]
+    if case == "blank-first":
+        cells[2][0] = ""
+    elif case == "blank-last":
+        cells[2][-1] = ""
+    elif case == "adjacent-blanks":
+        for k in (0, 1, 3, 5):
+            cells[k][2] = cells[k][3] = ""
+    elif case == "timestamp-drops":
+        cells[2][0], cells[3][0] = cells[3][0], cells[2][0]
+    elif case == "fault-in-last-chunk":
+        cells[-1][6] = "abc"
+    elif case == "rule-in-second-chunk":
+        cells[2][4] = "0"
+    elif case == "blank-lines":
+        cells[2:2] = [[""], [""]]
+    eol = "\r\n" if case == "crlf" else "\n"
+    text = header + eol + eol.join(map(",".join, cells))
+    return text if case == "no-final-newline" else text + eol
+
+
+CHUNK_CASES = (
+    "exact", "blank-first", "blank-last", "adjacent-blanks", "no-final-newline",
+    "timestamp-drops", "fault-in-last-chunk", "rule-in-second-chunk", "crlf", "blank-lines",
+)
+# Below one row (every row is a chunk), about one row, and about two rows.
+CHUNK_BYTES = (1, 48, 100)
+CHUNK_ROWS = [
+    csv_row(212000 + 4000 * k, g0=g0, clip=k % 2)
+    for k, g0 in enumerate([0.1, -0.25, 1e-300, 3.141592653589793, -7.0, 2.5e17])
+]
+CHUNK_READERS = {
+    "sensor": (load_sensor_csv, COLUMNS, SENSOR_RULES, lambda got: got.values),
+    "labeled": (
+        load_labeled_csv,
+        LABELED_COLUMNS,
+        _LABELED_RULES,
+        lambda got: np.column_stack([got.series.values, got.labels]),
+    ),
+}
+
+
+class TestChunkBoundaries:
+    """The chunked reader, with chunks of a few dozen bytes, against the reference
+    parser: through parse_table and both loaders, the same values bit for bit,
+    or the same error class, message and line.  Where the reference reads a
+    text without blank lines, the line reader must not run."""
+
+    @pytest.mark.filterwarnings("error")  # numpy warns on a chunk of blank lines only
+    @pytest.mark.parametrize("chunk", CHUNK_BYTES)
+    @pytest.mark.parametrize("kind", sorted(CHUNK_READERS))
+    @pytest.mark.parametrize("case", CHUNK_CASES)
+    def test_same_values_or_same_error(self, tmp_path, monkeypatch, chunk, kind, case):
+        load, columns, rules, matrix = CHUNK_READERS[kind]
+        rows = CHUNK_ROWS
+        if kind == "labeled":
+            rows = [f"{row},{k % 2}" for k, row in enumerate(CHUNK_ROWS)]
+        text = chunk_case_text(case, ",".join(columns), rows)
+        int_columns = INT_COLUMNS | {"label"}
+        want = expected_outcome(text, columns, int_columns, rules)
+        monkeypatch.setattr(telemetry, "_CHUNK_BYTES", chunk)
+        if case != "blank-lines" and not isinstance(want[0], type):
+            monkeypatch.setattr(telemetry, "_read_lines", refuse)
+        path = tmp_path / "input.csv"
+        path.write_bytes(text.encode())
+        try:
+            got = matrix(load(path))
+        except ParseError as exc:
+            assert (type(exc), str(exc), exc.line) == (want[0], f"{path}: {want[1]}", want[2])
+        else:
+            assert (got.shape, got.tobytes()) == want
+        assert outcome_of(parse_table, text, columns, int_columns, rules) == want
+
+    @pytest.mark.parametrize("chunk", CHUNK_BYTES)
+    @pytest.mark.parametrize("final", ["\n", ""], ids=["newline", "no-final-newline"])
+    def test_blank_first_and_last_cells_read_as_nan(self, monkeypatch, chunk, final):
+        text = "t,x,k\n,0.5,1\n2,,\n,,\n4,1.5,\n5,,2\n,2.5," + final
+        want = expected_outcome(text, TABLE, frozenset(), ())
+        monkeypatch.setattr(telemetry, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(telemetry, "_read_lines", refuse)
+        assert outcome_of(parse_table, text, TABLE, frozenset(), ()) == want
+        assert np.isnan(np.frombuffer(want[1])).sum() == 10
+
+    @pytest.mark.parametrize("kind", sorted(CHUNK_READERS))
+    def test_crlf_twin_of_an_exact_file_reads_the_same(self, tmp_path, monkeypatch, kind):
+        load, columns, _, matrix = CHUNK_READERS[kind]
+        rows = chunk_case_text("adjacent-blanks", ",".join(columns), CHUNK_ROWS).splitlines()
+        if kind == "labeled":
+            rows = rows[:1] + [row + ",1" for row in rows[1:]]
+        path = tmp_path / "input.csv"
+        path.write_bytes(("\n".join(rows) + "\n").encode())
+        want = matrix(load(path)).tobytes()
+        monkeypatch.setattr(telemetry, "_read_lines", refuse)
+        path.write_bytes(("\r\n".join(rows) + "\r\n").encode())
+        assert matrix(load(path)).tobytes() == want
 
 
 class TestImputation:
