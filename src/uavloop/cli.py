@@ -114,11 +114,6 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def _finish(out_dir: str, config: RunConfig, command: str, inputs: dict, outputs: list) -> int:
     manifest = {
         "command": command,
@@ -126,7 +121,7 @@ def _finish(out_dir: str, config: RunConfig, command: str, inputs: dict, outputs
         "inputs": {name: _sha256(path) for name, path in sorted(inputs.items())},
         "outputs": sorted(outputs),
     }
-    _write_text(
+    tel.write_text(
         os.path.join(out_dir, "run_manifest.json"),
         json.dumps(manifest, sort_keys=True, indent=2) + "\n",
     )
@@ -253,8 +248,8 @@ def cmd_train(args, config: RunConfig, out: str) -> tuple:
     series, inputs = _load_or_synth(config)
     _, predictor, train_losses = _train_predictor(config, series, args.mode)
     fc.save_predictor(predictor, os.path.join(out, "model.ckpt"))
-    _write_text(os.path.join(out, "history.csv"), _history_csv(predictor))
-    _write_text(os.path.join(out, "train_losses.csv"), _losses_csv(train_losses))
+    tel.write_text(os.path.join(out, "history.csv"), _history_csv(predictor))
+    tel.write_text(os.path.join(out, "train_losses.csv"), _losses_csv(train_losses))
     return f"train {args.mode}", inputs, ["model.ckpt", "history.csv", "train_losses.csv"]
 
 
@@ -278,9 +273,9 @@ def _detection_outputs(out: str, config: RunConfig, tier, result) -> list:
         tier=tier.name,
         timestamp=0.0,
     )
-    _write_text(os.path.join(out, "metrics.json"), metrics_json(result))
-    _write_text(os.path.join(out, "records.csv"), records_csv(result))
-    _write_text(os.path.join(out, "report.jsonl"), report.to_json() + "\n")
+    tel.write_text(os.path.join(out, "metrics.json"), metrics_json(result))
+    tel.write_text(os.path.join(out, "records.csv"), records_csv(result))
+    tel.write_text(os.path.join(out, "report.jsonl"), report.to_json() + "\n")
     return ["metrics.json", "records.csv", "report.jsonl"]
 
 
@@ -312,7 +307,7 @@ def cmd_forecast(args, config: RunConfig, out: str) -> tuple:
     baseline = fc.persistence_predictions(test_windows)
     base_mse = float(((baseline - test_windows.targets) ** 2).mean())
     text = report.to_text() + f"persistence_mse: {base_mse!r}\n"
-    _write_text(os.path.join(out, "forecast_report.txt"), text)
+    tel.write_text(os.path.join(out, "forecast_report.txt"), text)
     return "forecast", inputs, ["forecast_report.txt"]
 
 
@@ -330,7 +325,7 @@ def cmd_packetset_build(args, config: RunConfig, out: str) -> tuple:
         seed=config["seed"],
         idle_timeout_s=config["session_timeout_s"],
     )
-    _write_text(os.path.join(out, "samples.txt"), ps.render_dataset(samples))
+    tel.write_text(os.path.join(out, "samples.txt"), ps.render_dataset(samples))
     return "packetset build", inputs, ["samples.txt"]
 
 
@@ -338,7 +333,7 @@ def cmd_packetset_score(args, config: RunConfig, out: str) -> tuple:
     pred = ps.load_packet_csv(args.pred)
     truth = ps.load_packet_csv(args.truth)
     report = ps.score_fields(pred, truth)
-    _write_text(os.path.join(out, "score_report.txt"), report.to_text())
+    tel.write_text(os.path.join(out, "score_report.txt"), report.to_text())
     inputs = {"pred": args.pred, "truth": args.truth}
     return "packetset score", inputs, ["score_report.txt"]
 
@@ -370,8 +365,8 @@ def cmd_simulate(args, config: RunConfig, out: str) -> tuple:
         "elapsed_s": stats.elapsed_s,
         "metrics": None if stats.metrics is None else stats.metrics.as_dict(),
     }
-    _write_text(os.path.join(out, "stats.json"), json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    _write_text(os.path.join(out, "report.jsonl"), "".join(r.to_json() + "\n" for r in reports))
+    tel.write_text(os.path.join(out, "stats.json"), json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    tel.write_text(os.path.join(out, "report.jsonl"), "".join(r.to_json() + "\n" for r in reports))
     return "simulate", inputs, ["stats.json", "report.jsonl"]
 
 
@@ -414,7 +409,7 @@ def cmd_experiment_variance_sweep(args, config: RunConfig, out: str) -> tuple:
     cells = [[target for target, _ in rows]]
     cells += [[getattr(m, name) for _, m in rows] for name in RATIO_NAMES]
     text = tel.format_table(("target_value", *RATIO_NAMES), cells, frozenset())
-    _write_text(os.path.join(out, "sweep.csv"), text)
+    tel.write_text(os.path.join(out, "sweep.csv"), text)
     return "experiment variance-sweep", inputs, ["sweep.csv"]
 
 
@@ -428,7 +423,7 @@ def cmd_experiment_batch_sweep(args, config: RunConfig, out: str) -> tuple:
         ts.PersistenceDetector(),
         config["anomaly_ratio"],
     )
-    _write_text(os.path.join(out, "sweep.csv"), ts.batch_experiment_csv(results))
+    tel.write_text(os.path.join(out, "sweep.csv"), ts.batch_experiment_csv(results))
     return "experiment batch-sweep", inputs, ["sweep.csv"]
 
 

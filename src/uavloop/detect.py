@@ -7,6 +7,9 @@ A scorer is any object with a ``losses(matrix)`` method that maps an
 threshold as the (100 - anomaly_ratio) nearest-rank percentile of a
 reference loss pool, flag records whose loss strictly exceeds it, and score
 the flags against ground truth with a standard confusion matrix.
+
+``record_losses`` folds the squared-error row blocks of
+``forecast.Predictor.blocks`` into each record's mean over its windows.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-from .forecast import _row_blocks
 from .telemetry import WindowedDataset, format_table
 
 # anomaly_ratio is read at micro-percent resolution so the nearest-rank index
@@ -145,12 +147,12 @@ def record_losses(predictor, dataset: WindowedDataset) -> np.ndarray:
     """Per-record losses, in record order, of every record a window covers.
 
     A record covered by several windows gets the mean of its per-window
-    squared errors.  The predictor sees the windows one row block at a time,
-    and each block's per-row errors are added into the record sums before
-    the next block is scored, so no (W, horizon) array is built.  Blocks go
-    in window order, so every sum gets its terms in window order.  Each
-    block's squared error is taken in place in the array predict_batch
-    returns, which must therefore be the predictor's own new array.
+    squared errors.  predictor.blocks(inputs, targets) yields each row block
+    of windows with its (rows, horizon * D) squared errors, as
+    ``forecast.Predictor.blocks`` does.  Each block's per-row errors are
+    added into the record sums before the next block is scored, so no
+    (W, horizon) array is built.  Blocks go in window order, so every sum
+    gets its terms in window order.
     """
     width = dataset.feature_count
     # The window that starts last holds the last record any window covers.
@@ -158,16 +160,8 @@ def record_losses(predictor, dataset: WindowedDataset) -> np.ndarray:
     size = int(dataset.target_record_indices(slice(last, last + 1)).max()) + 1
     sums = np.zeros(size)
     counts = np.zeros(size)
-    for block in _row_blocks(len(dataset)):
-        preds = predictor.predict_batch(dataset.inputs[block])
-        targets = dataset.targets[block]
-        if preds.shape != targets.shape:
-            raise DimensionError(
-                f"predictor output {preds.shape} does not match targets {targets.shape}"
-            )
-        preds -= targets
-        np.square(preds, out=preds)
-        per_row = np.mean(preds.reshape(-1, width), axis=1)
+    for block, sq in predictor.blocks(dataset.inputs, dataset.targets):
+        per_row = np.mean(sq.reshape(-1, width), axis=1)
         rows = dataset.target_record_indices(block).ravel()
         np.add.at(sums, rows, per_row)
         np.add.at(counts, rows, 1.0)

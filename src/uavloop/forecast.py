@@ -10,13 +10,12 @@ with the mean taken over every output element of the batch.  Gradients are
 hand-derived and validated against central finite differences.  An epoch's
 train_mse is the size-weighted mean of its batch losses, as Keras reports it.
 
-Full-set passes (``Predictor.loss``, ``predict_batch``,
-``evaluate_forecast``) run over fixed blocks of windows, arithmetic in
-place.  ``predict_batch`` and ``evaluate_forecast`` hold one output array
-plus a block, and their bits equal a single pass over the whole set.
-``loss`` holds one block: it sums each block's squared errors as the block
-is computed, so on a set of more than one block its last bit can differ
-from ``np.mean`` over the whole squared-error array.
+``Predictor._forward`` is the one forward body, for an SGD batch in
+``loss_and_grad`` and for each row block of ``Predictor.blocks``, the one
+loop of every full-set pass (``predict_batch``, ``loss`` and
+``detect.record_losses``).  Blocks equal one pass over the whole set bit for
+bit, but ``loss`` sums each block's squared errors as it goes, so on more
+than one block its last bit can differ from ``np.mean`` over the whole set.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, NumericError
-from .telemetry import NormStats, WindowedDataset, read_text
+from .telemetry import NormStats, WindowedDataset, read_text, write_text
 
 CHECKPOINT_MAGIC = "uavloop-predictor-v1"
 
@@ -109,7 +108,9 @@ class Predictor:
     def n_out(self) -> int:
         return self.config.horizon * self.feature_count
 
-    def _unpack(self, params: np.ndarray):
+    def _unpack(self, params=None):
+        """W1, b1, W2, b2 as views of params, or of the predictor's own when None."""
+        params = self.params if params is None else np.asarray(params, dtype=np.float64)
         n_in, hid, n_out = self.n_in, self.config.fcn_dim, self.n_out
         o = 0
         w1 = params[o : o + n_in * hid].reshape(n_in, hid)
@@ -121,101 +122,101 @@ class Predictor:
         b2 = params[o : o + n_out]
         return w1, b1, w2, b2
 
-    def _check_windows(self, windows) -> np.ndarray:
-        x = np.asarray(windows, dtype=np.float64)
-        if x.ndim == 2:
-            x = x[None]
-        if x.ndim != 3 or x.shape[1:] != (self.config.seq_len, self.feature_count):
-            raise DimensionError(
-                f"expected windows of shape (W, {self.config.seq_len}, "
-                f"{self.feature_count}), got {x.shape}"
-            )
-        return x
+    def _checked(self, windows, targets=None):
+        """windows as (W, seq_len, D) float64 and targets, when given, as (W, horizon, D).
 
-    def _check_targets(self, targets) -> np.ndarray:
-        y = np.asarray(targets, dtype=np.float64)
-        if y.ndim == 2:
-            y = y[None]
-        if y.ndim != 3 or y.shape[1:] != (self.config.horizon, self.feature_count):
-            raise DimensionError(
-                f"expected targets of shape (W, {self.config.horizon}, "
-                f"{self.feature_count}), got {y.shape}"
-            )
-        return y
+        A 2-D window or target stands for a set of one.
+        """
+        checked = []
+        for name, a, steps in (
+            ("windows", windows, self.config.seq_len),
+            ("targets", targets, self.config.horizon),
+        ):
+            if a is not None:
+                a = np.asarray(a, dtype=np.float64)
+                if a.ndim == 2:
+                    a = a[None]
+                if a.ndim != 3 or a.shape[1:] != (steps, self.feature_count):
+                    raise DimensionError(
+                        f"expected {name} of shape (W, {steps}, {self.feature_count}), "
+                        f"got {a.shape}"
+                    )
+            checked.append(a)
+        x, y = checked
+        if y is not None and x.shape[0] != y.shape[0]:
+            raise DimensionError("window and target counts differ")
+        return x, y
 
-    def _forward(self, x: np.ndarray, params: np.ndarray, y: np.ndarray | None = None, out=None):
-        """Flat outputs for (W, seq_len, D) windows, or with targets y their squared errors.
+    def _forward(self, x: np.ndarray, params=None, y=None, hidden=None, out=None):
+        """Hidden layer and flat outputs of (W, seq_len, D) windows, less targets y if given.
 
-        One (W, n_out) result, out when given, is filled block by block in
-        place, so the windows are flattened and the hidden layer held a
-        block at a time.
+        hidden and out, when given, are the (W, fcn_dim) and (W, n_out) arrays to fill.
         """
         w1, b1, w2, b2 = self._unpack(params)
-        if out is None:
-            out = np.empty((x.shape[0], self.n_out))
-        hidden = np.empty((min(x.shape[0], _BLOCK_ROWS + 1), self.config.fcn_dim))
+        hidden = np.matmul(x.reshape(x.shape[0], self.n_in), w1, out=hidden)
+        hidden += b1
+        np.maximum(hidden, 0.0, out=hidden)
+        out = np.matmul(hidden, w2, out=out)
+        out += b2
+        if y is not None:
+            out -= y.reshape(y.shape[0], self.n_out)
+        return hidden, out
+
+    def blocks(self, windows, targets=None, params=None):
+        """Yield (rows, block) for each row block of the windows, in row order.
+
+        block is the rows' flat (rows, n_out) outputs or, with targets, their
+        squared errors, in one output buffer that the next block overwrites.
+        """
+        x, y = self._checked(windows, targets)
+        # Buffers reused by every block: a fresh one per block is freed and
+        # faulted in again whenever glibc trims the heap in between.
+        size = min(x.shape[0], _BLOCK_ROWS + 1)
+        hidden = np.empty((size, self.config.fcn_dim))
+        out = np.empty((size, self.n_out))
         for rows in _row_blocks(x.shape[0]):
-            h = hidden[: rows.stop - rows.start]
-            np.matmul(x[rows].reshape(-1, self.n_in), w1, out=h)
-            h += b1
-            np.maximum(h, 0.0, out=h)
-            o = out[rows]
-            np.matmul(h, w2, out=o)
-            o += b2
+            n = rows.stop - rows.start
+            _, o = self._forward(
+                x[rows], params, None if y is None else y[rows], hidden[:n], out[:n]
+            )
             if y is not None:
-                o -= y[rows].reshape(-1, self.n_out)
                 np.square(o, out=o)
-        return out
+            yield rows, o
 
     def predict_batch(self, windows) -> np.ndarray:
-        x = self._check_windows(windows)
-        out = self._forward(x, self.params)
+        x, _ = self._checked(windows)
+        out = np.empty((x.shape[0], self.n_out))
+        for rows, block in self.blocks(x):
+            out[rows] = block
         return out.reshape(x.shape[0], self.config.horizon, self.feature_count)
 
     def loss(self, windows, targets, params=None) -> float:
         """Mean squared error over every output element of every window."""
-        p = self.params if params is None else np.asarray(params, dtype=np.float64)
-        x = self._check_windows(windows)
-        y = self._check_targets(targets)
-        if x.shape[0] != y.shape[0]:
-            raise DimensionError("window and target counts differ")
-        if x.shape[0] == 0:
-            raise DimensionError("cannot take the loss of zero windows")
-        # One block buffer for every block: a fresh one per block is freed
-        # and faulted in again whenever glibc trims the heap in between.
-        block = np.empty((min(x.shape[0], _BLOCK_ROWS + 1), self.n_out))
         total = 0.0
-        for rows in _row_blocks(x.shape[0]):
-            sq = self._forward(x[rows], p, y[rows], out=block[: rows.stop - rows.start])
+        count = 0
+        for rows, sq in self.blocks(windows, targets, params):
             total += float(np.sum(sq))
-        return total / (x.shape[0] * self.n_out)
+            count = rows.stop
+        if count == 0:
+            raise DimensionError("cannot take the loss of zero windows")
+        return total / (count * self.n_out)
 
     def loss_and_grad(self, windows, targets, params=None):
-        p = self.params if params is None else np.asarray(params, dtype=np.float64)
-        x = self._check_windows(windows)
-        y = self._check_targets(targets)
-        if x.shape[0] != y.shape[0]:
-            raise DimensionError("window and target counts differ")
-        xf = x.reshape(x.shape[0], self.n_in)
-        w1, b1, w2, b2 = self._unpack(p)
-        hidden = xf @ w1
-        hidden += b1
-        np.maximum(hidden, 0.0, out=hidden)
-        diff = hidden @ w2
-        diff += b2
-        diff -= y.reshape(y.shape[0], self.n_out)
+        x, y = self._checked(windows, targets)
+        hidden, diff = self._forward(x, params, y)
         loss = float(np.mean(diff**2))
         # MSE over all elements: d loss / d out = 2 * diff / diff.size.
         diff *= 2.0
         diff /= diff.size
-        grad = np.empty(p.size)
+        grad = np.empty(self.params.size)
         dw1, db1, dw2, db2 = self._unpack(grad)
+        w2 = self._unpack(params)[2]
         np.matmul(hidden.T, diff, out=dw2)
         np.sum(diff, axis=0, out=db2)
         dpre = diff @ w2.T
         # ReLU: no gradient where the pre-activation was not positive.
         np.copyto(dpre, 0.0, where=hidden <= 0.0)
-        np.matmul(xf.T, dpre, out=dw1)
+        np.matmul(x.reshape(x.shape[0], self.n_in).T, dpre, out=dw1)
         np.sum(dpre, axis=0, out=db1)
         return loss, grad
 
@@ -353,8 +354,7 @@ def save_predictor(predictor: Predictor, path: str) -> None:
     lines.append("history=" + hist)
     lines.append(f"params={predictor.params.size}")
     lines.extend(repr(float(v)) for v in predictor.params)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _checkpoint_number(path: str, line: int, text: str) -> float:
@@ -397,6 +397,8 @@ def load_predictor(path: str) -> Predictor:
         n_params = int(lines[i].partition("=")[2])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed checkpoint header: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     values = lines[i + 1 : i + 1 + n_params]
     if len(values) != n_params:
         raise ConfigError(
@@ -406,7 +408,7 @@ def load_predictor(path: str) -> Predictor:
         [_checkpoint_number(path, i + 2 + k, v) for k, v in enumerate(values)],
         dtype=np.float64,
     )
-    norm_stats = None
+    names, stats = (), None
     if fields.get("norm", "none") != "none":
         names = tuple(fields["norm"].split(","))
         stats = []
@@ -415,7 +417,6 @@ def load_predictor(path: str) -> Predictor:
                 raise ConfigError(f"{path}: checkpoint has norm= but no {key}= line")
             at = line_of[key]
             stats.append(np.array([_checkpoint_number(path, at, v) for v in fields[key].split(",")]))
-        norm_stats = NormStats(names, *stats)
     history: list[EpochStats] = []
     if fields.get("history"):
         at = line_of["history"]
@@ -427,10 +428,13 @@ def load_predictor(path: str) -> Predictor:
                     val_mse=_checkpoint_number(path, at, v) if v else None,
                 )
             )
-    return Predictor(
-        config=cfg,
-        feature_count=feature_count,
-        params=params,
-        norm_stats=norm_stats,
-        history=tuple(history),
-    )
+    try:
+        return Predictor(
+            config=cfg,
+            feature_count=feature_count,
+            params=params,
+            norm_stats=None if stats is None else NormStats(names, *stats),
+            history=tuple(history),
+        )
+    except (DimensionError, NumericError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

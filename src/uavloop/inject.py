@@ -121,6 +121,7 @@ def _perturb(series: TelemetrySeries, rows: np.ndarray, spec: PerturbSpec) -> Te
         new_value = float(col.mean() + spec.k * col.std())
     out = np.array(series.values)
     out[rows, telemetry.column_index(spec.feature)] = new_value
+    out.setflags(write=False)
     return series.with_values(out)
 
 
@@ -231,10 +232,8 @@ def serialize_labeled_csv(labeled: LabeledSeries) -> str:
 
 def save_labeled_csv(labeled: LabeledSeries, csv_path) -> None:
     """Write the CSV and, beside it as ``<csv_path>.meta.json``, its metadata."""
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_labeled_csv(labeled))
-    with open(f"{csv_path}.meta.json", "w", encoding="utf-8") as fh:
-        fh.write(labeled.meta.to_json())
+    telemetry.write_text(csv_path, serialize_labeled_csv(labeled))
+    telemetry.write_text(f"{csv_path}.meta.json", labeled.meta.to_json())
 
 
 def load_labeled_csv(csv_path) -> LabeledSeries:

@@ -156,6 +156,7 @@ class TelemetrySeries:
             )
         out = np.array(self.values)
         out[:, list(self.feature_indices)] = matrix
+        out.setflags(write=False)
         return self.with_values(out)
 
     def has_missing(self) -> bool:
@@ -194,6 +195,12 @@ def _read_bytes(path) -> bytes:
 def read_text(path) -> str:
     """The text of a UTF-8 input file; any failure is an InputError naming it."""
     return _read_bytes(path).decode()
+
+
+def write_text(path, text: str) -> None:
+    """Write text as UTF-8, its line ends as given on every platform."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def read_parsed(path, parse):
@@ -443,8 +450,7 @@ def load_sensor_csv(path) -> TelemetrySeries:
 
 
 def save_sensor_csv(series: TelemetrySeries, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_sensor_csv(series))
+    write_text(path, serialize_sensor_csv(series))
 
 
 def impute_missing(series: TelemetrySeries, policy: str = "linear") -> TelemetrySeries:
@@ -476,6 +482,7 @@ def impute_missing(series: TelemetrySeries, policy: str = "linear") -> Telemetry
             values[:, j] = col[carry]
         else:
             col[mask] = np.interp(np.nonzero(mask)[0], valid, col[valid])
+    values.setflags(write=False)
     return series.with_values(values)
 
 

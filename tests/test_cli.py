@@ -365,6 +365,33 @@ class TestInputReaders:
         err = capsys.readouterr().err
         assert err == f"error: {model} line {at + 1}: expected a finite number, got 'abc'\n"
 
+    @pytest.mark.parametrize("key, edit, message", [
+        ("seq_len", lambda v: "0", "seq_len must be a positive integer, got 0"),
+        ("learning_rate", lambda v: "nan", "learning_rate must be positive, got nan"),
+        ("feature_count", lambda v: "5",
+         "parameter vector must have shape ({want},), got ({got},)"),
+        ("mean", lambda v: v.rsplit(",", 1)[0], "mean/std lengths must equal the feature count"),
+        ("std", lambda v: "-1" + v[v.index(","):], "standard deviations must be non-negative"),
+    ], ids=["seq-len-0", "learning-rate-nan", "feature-count-5", "mean-short", "std-negative"])
+    def test_invalid_checkpoint_value_names_path(
+        self, trained, tmp_path, capsys, key, edit, message
+    ):
+        source = trained / "recon" / "model.ckpt"
+        lines = source.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(key + "="))
+        lines[at] = f"{key}={edit(lines[at].partition('=')[2])}"
+        model = tmp_path / "model.ckpt"
+        model.write_text("\n".join(lines) + "\n")
+        predictor = fc.load_predictor(str(source))
+        want = fc.param_count(predictor.config, 5)
+        message = message.format(want=want, got=predictor.params.size)
+        capsys.readouterr()
+        code = run("detect", "--model", str(model),
+                   "--data", str(trained / "labeled" / "labeled.csv"),
+                   "--threshold-source", "eval", "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
+
     @pytest.mark.parametrize("meta", ["{bad", '{"params": {}}'])
     def test_malformed_meta_names_path(self, trained, tmp_path, capsys, meta):
         labeled = tmp_path / "labeled.csv"

@@ -16,16 +16,17 @@ from uavloop.detect import (
     records_csv,
 )
 from uavloop.errors import ConfigError, DimensionError, NumericError
-from uavloop.forecast import _BLOCK_ROWS
+from uavloop.forecast import _BLOCK_ROWS, _row_blocks
 from uavloop.telemetry import window_matrix
 
 
 class ZeroPredictor:
     """Stub that predicts zeros; record loss becomes the squared signal."""
 
-    def predict_batch(self, windows):
-        w = np.asarray(windows)
-        return np.zeros_like(w)
+    def blocks(self, windows, targets):
+        for rows in _row_blocks(len(windows)):
+            sq = np.square(np.asarray(targets[rows], dtype=np.float64))
+            yield rows, sq.reshape(len(sq), -1)
 
 
 class SquareScorer:
@@ -205,9 +206,10 @@ class TestRecordLosses:
             def __init__(self):
                 self.sizes = []
 
-            def predict_batch(self, windows):
-                self.sizes.append(len(windows))
-                return super().predict_batch(windows)
+            def blocks(self, windows, targets):
+                for rows, sq in super().blocks(windows, targets):
+                    self.sizes.append(len(sq))
+                    yield rows, sq
 
         predictor = CountingPredictor()
         count = 2 * _BLOCK_ROWS + 1

@@ -6,7 +6,8 @@ array and one (W, horizon) record-index array, and the blank fill of
 ``parse_table`` three body-sized buffers.  A numeric CSV file load that
 decodes the file and copies its body holds the file two to four times over,
 and one that holds the file's bytes holds them once; a load in chunks holds
-its matrices and a few chunk-sized buffers.
+its matrices and a few chunk-sized buffers.  A step that builds a new
+series matrix hands the series that copy, frozen, so it is never copied again.
 """
 
 import math
@@ -26,6 +27,9 @@ from uavloop.telemetry import (
     INT_COLUMNS,
     TelemetrySeries,
     WindowedDataset,
+    apply_normalize,
+    fit_normalize,
+    impute_missing,
     load_sensor_csv,
     parse_table,
     save_sensor_csv,
@@ -147,6 +151,26 @@ class TestChunkedLoadPeak:
         data = serialize_sensor_csv(series).encode()
         peak = traced_peak(parse_table, data, COLUMNS, INT_COLUMNS)
         assert peak < series.values.nbytes + CHUNK_SLACK
+
+
+class TestWorkingCopyPeak:
+    """A series step holds its new matrix once; a second copy of it breaks each bound."""
+
+    def test_impute_missing(self):
+        series = blank_mission(20000)
+        # The filled copy and one column's interpolation temporaries.
+        assert traced_peak(impute_missing, series) < 1.5 * series.values.nbytes
+
+    def test_apply_normalize(self):
+        series = synth_mission(n_records=20000, seed=3)
+        stats = fit_normalize(series)
+        # The new matrix and two (N, 6) feature arrays, each 6/11 of it.
+        assert traced_peak(apply_normalize, series, stats) < 2 * series.values.nbytes
+
+    def test_inject_every_nth(self):
+        series = synth_mission(n_records=20000, seed=3)
+        # The perturbed copy, the labels and the selected rows.
+        assert traced_peak(inject_every_nth, series, 5) < 1.5 * series.values.nbytes
 
 
 class TestBlockedLoss:
