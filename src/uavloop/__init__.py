@@ -72,6 +72,7 @@ from .packetset import (
     FinetuneSample,
     PacketRecord,
     build_dataset,
+    build_samples_text,
     extract_sessions,
     load_packet_csv,
     make_pair,

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 from . import forecast as fc
 from . import inject as inj
@@ -29,7 +30,7 @@ from . import tiersim as ts
 from .config import RunConfig, schema_keys
 from .detect import detect as run_detect
 from .detect import RATIO_NAMES, metrics_json, record_losses, records_csv
-from .errors import ConfigError, InputError, ParseError, PipelineError
+from .errors import ConfigError, DimensionError, InputError, ParseError, PipelineError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -313,26 +314,29 @@ def cmd_forecast(args, config: RunConfig, out: str) -> tuple:
 
 def cmd_packetset_build(args, config: RunConfig, out: str) -> tuple:
     path = config["data"]
-    if path:
-        packets = ps.load_packet_csv(path)
-        inputs = {"data": path}
-    else:
-        packets = ps.parse_packet_csv(syn.synth_packet_log(seed=config["seed"]))
-        inputs = {}
-    samples = ps.build_dataset(
-        packets,
+    build = partial(
+        ps.build_samples_text,
         context=config["context"],
         seed=config["seed"],
         idle_timeout_s=config["session_timeout_s"],
     )
-    tel.write_text(os.path.join(out, "samples.txt"), ps.render_dataset(samples))
+    if path:
+        text = tel.read_parsed(path, build)
+        inputs = {"data": path}
+    else:
+        text = build(syn.synth_packet_log(seed=config["seed"]))
+        inputs = {}
+    tel.write_text(os.path.join(out, "samples.txt"), text)
     return "packetset build", inputs, ["samples.txt"]
 
 
 def cmd_packetset_score(args, config: RunConfig, out: str) -> tuple:
     pred = ps.load_packet_csv(args.pred)
     truth = ps.load_packet_csv(args.truth)
-    report = ps.score_fields(pred, truth)
+    try:
+        report = ps.score_fields(pred, truth)
+    except DimensionError as exc:
+        raise DimensionError(f"{args.pred}: {exc}") from None
     tel.write_text(os.path.join(out, "score_report.txt"), report.to_text())
     inputs = {"pred": args.pred, "truth": args.truth}
     return "packetset score", inputs, ["score_report.txt"]

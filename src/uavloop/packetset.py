@@ -10,12 +10,19 @@ as the rejected one.  One generator, seeded once per build, draws every
 pair's corruption in order.  Pairs render to a plain-text format with one
 key:value line per field and parse back losslessly into the same type.
 
-``PacketRecord``'s own constructor is the only range and flag check, so each
-distinct packet is validated once, when its record is built.  Each packet is
+Sessions and windows are computed on the capture's nine columns: one stable
+sort of the rows by flow and timestamp, then index arithmetic.
+``build_samples_text`` goes from CSV text to the rendered dataset on those
+columns and builds no sample; ``extract_sessions``, ``build_dataset`` and
+``render_dataset`` wrap the same helpers.
+
+``PacketRecord`` and ``FinetuneSample`` are immutable named tuples.  Each
+one's ``__new__`` is its only range, flag and pairing check, so each distinct
+packet is validated once, when its record is built.  Each packet is
 written once per window it appears in, so a dataset repeats most blocks many
 times.  Within one call, ``render_dataset`` renders each distinct packet's
 block once, and ``parse_dataset`` converts each distinct block text once:
-identical blocks return one shared frozen ``PacketRecord``.  Text in
+identical blocks return one shared ``PacketRecord``.  Text in
 ``render_dataset``'s exact layout is cut into documents and field columns
 with string methods; any other text (other line breaks, extra or missing
 blank lines, any fault) goes to a line reader, which alone reports errors
@@ -25,15 +32,16 @@ and their line numbers.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
-from operator import attrgetter, ne
-from typing import Sequence
+from operator import add, itemgetter, ne
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParseError, PipelineError
+from .errors import ConfigError, DimensionError, ParseError, PipelineError, SizingError
 from .telemetry import read_parsed
 
 PACKET_COLUMNS = (
@@ -49,8 +57,10 @@ PACKET_COLUMNS = (
 )
 PACKET_HEADER = ",".join(PACKET_COLUMNS)
 
-# Fields rendered into documents and eligible for corruption, in render order.
-KEY_FIELDS = ("sport", "dport", "flags", "seq", "ack", "length")
+# Fields rendered into documents and eligible for corruption, in render order:
+# a record's last six.
+_KEY0 = 3
+KEY_FIELDS = PACKET_COLUMNS[_KEY0:]
 
 # Canonical flag letters; parsed and rendered in this order.
 FLAG_ALPHABET = "FSRPAUEC"
@@ -61,6 +71,8 @@ _CONTEXT_TAG = "#Context"
 _PREVIOUS_TAG = "#Previous_Packet"
 _PREDICTED_TAG = "#Predicted_Packet"
 _BLOCK_TAG = "#BLOCK"
+# A block of the six key values, in KEY_FIELDS order.
+_BLOCK = "\n".join([_BLOCK_TAG, *(f"{name}:{{}}" for name in KEY_FIELDS)])
 
 
 @lru_cache(maxsize=256)
@@ -91,33 +103,35 @@ def _field_fault(name: str, value) -> str | None:
     return None if 0 <= value < _INT_LIMITS[name] else f"{name} out of range: {value}"
 
 
-@dataclass(frozen=True, slots=True)
-class PacketRecord:
-    timestamp: float
-    src: str
-    dst: str
-    sport: int
-    dport: int
-    flags: str
-    seq: int
-    ack: int
-    length: int
+_TYPES = (float, str, str, int, int, str, int, int, int)
+# namedtuple's _replace builds through _make, so a replaced record is checked too.
+_checked_make = classmethod(lambda cls, values: cls(*values))
 
-    def __post_init__(self) -> None:
+
+class PacketRecord(NamedTuple("_Packet", zip(PACKET_COLUMNS, _TYPES))):
+    """One packet, immutable; flags are stored in canonical order."""
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp, src, dst, sport, dport, flags, seq, ack, length):
         # The one check of every record: NaN and infinities fail the first test.
         if not (
-            -math.inf < self.timestamp < math.inf
-            and 0 <= self.sport < _U16
-            and 0 <= self.dport < _U16
-            and 0 <= self.seq < _U32
-            and 0 <= self.ack < _U32
-            and 0 <= self.length
+            -math.inf < timestamp < math.inf
+            and 0 <= sport < _U16
+            and 0 <= dport < _U16
+            and 0 <= seq < _U32
+            and 0 <= ack < _U32
+            and 0 <= length
         ):
-            for name in ("timestamp", *_INT_LIMITS):
-                fault = _field_fault(name, getattr(self, name))
+            values = (timestamp, sport, dport, seq, ack, length)
+            for name, value in zip(("timestamp", *_INT_LIMITS), values):
+                fault = _field_fault(name, value)
                 if fault is not None:
                     raise ParseError(fault)
-        object.__setattr__(self, "flags", canonical_flags(self.flags))
+        flags = canonical_flags(flags)
+        return tuple.__new__(cls, (timestamp, src, dst, sport, dport, flags, seq, ack, length))
+
+    _make = _checked_make
 
     def key_values(self) -> dict:
         return {name: getattr(self, name) for name in KEY_FIELDS}
@@ -162,6 +176,38 @@ def load_packet_csv(path: str) -> list[PacketRecord]:
     return read_parsed(path, parse_packet_csv)
 
 
+def _columns(packets: Sequence[PacketRecord]) -> list:
+    """The nine columns of a capture, in PACKET_COLUMNS order."""
+    return list(zip(*packets)) or [()] * len(PACKET_COLUMNS)
+
+
+def _check_settings(idle_timeout_s: float, context: int = 1) -> None:
+    if idle_timeout_s <= 0:
+        raise ConfigError(f"idle_timeout_s must be positive, got {idle_timeout_s}")
+    if context < 1:
+        raise ConfigError(f"context must be positive, got {context}")
+
+
+def _sessions(columns: list, idle_timeout_s: float) -> tuple[list, list]:
+    """Rows in session order, and each session's (start, end) in that order.
+
+    Flows are numbered by first appearance, and a stable sort by (flow,
+    timestamp) keeps ties in capture order.  A session ends where the flow
+    changes, after a packet carrying F or R, or before a longer idle gap.
+    """
+    ts, src, dst, sport, dport, flags = columns[:6]
+    flows: dict = {}
+    endpoints = map(frozenset, zip(zip(src, sport), zip(dst, dport)))
+    flow = np.array([flows.setdefault(key, len(flows)) for key in endpoints], dtype=np.int64)
+    order = np.lexsort((ts, flow))
+    closes = np.array(["F" in f or "R" in f for f in flags], dtype=bool)[order]
+    stamps = np.asarray(ts, dtype=np.float64)[order]
+    cut = (np.diff(flow[order]) != 0) | closes[:-1] | (np.diff(stamps) > idle_timeout_s)
+    # An empty capture has no edge but 0, so no session.
+    edges = sorted({0, order.size, *(np.flatnonzero(cut) + 1).tolist()})
+    return order.tolist(), list(zip(edges, edges[1:]))
+
+
 def extract_sessions(
     packets: Sequence[PacketRecord],
     idle_timeout_s: float = SESSION_IDLE_TIMEOUT_S,
@@ -174,79 +220,78 @@ def extract_sessions(
     ends after a packet carrying F or R, or before a gap longer than the idle
     timeout.
     """
-    if idle_timeout_s <= 0:
-        raise ConfigError(f"idle_timeout_s must be positive, got {idle_timeout_s}")
-    groups: dict[frozenset, list[PacketRecord]] = {}
-    for rec in packets:
-        groups.setdefault(rec.endpoints(), []).append(rec)
-    sessions: list[list[PacketRecord]] = []
-    for flow in groups.values():
-        flow = sorted(flow, key=lambda r: r.timestamp)
-        current: list[PacketRecord] = []
-        for rec in flow:
-            boundary = bool(current) and (
-                rec.timestamp - current[-1].timestamp > idle_timeout_s
-            )
-            if boundary:
-                sessions.append(current)
-                current = []
-            current.append(rec)
-            if "F" in rec.flags or "R" in rec.flags:
-                sessions.append(current)
-                current = []
-        if current:
-            sessions.append(current)
-    return sessions
+    _check_settings(idle_timeout_s)
+    order, sessions = _sessions(_columns(packets), idle_timeout_s)
+    return [[packets[i] for i in order[start:end]] for start, end in sessions]
 
 
-_key_values = attrgetter(*KEY_FIELDS)
+def _windows(columns: list, context: int, idle_timeout_s: float) -> tuple[list, list]:
+    """Rows in session order, and the position in it of every window's prompt.
+
+    The window with its prompt at p has context order[p - context : p] and next
+    packet order[p + 1]; a session of m packets holds max(0, m - context - 1).
+    """
+    order, sessions = _sessions(columns, idle_timeout_s)
+    return order, [p for start, end in sessions for p in range(start + context, end - 1)]
+
+
+def _perturbed(fld: str, old, rng: np.random.Generator):
+    """A new value for the key field fld, guaranteed to differ from old."""
+    if fld == "length":
+        new = old
+        while new == old:
+            new = int(rng.integers(0, 1501))
+        return new
+    if fld == "flags":
+        # Toggle one letter, keeping the canonical order.
+        letter = FLAG_ALPHABET[int(rng.integers(0, len(FLAG_ALPHABET)))]
+        return canonical_flags(old.replace(letter, "") if letter in old else old + letter)
+    span, modulus = (1000, _U16) if fld in ("sport", "dport") else (1000000, _U32)
+    step = int(rng.integers(1, span + 1)) * (1 if rng.random() < 0.5 else -1)
+    return (old + step) % modulus
+
+
+def _corrupted(keys: Sequence, rng: np.random.Generator) -> list:
+    """A pair's rejected key values: keys with one field, picked by rng, corrupted."""
+    values = list(keys)
+    k = int(rng.integers(0, len(KEY_FIELDS)))
+    values[k] = _perturbed(KEY_FIELDS[k], keys[k], rng)
+    return values
 
 
 def perturb_field(packet: PacketRecord, fld: str, rng: np.random.Generator) -> PacketRecord:
     """Corrupt one field, guaranteed to differ from the original value."""
     if fld not in KEY_FIELDS:
         raise ConfigError(f"unknown packet field {fld!r}")
-    old = getattr(packet, fld)
-    if fld in ("sport", "dport"):
-        step = int(rng.integers(1, 1001)) * (1 if rng.random() < 0.5 else -1)
-        new = (old + step) % 65536
-    elif fld in ("seq", "ack"):
-        step = int(rng.integers(1, 1000001)) * (1 if rng.random() < 0.5 else -1)
-        new = (old + step) % 2**32
-    elif fld == "length":
-        new = old
-        while new == old:
-            new = int(rng.integers(0, 1501))
-    else:
-        # Toggle one letter; PacketRecord puts the letters in canonical order.
-        letter = FLAG_ALPHABET[int(rng.integers(0, len(FLAG_ALPHABET)))]
-        new = old.replace(letter, "") if letter in old else old + letter
-    values = list(_key_values(packet))
-    values[KEY_FIELDS.index(fld)] = new
-    return PacketRecord(packet.timestamp, packet.src, packet.dst, *values)
+    values = list(packet)
+    values[_KEY0 + KEY_FIELDS.index(fld)] = _perturbed(fld, getattr(packet, fld), rng)
+    return PacketRecord(*values)
 
 
-@dataclass(frozen=True, slots=True)
-class FinetuneSample:
+_Pair = NamedTuple("_Pair", [("context", tuple), ("prompt", PacketRecord),
+                             ("chosen", PacketRecord), ("rejected", PacketRecord)])
+
+
+class FinetuneSample(_Pair):
     """One preference pair: context packets, the prompt, and two continuations.
 
     chosen is the packet that followed the prompt; rejected differs from it
     in exactly one key field.
     """
 
-    context: tuple
-    prompt: PacketRecord
-    chosen: PacketRecord
-    rejected: PacketRecord
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.context) < 1:
+    def __new__(cls, context, prompt, chosen, rejected):
+        if len(context) < 1:
             raise ConfigError("context must hold at least one packet")
-        differ = sum(map(ne, _key_values(self.chosen), _key_values(self.rejected)))
+        differ = sum(map(ne, chosen[_KEY0:], rejected[_KEY0:]))
         if differ != 1:
             raise ConfigError(
                 f"rejected packet must differ in exactly one field, differs in {differ}"
             )
+        return tuple.__new__(cls, (context, prompt, chosen, rejected))
+
+    _make = _checked_make
 
 
 def diff_fields(a: PacketRecord, b: PacketRecord) -> tuple:
@@ -263,25 +308,14 @@ def make_pair(
 
     rng picks the field and draws the corruption.
     """
-    fld = KEY_FIELDS[int(rng.integers(0, len(KEY_FIELDS)))]
-    rejected = perturb_field(next_packet, fld, rng)
+    rejected = PacketRecord(*next_packet[:_KEY0], *_corrupted(next_packet[_KEY0:], rng))
     return FinetuneSample(tuple(context), prompt, next_packet, rejected)
 
 
-def _render_block(p: PacketRecord) -> str:
-    # KEY_FIELDS in order.
-    return (
-        f"{_BLOCK_TAG}\nsport:{p.sport}\ndport:{p.dport}\nflags:{p.flags}\n"
-        f"seq:{p.seq}\nack:{p.ack}\nlength:{p.length}"
-    )
-
-
-def _render_sample(sample: FinetuneSample, blocks: dict) -> str:
-    parts = [_CONTEXT_TAG, *[blocks[id(p)] for p in sample.context]]
-    parts += (_PREVIOUS_TAG, blocks[id(sample.prompt)], _PREDICTED_TAG, "")
-    prefix = "\n".join(parts)
-    rejected = _render_block(sample.rejected)
-    return f"{prefix}{blocks[id(sample.chosen)]}\n\n{prefix}{rejected}\n"
+def _pair_text(context: list, prompt: str, chosen: str, rejected: str) -> str:
+    """A pair, given as block texts: its chosen document, a blank line, its rejected one."""
+    prefix = "\n".join([_CONTEXT_TAG, *context, _PREVIOUS_TAG, prompt, _PREDICTED_TAG, ""])
+    return f"{prefix}{chosen}\n\n{prefix}{rejected}\n"
 
 
 def render_dataset(samples: Sequence[FinetuneSample]) -> str:
@@ -294,8 +328,12 @@ def render_dataset(samples: Sequence[FinetuneSample]) -> str:
         raise ConfigError("cannot render an empty sample list")
     # packets holds every packet until the call returns, so no id is reused.
     packets = {id(p): p for s in samples for p in (*s.context, s.prompt, s.chosen)}
-    blocks = {key: _render_block(p) for key, p in packets.items()}
-    return "\n".join(_render_sample(s, blocks) for s in samples)
+    blocks = {key: _BLOCK.format(*p[_KEY0:]) for key, p in packets.items()}
+    return "\n".join(
+        _pair_text([blocks[id(p)] for p in s.context], blocks[id(s.prompt)],
+                   blocks[id(s.chosen)], _BLOCK.format(*s.rejected[_KEY0:]))
+        for s in samples
+    )
 
 
 def parse_dataset(text: str) -> list[FinetuneSample]:
@@ -323,9 +361,10 @@ def _parse_rendered(text: str) -> list[FinetuneSample] | None:
     field lines.  A rejected document must repeat the text of its chosen
     document up to the predicted block, and shares its context and prompt.  Each
     distinct block text is converted once, a field column at a time, and
-    identical blocks share one record, as in the line reader.  Field values
-    must be plain ASCII digits or flag letters, so no other line break can
-    hide in them and the line reader would see the same lines.
+    identical blocks share one record, as in the line reader; equal integer
+    values share one int.  Field values must be plain ASCII digits or flag
+    letters, so no other line break can hide in them and the line reader
+    would see the same lines.
     """
     docs = text.split(_NEXT_DOCUMENT)
     start = f"{_CONTEXT_TAG}\n{_BLOCK_TAG}\n"
@@ -360,6 +399,7 @@ def _parse_rendered(text: str) -> list[FinetuneSample] | None:
         return None
     lines = "\n".join(keys).split("\n")
     columns = []
+    as_int = lru_cache(maxsize=None)(int)
     for j, name in enumerate(KEY_FIELDS):
         head = f"{name}:"
         column = "\n".join(lines[j :: len(KEY_FIELDS)])
@@ -373,7 +413,7 @@ def _parse_rendered(text: str) -> list[FinetuneSample] | None:
         digits = "".join(raws)
         if not (digits.isascii() and digits.isdigit()):
             return None
-        columns.append(map(int, raws))
+        columns.append(map(as_int, raws))
     try:
         records = map(PacketRecord, repeat(0.0), repeat(""), repeat(""), *columns)
         packet = dict(zip(keys, records)).__getitem__
@@ -501,15 +541,37 @@ def build_dataset(
     A session of m packets yields max(0, m - context - 1) pairs, in session
     order.  One generator seeded with seed draws every pair's corruption.
     """
-    sessions = extract_sessions(packets, idle_timeout_s=idle_timeout_s)
-    if context < 1:
-        raise ConfigError(f"context must be positive, got {context}")
+    _check_settings(idle_timeout_s, context)
+    order, prompts = _windows(_columns(packets), context, idle_timeout_s)
     rng = np.random.default_rng(seed)
-    return [
-        make_pair(sess[i - context : i], sess[i], sess[i + 1], rng)
-        for sess in sessions
-        for i in range(context, len(sess) - 1)
-    ]
+    ranked = [packets[i] for i in order]
+    return [make_pair(ranked[p - context : p], ranked[p], ranked[p + 1], rng) for p in prompts]
+
+
+def build_samples_text(
+    text: str,
+    context: int = 3,
+    seed: int = 0,
+    idle_timeout_s: float = SESSION_IDLE_TIMEOUT_S,
+) -> str:
+    """render_dataset(build_dataset(parse_packet_csv(text), ...)), run on columns.
+
+    The same text and the same errors, but no sample and no rejected record
+    is built.  A capture with no window raises SizingError.
+    """
+    _check_settings(idle_timeout_s, context)
+    columns = _columns(parse_packet_csv(text))
+    order, prompts = _windows(columns, context, idle_timeout_s)
+    if not prompts:
+        raise SizingError(f"no session holds more than context + 1 = {context + 1} packets")
+    keys = columns[_KEY0:]
+    ranked = [_BLOCK.format(*[column[i] for column in keys]) for i in order]
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for p in prompts:
+        rejected = _BLOCK.format(*_corrupted([column[order[p + 1]] for column in keys], rng))
+        pairs.append(_pair_text(ranked[p - context : p], ranked[p], ranked[p + 1], rejected))
+    return "\n".join(pairs)
 
 
 _HISTOGRAM_BUCKETS = ("0", "1", "2", "3", "4+")
@@ -549,19 +611,15 @@ def score_fields(
     if not predictions:
         raise DimensionError("cannot score an empty prediction list")
     n = len(predictions)
-    correct = {name: 0 for name in KEY_FIELDS}
-    histogram = {bucket: 0 for bucket in _HISTOGRAM_BUCKETS}
-    for pred, truth in zip(predictions, truths):
-        wrong = 0
-        for name in KEY_FIELDS:
-            if getattr(pred, name) == getattr(truth, name):
-                correct[name] += 1
-            else:
-                wrong += 1
-        bucket = str(wrong) if wrong < 4 else "4+"
-        histogram[bucket] += 1
+    wrong = [0] * n
+    accuracy = {}
+    for j, name in enumerate(KEY_FIELDS, start=_KEY0):
+        misses = list(map(ne, map(itemgetter(j), predictions), map(itemgetter(j), truths)))
+        wrong = list(map(add, wrong, misses))
+        accuracy[name] = round(100.0 * (n - sum(misses)) / n, 2)
+    histogram = Counter(_HISTOGRAM_BUCKETS[min(w, 4)] for w in wrong)
     return FieldScoreReport(
-        field_accuracy={k: round(100.0 * v / n, 2) for k, v in correct.items()},
-        error_histogram={k: round(100.0 * v / n, 2) for k, v in histogram.items()},
+        field_accuracy=accuracy,
+        error_histogram={k: round(100.0 * histogram[k] / n, 2) for k in _HISTOGRAM_BUCKETS},
         samples=n,
     )

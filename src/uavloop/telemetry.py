@@ -204,11 +204,13 @@ def write_text(path, text: str) -> None:
 
 
 def read_parsed(path, parse):
-    """``parse(read_text(path))``, with path in front of a ParseError's message."""
+    """``parse(read_text(path))``; a ParseError or SizingError gets path in front of its message."""
     try:
         return parse(read_text(path))
     except ParseError as exc:
         raise exc.in_file(path) from None
+    except SizingError as exc:
+        raise SizingError(f"{path}: {exc}") from None
 
 
 def load_table(

@@ -13,20 +13,27 @@ replaced; it must return equal samples, or raise the same ``ParseError``
 message and line.  ``reference_parse_packet_csv`` is the column-wise packet
 CSV reader, with its row-by-row error pass, that
 ``uavloop.packetset.parse_packet_csv`` replaced; the same contract holds for
-records.  ``gradient_check`` and ``ar1_series`` serve the forecast
-and acceptance tests.
+records.  ``reference_build_text`` is the record-by-record path from packet CSV
+text to a rendered dataset that ``uavloop.packetset.build_samples_text``
+replaced: sessions grouped by endpoint set, one ``make_pair`` per window, and
+each sample rendered from its records; ``reference_build_dataset``,
+``reference_sessions`` and ``reference_score_fields`` are its steps and the
+record scorer, and the package must return equal records and the same bytes.
+``gradient_check`` and ``ar1_series`` serve the forecast and acceptance tests.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import NoReturn
+from operator import attrgetter
+from typing import NoReturn, Sequence
 
 import numpy as np
 
 from uavloop.errors import ConfigError, OrderingError, ParseError
 from uavloop.packetset import (
+    FLAG_ALPHABET,
     KEY_FIELDS,
     PACKET_COLUMNS,
     PACKET_HEADER,
@@ -390,3 +397,129 @@ def _raise_first_row_error(lines: list[str]) -> NoReturn:
         except ValueError as exc:
             raise ParseError(f"bad packet row: {exc}", line=lineno) from exc
     raise ParseError("packet CSV could not be read")
+
+
+def reference_sessions(packets, idle_timeout_s: float = 60.0) -> list[list[PacketRecord]]:
+    """Sessions of packets: grouped by endpoint set, sorted by time, cut on F/R or idle gaps."""
+    if idle_timeout_s <= 0:
+        raise ConfigError(f"idle_timeout_s must be positive, got {idle_timeout_s}")
+    groups: dict[frozenset, list[PacketRecord]] = {}
+    for rec in packets:
+        groups.setdefault(rec.endpoints(), []).append(rec)
+    sessions: list[list[PacketRecord]] = []
+    for flow in groups.values():
+        flow = sorted(flow, key=lambda r: r.timestamp)
+        current: list[PacketRecord] = []
+        for rec in flow:
+            boundary = bool(current) and (
+                rec.timestamp - current[-1].timestamp > idle_timeout_s
+            )
+            if boundary:
+                sessions.append(current)
+                current = []
+            current.append(rec)
+            if "F" in rec.flags or "R" in rec.flags:
+                sessions.append(current)
+                current = []
+        if current:
+            sessions.append(current)
+    return sessions
+
+
+_key_values = attrgetter(*KEY_FIELDS)
+
+
+def reference_perturb_field(packet: PacketRecord, fld: str, rng) -> PacketRecord:
+    if fld not in KEY_FIELDS:
+        raise ConfigError(f"unknown packet field {fld!r}")
+    old = getattr(packet, fld)
+    if fld in ("sport", "dport"):
+        step = int(rng.integers(1, 1001)) * (1 if rng.random() < 0.5 else -1)
+        new = (old + step) % 65536
+    elif fld in ("seq", "ack"):
+        step = int(rng.integers(1, 1000001)) * (1 if rng.random() < 0.5 else -1)
+        new = (old + step) % 2**32
+    elif fld == "length":
+        new = old
+        while new == old:
+            new = int(rng.integers(0, 1501))
+    else:
+        letter = FLAG_ALPHABET[int(rng.integers(0, len(FLAG_ALPHABET)))]
+        new = old.replace(letter, "") if letter in old else old + letter
+    values = list(_key_values(packet))
+    values[KEY_FIELDS.index(fld)] = new
+    return PacketRecord(packet.timestamp, packet.src, packet.dst, *values)
+
+
+def reference_make_pair(context, prompt, next_packet, rng) -> FinetuneSample:
+    fld = KEY_FIELDS[int(rng.integers(0, len(KEY_FIELDS)))]
+    rejected = reference_perturb_field(next_packet, fld, rng)
+    return FinetuneSample(tuple(context), prompt, next_packet, rejected)
+
+
+def reference_build_dataset(
+    packets, context: int = 3, seed: int = 0, idle_timeout_s: float = 60.0
+) -> list[FinetuneSample]:
+    """Pairs of every window of every session, drawn from one generator seeded with seed."""
+    sessions = reference_sessions(packets, idle_timeout_s=idle_timeout_s)
+    if context < 1:
+        raise ConfigError(f"context must be positive, got {context}")
+    rng = np.random.default_rng(seed)
+    return [
+        reference_make_pair(sess[i - context : i], sess[i], sess[i + 1], rng)
+        for sess in sessions
+        for i in range(context, len(sess) - 1)
+    ]
+
+
+def _render_block(p: PacketRecord) -> str:
+    return (
+        f"#BLOCK\nsport:{p.sport}\ndport:{p.dport}\nflags:{p.flags}\n"
+        f"seq:{p.seq}\nack:{p.ack}\nlength:{p.length}"
+    )
+
+
+def _render_sample(sample: FinetuneSample, blocks: dict) -> str:
+    parts = ["#Context", *[blocks[id(p)] for p in sample.context]]
+    parts += ("#Previous_Packet", blocks[id(sample.prompt)], "#Predicted_Packet", "")
+    prefix = "\n".join(parts)
+    rejected = _render_block(sample.rejected)
+    return f"{prefix}{blocks[id(sample.chosen)]}\n\n{prefix}{rejected}\n"
+
+
+def reference_render_dataset(samples: Sequence[FinetuneSample]) -> str:
+    if not samples:
+        raise ConfigError("cannot render an empty sample list")
+    packets = {id(p): p for s in samples for p in (*s.context, s.prompt, s.chosen)}
+    blocks = {key: _render_block(p) for key, p in packets.items()}
+    return "\n".join(_render_sample(s, blocks) for s in samples)
+
+
+def reference_build_text(
+    text: str, context: int = 3, seed: int = 0, idle_timeout_s: float = 60.0
+) -> str:
+    """The dataset of a packet CSV, built and rendered one record at a time."""
+    packets = reference_parse_packet_csv(text)
+    return reference_render_dataset(
+        reference_build_dataset(packets, context, seed, idle_timeout_s)
+    )
+
+
+def reference_score_fields(predictions, truths) -> tuple[dict, dict, int]:
+    """(field accuracy, error histogram, sample count), counted one field at a time."""
+    n = len(predictions)
+    correct = {name: 0 for name in KEY_FIELDS}
+    histogram = {bucket: 0 for bucket in ("0", "1", "2", "3", "4+")}
+    for pred, truth in zip(predictions, truths):
+        wrong = 0
+        for name in KEY_FIELDS:
+            if getattr(pred, name) == getattr(truth, name):
+                correct[name] += 1
+            else:
+                wrong += 1
+        histogram[str(wrong) if wrong < 4 else "4+"] += 1
+    return (
+        {k: round(100.0 * v / n, 2) for k, v in correct.items()},
+        {k: round(100.0 * v / n, 2) for k, v in histogram.items()},
+        n,
+    )

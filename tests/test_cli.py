@@ -700,6 +700,47 @@ class TestExitMessages:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o" / "labeled.csv").exists()
 
+    def test_packet_build_without_a_window_names_the_file(self, tmp_path, capsys):
+        # Three packets: no session holds the five a context of 3 needs.
+        data = tmp_path / "short.csv"
+        data.write_text(synth_packet_log(n_packets=3, seed=0))
+        capsys.readouterr()
+        assert run("packetset", "build", "--data", str(data), "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == (
+            f"error: {data}: no session holds more than context + 1 = 4 packets\n"
+        )
+        assert not (tmp_path / "o" / "samples.txt").exists()
+
+    def test_packet_build_settings_before_parse(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("not a packet log\n")
+        capsys.readouterr()
+        assert run("packetset", "build", "--data", str(data), "--context", "0",
+                   "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == "error: context must be positive, got 0\n"
+
+    def test_packet_score_of_empty_files_names_pred(self, tmp_path, capsys):
+        pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
+        for path in (pred, truth):
+            path.write_text(ps.PACKET_HEADER + "\n")
+        capsys.readouterr()
+        assert run("packetset", "score", "--pred", str(pred), "--truth", str(truth),
+                   "--out", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == (
+            f"error: {pred}: cannot score an empty prediction list\n"
+        )
+
+    def test_packet_score_count_mismatch_names_pred(self, tmp_path, capsys):
+        pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
+        pred.write_text(synth_packet_log(n_packets=3, seed=0))
+        truth.write_text(synth_packet_log(n_packets=4, seed=0))
+        capsys.readouterr()
+        assert run("packetset", "score", "--pred", str(pred), "--truth", str(truth),
+                   "--out", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == (
+            f"error: {pred}: prediction count 3 does not match truth count 4\n"
+        )
+
     def test_fractional_timestamp(self, tmp_path, capsys):
         data = tmp_path / "mission.csv"
         rows = [

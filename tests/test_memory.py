@@ -8,6 +8,8 @@ decodes the file and copies its body holds the file two to four times over,
 and one that holds the file's bytes holds them once; a load in chunks holds
 its matrices and a few chunk-sized buffers.  A step that builds a new
 series matrix hands the series that copy, frozen, so it is never copied again.
+A packet dataset built on columns holds its output about twice (the rendered
+pairs and their join) and no sample or rejected record per pair.
 """
 
 import math
@@ -21,7 +23,8 @@ from uavloop import telemetry
 from uavloop.detect import record_losses
 from uavloop.forecast import PredictorConfig, init_predictor
 from uavloop.inject import inject_every_nth, load_labeled_csv, save_labeled_csv
-from uavloop.synthetic import synth_mission
+from uavloop.packetset import build_samples_text
+from uavloop.synthetic import synth_mission, synth_packet_log
 from uavloop.telemetry import (
     COLUMNS,
     INT_COLUMNS,
@@ -171,6 +174,14 @@ class TestWorkingCopyPeak:
         series = synth_mission(n_records=20000, seed=3)
         # The perturbed copy, the labels and the selected rows.
         assert traced_peak(inject_every_nth, series, 5) < 1.5 * series.values.nbytes
+
+
+class TestPacketBuildPeak:
+    def test_csv_text_to_samples_text(self):
+        text = synth_packet_log(n_packets=20000, seed=3, n_flows=8)
+        output = len(build_samples_text(text))
+        # 2.8 times the output here; the record path (parse, build, render) takes 3.2.
+        assert traced_peak(build_samples_text, text) < 3 * output
 
 
 class TestBlockedLoss:

@@ -3,16 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import reference_parse_dataset, reference_parse_packet_csv
+from support import (
+    reference_build_dataset,
+    reference_build_text,
+    reference_parse_dataset,
+    reference_parse_packet_csv,
+    reference_perturb_field,
+    reference_score_fields,
+    reference_sessions,
+)
 from uavloop import packetset
-from uavloop.errors import ConfigError, DimensionError, ParseError
+from uavloop.errors import ConfigError, DimensionError, ParseError, SizingError
 from uavloop.packetset import (
     FLAG_ALPHABET,
     KEY_FIELDS,
+    PACKET_COLUMNS,
     PACKET_HEADER,
     FinetuneSample,
     PacketRecord,
     build_dataset,
+    build_samples_text,
     canonical_flags,
     diff_fields,
     extract_sessions,
@@ -240,6 +250,19 @@ class TestWindows:
             build_dataset(chain(5), context=0)
         with pytest.raises(ConfigError):
             FinetuneSample(context=(), prompt=pkt(), chosen=pkt(), rejected=pkt(length=70))
+
+    def test_settings_checked_before_any_work(self):
+        # None is no packet and the text no packet CSV: a check after any
+        # sessionizing or parsing would fail on them instead.
+        timeout = "idle_timeout_s must be positive, got 0.0"
+        for build, capture in ((build_dataset, [None]), (build_samples_text, "no csv")):
+            with pytest.raises(ConfigError, match="^context must be positive, got 0$"):
+                build(capture, context=0)
+            # The timeout is checked first.
+            with pytest.raises(ConfigError, match=f"^{timeout}$"):
+                build(capture, context=0, idle_timeout_s=0.0)
+        with pytest.raises(ConfigError, match=f"^{timeout}$"):
+            extract_sessions([None], idle_timeout_s=0.0)
 
 
 class TestPerturbation:
@@ -696,3 +719,187 @@ class TestScoring:
             score_fields([pkt()], [pkt(), pkt()])
         with pytest.raises(DimensionError):
             score_fields([], [])
+
+
+# Timestamps repeat and arrive out of order; gaps of 61 and 200 s pass the default timeout.
+STAMPS = [0.0, 0.5, 1.0, 1.0, 2.0, 61.0, 200.0]
+FLAGS = ["A", "PA", "AP", "SS", "SA", "AS", "", "FA", "AF", "R", "RA"]
+FIN_OR_RST = ["F", "R", "FA", "RA", "FR"]
+
+
+@st.composite
+def captures(draw):
+    """Packet CSV text of up to four flows; flow 0 may carry only F or R packets."""
+    n_flows = draw(st.integers(1, 4))
+    closing_flow = draw(st.booleans())
+    lines = [PACKET_HEADER]
+    for _ in range(draw(st.integers(0, 40))):
+        flow = draw(st.integers(0, n_flows - 1))
+        ends = [(f"10.0.0.{flow}", 40000 + flow), ("192.168.1.1", 80 + flow % 2)]
+        if draw(st.booleans()):
+            ends.reverse()
+        (src, sport), (dst, dport) = ends
+        flags = draw(st.sampled_from(FIN_OR_RST if closing_flow and flow == 0 else FLAGS))
+        ts = draw(st.sampled_from(STAMPS)) + draw(st.sampled_from([0.0, 1000.0]))
+        seq, ack = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
+        length = draw(st.integers(0, 1500))
+        lines.append(f"{ts!r},{src},{dst},{sport},{dport},{flags},{seq},{ack},{length}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_build_matches_reference(text, context, seed, idle):
+    packets = parse_packet_csv(text)
+    sessions = extract_sessions(packets, idle)
+    want = reference_sessions(packets, idle)
+    assert sessions == want
+    assert all(p is q for s, r in zip(sessions, want) for p, q in zip(s, r))
+    samples = build_dataset(packets, context, seed, idle)
+    assert samples == reference_build_dataset(packets, context, seed, idle)
+    if not samples:
+        message = f"^no session holds more than context \\+ 1 = {context + 1} packets$"
+        with pytest.raises(SizingError, match=message):
+            build_samples_text(text, context, seed, idle)
+        return
+    want = reference_build_text(text, context, seed, idle)
+    assert build_samples_text(text, context, seed, idle) == want
+    assert render_dataset(samples) == want
+
+
+class TestBuildMatchesReference:
+    """The column core and its record wrappers against the record path they replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        text=captures(),
+        context=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        idle=st.sampled_from([0.4, 1.0, 60.0, 1e9]),
+    )
+    def test_same_samples_and_bytes(self, text, context, seed, idle):
+        assert_build_matches_reference(text, context, seed, idle)
+
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    @pytest.mark.parametrize("context", [1, 3, 5])
+    def test_synthetic_logs(self, seed, context):
+        text = synth_packet_log(n_packets=3000, seed=seed, n_flows=8)
+        assert_build_matches_reference(text, context, seed, 60.0)
+
+    @pytest.mark.parametrize("rows", [
+        # Timestamp ties in one flow keep capture order.
+        ["1.0,a,b,1,2,A,1,0,5", "1.0,b,a,2,1,A,2,0,6", "1.0,a,b,1,2,A,3,0,7", "1.0,a,b,1,2,A,4,0,8"],
+        # A flow of F and R packets only: every session holds one packet.
+        ["1.0,a,b,1,2,FA,1,0,5", "2.0,a,b,1,2,R,2,0,6", "3.0,a,b,1,2,F,3,0,7"],
+        # Non-canonical flags, and a session one packet short of a window.
+        ["1.0,a,b,1,2,AP,1,0,5", "2.0,a,b,1,2,SS,2,0,6", "3.0,a,b,1,2,AS,3,0,7"],
+        [],
+    ], ids=["ties", "fin-rst-only", "short-session", "empty"])
+    def test_edge_captures(self, rows):
+        text = "\n".join([PACKET_HEADER, *rows]) + "\n"
+        for context in (1, 2):
+            assert_build_matches_reference(text, context, 0, 60.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        fld=st.sampled_from(KEY_FIELDS),
+        flags=st.sampled_from(FLAGS),
+        seed=st.integers(0, 2**32 - 1),
+        values=st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**32 - 1),
+                         st.integers(0, 1500)),
+    )
+    def test_perturb_field(self, fld, flags, seed, values):
+        port, number, length = values
+        packet = pkt(sport=port, dport=65535 - port, flags=flags, seq=number,
+                     ack=2**32 - 1 - number, length=length)
+        got = perturb_field(packet, fld, np.random.default_rng(seed))
+        assert got == reference_perturb_field(packet, fld, np.random.default_rng(seed))
+
+
+class TestRecordContract:
+    """PacketRecord and FinetuneSample: immutable, validated and compared by value."""
+
+    @staticmethod
+    def sample():
+        return FinetuneSample((pkt(),), pkt(seq=1064), pkt(seq=1128), pkt(seq=1128, length=70))
+
+    def test_assignment_raises(self):
+        record, sample = pkt(), self.sample()
+        for name in PACKET_COLUMNS:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+        for name in ("context", "prompt", "chosen", "rejected", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(sample, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_repr_text(self):
+        assert repr(pkt(flags="AP")) == (
+            "PacketRecord(timestamp=1.0, src='10.0.0.1', dst='10.0.0.2', sport=8080, "
+            "dport=443, flags='PA', seq=1000, ack=2000, length=64)"
+        )
+        record = repr(pkt())
+        sample = FinetuneSample((pkt(),), pkt(), pkt(), pkt(length=70))
+        assert repr(sample) == (
+            f"FinetuneSample(context=({record},), prompt={record}, chosen={record}, "
+            f"rejected={record.replace('length=64', 'length=70')})"
+        )
+
+    def test_equality_and_hash(self):
+        a, b = pkt(flags="AP"), pkt(flags="PA")
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != pkt(flags="PA", length=65)
+        assert len({a, b, pkt(ts=2.0)}) == 2
+        assert self.sample() == self.sample()
+        assert hash(self.sample()) == hash(self.sample())
+        assert self.sample() != self.sample()._replace(context=(pkt(), pkt()))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"ts": float("nan")}, "timestamp must be finite: nan"),
+        ({"ts": float("-inf"), "sport": 70000}, "timestamp must be finite: -inf"),
+        ({"sport": 70000, "length": -1}, "sport out of range: 70000"),
+        ({"dport": -1}, "dport out of range: -1"),
+        ({"seq": 2**32}, "seq out of range: 4294967296"),
+        ({"ack": -5}, "ack out of range: -5"),
+        ({"length": -1}, "length out of range: -1"),
+        ({"flags": "AXQ"}, "unknown TCP flag letters: QX"),
+    ])
+    def test_packet_messages(self, fields, message):
+        with pytest.raises(ParseError) as err:
+            pkt(**fields)
+        assert str(err.value) == message and err.value.line is None
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            pkt()._replace(**{"timestamp" if k == "ts" else k: v for k, v in fields.items()})
+
+    def test_replace_builds_a_checked_record(self):
+        assert pkt()._replace(flags="AP").flags == "PA"
+        assert pkt()._replace(length=65) == pkt(length=65)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"context": ()}, "context must hold at least one packet"),
+        ({"rejected": pkt(seq=1128)}, "rejected packet must differ in exactly one field, differs in 0"),
+        ({"rejected": pkt(seq=1129, length=70)},
+         "rejected packet must differ in exactly one field, differs in 2"),
+    ])
+    def test_sample_messages(self, edit, message):
+        fields = self.sample()._asdict() | edit
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            FinetuneSample(**fields)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            self.sample()._replace(**edit)
+
+    def test_diff_fields(self):
+        assert diff_fields(pkt(), pkt(flags="AP")) == ("flags",)
+        assert diff_fields(pkt(), pkt(ts=9.0, src="x")) == ()
+        assert diff_fields(pkt(), pkt(sport=1, ack=2, length=3)) == ("sport", "ack", "length")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        wrong=st.lists(st.sets(st.sampled_from(KEY_FIELDS)), min_size=1, max_size=30),
+    )
+    def test_score_fields_matches_reference(self, wrong):
+        changes = {"sport": 1, "dport": 2, "flags": "S", "seq": 3, "ack": 4, "length": 5}
+        truths = [pkt(seq=k) for k in range(len(wrong))]
+        preds = [t._replace(**{f: changes[f] for f in fields}) for t, fields in zip(truths, wrong)]
+        report = score_fields(preds, truths)
+        got = (report.field_accuracy, report.error_histogram, report.samples)
+        assert got == reference_score_fields(preds, truths)
