@@ -40,7 +40,6 @@ from .inject import (
     load_labeled_csv,
     save_labeled_csv,
     serialize_labeled_csv,
-    variance_sweep,
 )
 from .detect import (
     DetectionResult,

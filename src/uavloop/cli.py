@@ -324,7 +324,7 @@ def cmd_packetset_build(args, config: RunConfig, out: str) -> tuple:
         text = tel.read_parsed(path, build)
         inputs = {"data": path}
     else:
-        text = build(syn.synth_packet_log(seed=config["seed"]))
+        text = build(syn.synth_packet_log(n_packets=config["records"], seed=config["seed"]))
         inputs = {}
     tel.write_text(os.path.join(out, "samples.txt"), text)
     return "packetset build", inputs, ["samples.txt"]
@@ -374,44 +374,31 @@ def cmd_simulate(args, config: RunConfig, out: str) -> tuple:
     return "simulate", inputs, ["stats.json", "report.jsonl"]
 
 
-def _run_detection_experiment(config: RunConfig, scheme: str):
-    """Shared recipe: train on clean splits, inject into raw test, detect."""
-    series, inputs = _load_or_synth(config)
-    parts, predictor, train_losses = _train_predictor(config, series, "reconstruction")
-    labeled = _inject_series(parts.test, config, scheme)
-    return inputs, labeled, _detect_labeled(config, predictor, labeled, train_losses)
-
-
-def _cmd_experiment_detection(config: RunConfig, out: str, scheme: str, command: str) -> tuple:
+def cmd_experiment_detection(args, config: RunConfig, out: str) -> tuple:
+    """experiment nth|poisson: train on clean splits, inject into raw test, detect."""
     # An unknown tier fails here, before training and before any output is written.
     tier = config.tier()
-    inputs, labeled, result = _run_detection_experiment(config, scheme)
+    series, inputs = _load_or_synth(config)
+    parts, predictor, train_losses = _train_predictor(config, series, "reconstruction")
+    labeled = _inject_series(parts.test, config, args.subcommand)
+    result = _detect_labeled(config, predictor, labeled, train_losses)
+    # The writes set the job's peak memory; the whole mission must not add to it.
+    del series, parts, predictor, train_losses
     inj.save_labeled_csv(labeled, os.path.join(out, "labeled.csv"))
     outputs = ["labeled.csv", "labeled.csv.meta.json"]
     outputs += _detection_outputs(out, config, tier, result)
-    return command, inputs, outputs
-
-
-def cmd_experiment_nth(args, config: RunConfig, out: str) -> tuple:
-    return _cmd_experiment_detection(config, out, "nth", "experiment nth")
-
-
-def cmd_experiment_poisson(args, config: RunConfig, out: str) -> tuple:
-    return _cmd_experiment_detection(config, out, "poisson", "experiment poisson")
+    return f"experiment {args.subcommand}", inputs, outputs
 
 
 def cmd_experiment_variance_sweep(args, config: RunConfig, out: str) -> tuple:
+    targets = config.variance_target_list()
     series, inputs = _load_or_synth(config)
     parts, predictor, train_losses = _train_predictor(config, series, "reconstruction")
-
-    def evaluator(labeled: inj.LabeledSeries):
-        return _detect_labeled(config, predictor, labeled, train_losses).metrics
-
-    rows = inj.variance_sweep(
-        parts.test, config["feature"], config.variance_target_list(), config["n"], evaluator
-    )
-    cells = [[target for target, _ in rows]]
-    cells += [[getattr(m, name) for _, m in rows] for name in RATIO_NAMES]
+    metrics = []
+    for target in targets:
+        labeled = inj.inject_variance(parts.test, config["feature"], target, config["n"])
+        metrics.append(_detect_labeled(config, predictor, labeled, train_losses).metrics)
+    cells = [targets, *([getattr(m, name) for m in metrics] for name in RATIO_NAMES)]
     text = tel.format_table(("target_value", *RATIO_NAMES), cells, frozenset())
     tel.write_text(os.path.join(out, "sweep.csv"), text)
     return "experiment variance-sweep", inputs, ["sweep.csv"]
@@ -442,8 +429,8 @@ _COMMANDS = {
     "packetset build": cmd_packetset_build,
     "packetset score": cmd_packetset_score,
     "simulate": cmd_simulate,
-    "experiment nth": cmd_experiment_nth,
-    "experiment poisson": cmd_experiment_poisson,
+    "experiment nth": cmd_experiment_detection,
+    "experiment poisson": cmd_experiment_detection,
     "experiment variance-sweep": cmd_experiment_variance_sweep,
     "experiment batch-sweep": cmd_experiment_batch_sweep,
 }

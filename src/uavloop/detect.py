@@ -27,7 +27,7 @@ from .telemetry import WindowedDataset, format_table
 # float, so a naive implementation drifts off by one at some sizes.
 _RATIO_SCALE = 10**6
 
-THRESHOLD_SOURCES = ("train", "eval", "pooled")
+THRESHOLD_SOURCES = ("train", "eval")
 RATIO_NAMES = ("accuracy", "precision", "recall", "f_score")
 
 
@@ -212,9 +212,8 @@ def detect(
     """Score every record of matrix, pick the threshold, flag, and evaluate.
 
     threshold_source selects which loss pool feeds the percentile: "train"
-    uses train_losses, "eval" the evaluation losses themselves, "pooled" the
-    concatenation of both.  With labels (one per record) the flags are
-    scored against them.
+    uses train_losses, "eval" the evaluation losses themselves.  With labels
+    (one per record) the flags are scored against them.
     """
     if threshold_source not in THRESHOLD_SOURCES:
         raise ConfigError(f"unknown threshold source {threshold_source!r}")
@@ -224,15 +223,13 @@ def detect(
         raise DimensionError(f"scorer returned {losses.shape}, expected ({n},)")
     if not np.isfinite(losses).all():
         raise NumericError("scorer produced non-finite losses")
-    if threshold_source in ("train", "pooled"):
-        ref = None if train_losses is None else np.asarray(train_losses, dtype=np.float64).ravel()
-        if ref is None or ref.size == 0:
-            raise ConfigError(f"threshold_source={threshold_source!r} needs non-empty train_losses")
-        if not np.isfinite(ref).all():
+    pool = losses
+    if threshold_source == "train":
+        pool = None if train_losses is None else np.asarray(train_losses, dtype=np.float64).ravel()
+        if pool is None or pool.size == 0:
+            raise ConfigError("threshold_source='train' needs non-empty train_losses")
+        if not np.isfinite(pool).all():
             raise NumericError("train_losses hold non-finite values")
-        pool = ref if threshold_source == "train" else np.concatenate([ref, losses])
-    else:
-        pool = losses
     threshold = percentile_threshold(pool, anomaly_ratio)
     predicted = flag(losses, threshold)
     truth = None if labels is None else np.asarray(labels, dtype=bool).ravel()

@@ -11,7 +11,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -193,20 +192,6 @@ def inject_variance(
     spec = PerturbSpec(feature=feature, mode="set-value", value=float(target_value))
     params = {"target_value": float(target_value), "every_nth": int(n)}
     return _labeled(series, rows, spec, "variance", params)
-
-
-def variance_sweep(
-    series: TelemetrySeries,
-    feature: str,
-    targets: Iterable[float],
-    n: int,
-    evaluator: Callable[[LabeledSeries], object],
-) -> list[tuple[float, object]]:
-    """Run inject_variance once per target value; one evaluator result per row."""
-    values = [float(t) for t in targets]
-    if not values:
-        raise ConfigError("variance sweep needs at least one target value")
-    return [(t, evaluator(inject_variance(series, feature, t, n))) for t in values]
 
 
 def inject_poisson(

@@ -14,14 +14,14 @@ Sessions and windows are computed on the capture's nine columns: one stable
 sort of the rows by flow and timestamp, then index arithmetic.
 ``build_samples_text`` goes from CSV text to the rendered dataset on those
 columns and builds no sample; ``extract_sessions``, ``build_dataset`` and
-``render_dataset`` wrap the same helpers.
+``render_dataset`` use the same helpers and block format.
 
 ``PacketRecord`` and ``FinetuneSample`` are immutable named tuples.  Each
 one's ``__new__`` is its only range, flag and pairing check, so each distinct
 packet is validated once, when its record is built.  Each packet is
 written once per window it appears in, so a dataset repeats most blocks many
-times.  Within one call, ``render_dataset`` renders each distinct packet's
-block once, and ``parse_dataset`` converts each distinct block text once:
+times.  ``render_dataset`` renders every block where it writes it;
+within one call, ``parse_dataset`` converts each distinct block text once:
 identical blocks return one shared ``PacketRecord``.  Text in
 ``render_dataset``'s exact layout is cut into documents and field columns
 with string methods; any other text (other line breaks, extra or missing
@@ -259,15 +259,6 @@ def _corrupted(keys: Sequence, rng: np.random.Generator) -> list:
     return values
 
 
-def perturb_field(packet: PacketRecord, fld: str, rng: np.random.Generator) -> PacketRecord:
-    """Corrupt one field, guaranteed to differ from the original value."""
-    if fld not in KEY_FIELDS:
-        raise ConfigError(f"unknown packet field {fld!r}")
-    values = list(packet)
-    values[_KEY0 + KEY_FIELDS.index(fld)] = _perturbed(fld, getattr(packet, fld), rng)
-    return PacketRecord(*values)
-
-
 _Pair = NamedTuple("_Pair", [("context", tuple), ("prompt", PacketRecord),
                              ("chosen", PacketRecord), ("rejected", PacketRecord)])
 
@@ -319,19 +310,12 @@ def _pair_text(context: list, prompt: str, chosen: str, rejected: str) -> str:
 
 
 def render_dataset(samples: Sequence[FinetuneSample]) -> str:
-    """Each sample as its chosen document, a blank line and its rejected one.
-
-    Every distinct packet object is rendered once; a rejected packet is a
-    fresh corruption, so its block is rendered where it is written.
-    """
+    """Each sample as its chosen document, a blank line and its rejected one."""
     if not samples:
         raise ConfigError("cannot render an empty sample list")
-    # packets holds every packet until the call returns, so no id is reused.
-    packets = {id(p): p for s in samples for p in (*s.context, s.prompt, s.chosen)}
-    blocks = {key: _BLOCK.format(*p[_KEY0:]) for key, p in packets.items()}
     return "\n".join(
-        _pair_text([blocks[id(p)] for p in s.context], blocks[id(s.prompt)],
-                   blocks[id(s.chosen)], _BLOCK.format(*s.rejected[_KEY0:]))
+        _pair_text([_BLOCK.format(*p[_KEY0:]) for p in s.context],
+                   *(_BLOCK.format(*p[_KEY0:]) for p in (s.prompt, s.chosen, s.rejected)))
         for s in samples
     )
 

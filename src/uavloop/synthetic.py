@@ -63,7 +63,6 @@ def synth_packet_log(
     n_packets: int = 400,
     seed: int = 0,
     n_flows: int = 3,
-    start_time: float = 1000.0,
 ) -> str:
     """CSV text of interleaved TCP-ish flows with occasional FIN boundaries."""
     if n_packets < 1:
@@ -84,7 +83,7 @@ def synth_packet_log(
             }
         )
     lines = ["timestamp,src,dst,sport,dport,flags,seq,ack,length"]
-    clock = start_time
+    clock = 1000.0
     for i in range(n_packets):
         clock += float(rng.uniform(0.001, 0.05))
         f = flows[int(rng.integers(0, n_flows))]

@@ -406,10 +406,14 @@ class TestInputReaders:
 
 class TestPacketset:
     def test_build_produces_parseable_pairs(self, tmp_path):
-        out = tmp_path / "o"
-        assert run("packetset", "build", "--records", "100", "--out", str(out)) == 0
-        samples = ps.parse_dataset((out / "samples.txt").read_text())
-        assert len(samples) > 50
+        pairs = {}
+        for records in (100, 400):
+            out = tmp_path / str(records)
+            assert run("packetset", "build", "--records", str(records), "--out", str(out)) == 0
+            pairs[records] = len(ps.parse_dataset((out / "samples.txt").read_text()))
+        want = ps.build_samples_text(synth_packet_log(n_packets=100, seed=0))
+        assert pairs[100] == len(ps.parse_dataset(want))
+        assert 0 < pairs[100] < pairs[400]
 
     def test_build_from_file_records_input_digest(self, tmp_path):
         log = tmp_path / "packets.csv"
@@ -438,7 +442,7 @@ class TestPacketset:
             for name in ("samples.txt", "run_manifest.json")
         }
         assert digests == {
-            "samples.txt": "0106b81796e8674559c90a57e7a40264938a355063178b9b014150d21381b81c",
+            "samples.txt": "6560c9cc974f8525e392188fbc2f33427d09c85ccdfaa34dac0bcc24726d93df",
             "run_manifest.json":
                 "a80c1dd4c91aae6f063e175740c77acb8b7d0e5418f3f4f36aee447e8c5a6e7b",
         }
@@ -679,6 +683,20 @@ class TestExitMessages:
         capsys.readouterr()
         assert run("ingest", "--seed", "x", "--out", str(tmp_path / "o")) == 3
         assert capsys.readouterr().err == "error: bad value for seed: 'x' is not int\n"
+
+    def test_removed_threshold_source(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("experiment", "nth", *TINY_TRAIN, "--threshold-source", "pooled",
+                   "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == "error: unknown threshold source 'pooled'\n"
+        assert not (tmp_path / "o" / "labeled.csv").exists()
+
+    def test_empty_variance_targets(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("experiment", "variance-sweep", "--variance-targets=,",
+                   "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == "error: variance_targets list is empty\n"
+        assert not (tmp_path / "o" / "sweep.csv").exists()
 
     def test_zero_batch_size(self, tmp_path, capsys):
         capsys.readouterr()

@@ -241,16 +241,6 @@ class TestDetect:
                         anomaly_ratio=5.0, threshold_source="train")
         assert result.threshold == 94.0
 
-    def test_pooled_concatenates(self):
-        data = self.eval_data()
-        train_losses = np.full(90, 0.5)
-        pooled = detect(SquareScorer(), data, train_losses, anomaly_ratio=20.0,
-                        threshold_source="pooled")
-        expected = percentile_threshold(
-            np.concatenate([train_losses, SquareScorer().losses(data)]), 20.0
-        )
-        assert pooled.threshold == expected
-
     def test_unknown_source(self):
         with pytest.raises(ConfigError):
             detect(SquareScorer(), self.eval_data(), threshold_source="magic")
@@ -258,10 +248,9 @@ class TestDetect:
     def test_non_finite_train_losses_rejected(self):
         for bad in (np.nan, np.inf):
             train_losses = np.append(np.ones(9), bad)
-            for source in ("train", "pooled"):
-                with pytest.raises(NumericError):
-                    detect(SquareScorer(), self.eval_data(), train_losses,
-                           threshold_source=source)
+            with pytest.raises(NumericError):
+                detect(SquareScorer(), self.eval_data(), train_losses,
+                       threshold_source="train")
 
     def test_labels_give_metrics(self):
         labels = np.zeros(10, dtype=bool)

@@ -13,7 +13,6 @@ from uavloop.inject import (
     load_labeled_csv,
     save_labeled_csv,
     serialize_labeled_csv,
-    variance_sweep,
 )
 from uavloop.synthetic import synth_mission
 from uavloop.telemetry import DEFAULT_FEATURES
@@ -139,23 +138,6 @@ class TestVariance:
             inject_variance(make_series(10), "gyro_rad_0", 0.0, 1)
         with pytest.raises(ConfigError):
             inject_variance(make_series(10), "gyro_rad_0", 0.0, 0)
-
-    def test_sweep_runs_evaluator_per_target(self):
-        series = make_series(20, feature_values=np.linspace(0, 1, 20))
-        seen = []
-
-        def evaluator(labeled):
-            value = labeled.series.column("gyro_rad_0")[4]
-            seen.append(value)
-            return value
-
-        rows = variance_sweep(series, "gyro_rad_0", [-1.0, 2.0], 5, evaluator)
-        assert [t for t, _ in rows] == [-1.0, 2.0]
-        assert seen == [-1.0, 2.0]
-
-    def test_sweep_rejects_empty_targets(self):
-        with pytest.raises(ConfigError):
-            variance_sweep(make_series(10), "gyro_rad_0", [], 5, lambda lb: None)
 
 
 class TestPoisson:

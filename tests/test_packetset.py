@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from support import (
     reference_build_dataset,
     reference_build_text,
+    reference_make_pair,
     reference_parse_dataset,
     reference_parse_packet_csv,
-    reference_perturb_field,
     reference_score_fields,
     reference_sessions,
 )
@@ -29,7 +29,6 @@ from uavloop.packetset import (
     make_pair,
     parse_dataset,
     parse_packet_csv,
-    perturb_field,
     render_dataset,
     score_fields,
 )
@@ -266,41 +265,50 @@ class TestWindows:
 
 
 class TestPerturbation:
+    """make_pair's corruption of the next packet, its one corruption path."""
+
+    @staticmethod
+    def rejected(base, rng):
+        return make_pair((base,), base, base, rng).rejected
+
     def test_sport_offset_frozen(self):
-        out = perturb_field(pkt(), "sport", np.random.default_rng(0))
-        assert out.sport == (8080 + 851) % 65536
+        out = self.rejected(pkt(), np.random.default_rng(11))
+        assert diff_fields(pkt(), out) == ("sport",)
+        assert out.sport == 8080 + 129
 
     def test_seq_offset_frozen(self):
-        out = perturb_field(pkt(), "seq", np.random.default_rng(3))
-        assert out.seq == 1000 + 811505
+        out = self.rejected(pkt(), np.random.default_rng(12))
+        assert diff_fields(pkt(), out) == ("seq",)
+        assert out.seq == (1000 - 250825) % 2**32
 
     def test_flags_single_letter_toggle_frozen(self):
-        out = perturb_field(pkt(flags="PA"), "flags", np.random.default_rng(2))
-        assert out.flags == "PAE"
-
-    def test_unknown_field(self):
-        with pytest.raises(ConfigError):
-            perturb_field(pkt(), "timestamp", np.random.default_rng(0))
+        out = self.rejected(pkt(flags="PA"), np.random.default_rng(1))
+        assert diff_fields(pkt(flags="PA"), out) == ("flags",)
+        assert out.flags == "P"
 
     def test_changes_exactly_one_field_and_stays_valid(self):
         rng = np.random.default_rng(7)
         base = pkt(flags="PA")
-        for trial in range(300):
-            fld = KEY_FIELDS[trial % len(KEY_FIELDS)]
-            out = perturb_field(base, fld, rng)
-            assert diff_fields(base, out) == (fld,)
+        seen = set()
+        for _ in range(300):
+            out = self.rejected(base, rng)
+            (fld,) = diff_fields(base, out)
+            seen.add(fld)
             assert 0 <= out.sport <= 65535 and 0 <= out.dport <= 65535
             assert 0 <= out.seq < 2**32 and 0 <= out.ack < 2**32
             assert 0 <= out.length <= 1500
             assert out.flags == canonical_flags(out.flags)
             assert out.timestamp == base.timestamp
             assert out.src == base.src and out.dst == base.dst
+        assert seen == set(KEY_FIELDS)
 
     def test_flag_toggle_differs_by_one_letter(self):
         rng = np.random.default_rng(11)
         base = pkt(flags="SA")
-        for _ in range(100):
-            out = perturb_field(base, "flags", rng)
+        toggles = [out for out in (self.rejected(base, rng) for _ in range(600))
+                   if diff_fields(base, out) == ("flags",)]
+        assert len(toggles) >= 50
+        for out in toggles:
             assert len(set(base.flags) ^ set(out.flags)) == 1
 
 
@@ -329,12 +337,12 @@ class TestPairs:
 
     def test_sample_validation(self):
         context, prompt, next_packet = self.one_window()
-        one_off = perturb_field(next_packet, "length", np.random.default_rng(0))
+        one_off = next_packet._replace(length=next_packet.length + 1)
         with pytest.raises(ConfigError):
             FinetuneSample(context=(), prompt=prompt, chosen=next_packet, rejected=one_off)
         with pytest.raises(ConfigError):
             FinetuneSample(context, prompt, chosen=next_packet, rejected=next_packet)
-        two_off = perturb_field(one_off, "sport", np.random.default_rng(0))
+        two_off = one_off._replace(sport=one_off.sport + 1)
         with pytest.raises(ConfigError):
             FinetuneSample(context, prompt, chosen=next_packet, rejected=two_off)
 
@@ -800,18 +808,20 @@ class TestBuildMatchesReference:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
-        fld=st.sampled_from(KEY_FIELDS),
         flags=st.sampled_from(FLAGS),
         seed=st.integers(0, 2**32 - 1),
         values=st.tuples(st.integers(0, 2**16 - 1), st.integers(0, 2**32 - 1),
                          st.integers(0, 1500)),
     )
-    def test_perturb_field(self, fld, flags, seed, values):
+    def test_perturb_field(self, flags, seed, values):
+        """make_pair corrupts the next packet as the old per-field perturbation did."""
         port, number, length = values
         packet = pkt(sport=port, dport=65535 - port, flags=flags, seq=number,
                      ack=2**32 - 1 - number, length=length)
-        got = perturb_field(packet, fld, np.random.default_rng(seed))
-        assert got == reference_perturb_field(packet, fld, np.random.default_rng(seed))
+        context, prompt = (pkt(seq=1),), pkt(seq=2)
+        got = make_pair(context, prompt, packet, np.random.default_rng(seed))
+        want = reference_make_pair(context, prompt, packet, np.random.default_rng(seed))
+        assert got == want
 
 
 class TestRecordContract:
