@@ -13,9 +13,10 @@ train_mse is the size-weighted mean of its batch losses, as Keras reports it.
 ``Predictor._forward`` is the one forward body, for an SGD batch in
 ``loss_and_grad`` and for each row block of ``Predictor.blocks``, the one
 loop of every full-set pass (``predict_batch``, ``loss`` and
-``detect.record_losses``).  Blocks equal one pass over the whole set bit for
-bit, but ``loss`` sums each block's squared errors as it goes, so on more
-than one block its last bit can differ from ``np.mean`` over the whole set.
+``detect.record_losses``), whose blocks are ``telemetry.row_blocks``.
+Blocks equal one pass over the whole set bit for bit, but ``loss`` sums each
+block's squared errors as it goes, so on more than one block its last bit
+can differ from ``np.mean`` over the whole set.
 """
 
 from __future__ import annotations
@@ -26,30 +27,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, NumericError
+from .telemetry import BLOCK_ROWS as _BLOCK_ROWS
 from .telemetry import NormStats, WindowedDataset, read_text, write_text
+from .telemetry import row_blocks as _row_blocks
 
 CHECKPOINT_MAGIC = "uavloop-predictor-v1"
-
-# Rows per block of a full-set forward pass.  gemm computes an output row
-# the same way whatever the row count, so blocks of two or more rows give
-# the bits of one pass over the whole set (tests/test_forecast.py holds it).
-_BLOCK_ROWS = 4096
-
-
-def _row_blocks(n: int):
-    """Slices of at most _BLOCK_ROWS + 1 rows that cover range(n) in order.
-
-    A block holds a single row only when n is 1: numpy hands a 1-row matmul
-    to gemv, whose sums can differ in the last bit from gemm's, so a 1-row
-    tail joins the block before it.
-    """
-    start = 0
-    while start < n:
-        stop = min(start + _BLOCK_ROWS, n)
-        if n - stop == 1:
-            stop = n
-        yield slice(start, stop)
-        start = stop
 
 
 @dataclass(frozen=True)

@@ -227,5 +227,7 @@ def load_labeled_csv(csv_path) -> LabeledSeries:
     meta_path = f"{csv_path}.meta.json"
     if os.path.exists(meta_path):
         meta = telemetry.read_parsed(meta_path, InjectionMeta.from_json)
-    values = telemetry.load_table(csv_path, LABELED_COLUMNS, _LABELED_INT_COLUMNS, _LABELED_RULES)
-    return LabeledSeries(TelemetrySeries(values[:, :-1]), values[:, -1] == 1, meta)
+    values, labels = telemetry.load_table(
+        csv_path, LABELED_COLUMNS, _LABELED_INT_COLUMNS, _LABELED_RULES, split=-1
+    )
+    return LabeledSeries(TelemetrySeries(values), labels[:, 0] == 1, meta)

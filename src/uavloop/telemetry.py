@@ -13,14 +13,17 @@ goes to a line reader, which alone reports errors, with the first bad line.
 Each format passes in its row rules, such as a positive sensor step dt or a
 0/1 label.  ``load_table`` reads a numeric CSV file the same way, so a file
 in the exact layout is never held whole: a load costs its matrix and a few
-chunk-sized buffers.  ``read_text`` reads every other input file.
+chunk-sized buffers.  Asked to split the columns, it copies each chunk into
+two matrices instead, so a labeled CSV costs its series and its label
+column, never the whole table.  ``read_text`` reads every other input file.
 
 A sensor log's columns follow PX4 gyro/accelerometer exports (``COLUMNS``);
 in memory a mission is an ``(N, 11)`` float64 matrix whose NaN cells may sit
 only in the six sensor-axis columns.  The rest of the module imputes,
 normalizes, splits and windows it.  Windows are read-only strided views
 over one private copy of the feature matrix, so a dataset of W windows
-costs the matrix's memory, not W * seq_len rows.
+costs the matrix's memory, not W * seq_len rows.  ``row_blocks`` cuts every
+full-set pass over rows or windows into blocks of ``BLOCK_ROWS``.
 """
 
 from __future__ import annotations
@@ -90,6 +93,27 @@ _PLAIN_BYTES = (_NUMBER_CHARS + ",\n").encode()
 _LF = ord("\n")
 # Bytes a numeric CSV file is read in; each chunk runs on to the end of its last line.
 _CHUNK_BYTES = 1 << 20
+
+# Rows per block of a full-set pass.  gemm computes an output row the same
+# way whatever the row count, so blocks of two or more rows give the bits of
+# one pass over the whole set (tests/test_forecast.py holds it).
+BLOCK_ROWS = 4096
+
+
+def row_blocks(n: int):
+    """Slices of at most BLOCK_ROWS + 1 rows that cover range(n) in order.
+
+    A block holds a single row only when n is 1: numpy hands a 1-row matmul
+    to gemv, whose sums can differ in the last bit from gemm's, so a 1-row
+    tail joins the block before it.
+    """
+    start = 0
+    while start < n:
+        stop = min(start + BLOCK_ROWS, n)
+        if n - stop == 1:
+            stop = n
+        yield slice(start, stop)
+        start = stop
 
 
 def column_index(name: str) -> int:
@@ -214,24 +238,28 @@ def read_parsed(path, parse):
 
 
 def load_table(
-    path, columns: tuple[str, ...], int_columns: frozenset[str], rules=()
-) -> np.ndarray:
+    path, columns: tuple[str, ...], int_columns: frozenset[str], rules=(), split=None
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """``parse_table`` of a numeric CSV file; path prefixes a ParseError.
 
     A file in ``format_table``'s layout is read in chunks and never held
-    whole; any other file is read whole for the line reader.
+    whole; any other file is read whole for the line reader.  With ``split``,
+    a column index, the result is the pair ``(table[:, :split],
+    table[:, split:])``, which a file in the layout fills as two read-only
+    C-ordered matrices, so the whole table is never built.
     """
     try:
         try:
             with open(path, "rb") as fh:
-                values = _read_exact(fh, columns, int_columns, rules)
+                tables = _read_exact(fh, columns, int_columns, rules, split)
         except OSError as exc:
             raise InputError(f"cannot read input file {path}: {exc.strerror}") from None
-        if values is None:
+        if tables is None:
             values = _read_lines(_read_bytes(path), columns, int_columns, rules)
-        return values
+            tables = (values,) if split is None else (values[:, :split], values[:, split:])
     except ParseError as exc:
         raise exc.in_file(path) from None
+    return tables[0] if split is None else tables
 
 
 def format_table(columns: tuple[str, ...], cells, int_columns: frozenset[str]) -> str:
@@ -270,38 +298,45 @@ def parse_table(
     lines, spaces, a padded header), and any fault, goes to the line reader
     ``_read_lines``, which alone raises errors.
     """
-    values = _read_exact(io.BytesIO(data), columns, int_columns, rules)
-    return _read_lines(data, columns, int_columns, rules) if values is None else values
+    tables = _read_exact(io.BytesIO(data), columns, int_columns, rules)
+    return _read_lines(data, columns, int_columns, rules) if tables is None else tables[0]
 
 
 def _chunks(fh):
     """The rest of binary file fh in pieces of about _CHUNK_BYTES, each cut at a line end."""
     while chunk := fh.read(_CHUNK_BYTES):
-        yield chunk if chunk.endswith(b"\n") else chunk + fh.readline()
+        if not chunk.endswith(b"\n"):
+            chunk += fh.readline()  # rebound, so the piece read is freed before the yield
+        yield chunk
 
 
 def _read_exact(
-    fh, columns: tuple[str, ...], int_columns: frozenset[str], rules
-) -> np.ndarray | None:
+    fh, columns: tuple[str, ...], int_columns: frozenset[str], rules, split=None
+) -> tuple | None:
     """``parse_table`` of binary file fh in ``format_table``'s layout, else None.
 
-    A first pass counts the rows.  A second pass reads each chunk with
-    numpy's C reader, checks its rows, and copies them into one matrix, so
-    no buffer but that matrix grows with the file.
+    The result is a tuple of one matrix or, with ``split``, of two: the
+    columns before and from that index.  A first pass counts the rows.  A
+    second pass reads each chunk with numpy's C reader, checks its rows on
+    every column, and copies them into the matrices, so no buffer but those
+    grows with the file.
     """
     if fh.readline().replace(b"\r\n", b"\n") != (",".join(columns) + "\n").encode():
         return None
     body = fh.tell()
-    rows = 0
-    for chunk in _chunks(fh):
-        # numpy counts line breaks about three times as fast as bytes.count.
-        # Only the last chunk can end without one.
-        rows += np.count_nonzero(np.frombuffer(chunk, np.uint8) == _LF)
-        rows += not chunk.endswith(b"\n")
+    # numpy counts line breaks about three times as fast as bytes.count.
+    # Only the last chunk can end without one.  In a generator expression
+    # the last chunk is not left bound through the second pass.
+    rows = sum(
+        np.count_nonzero(np.frombuffer(chunk, np.uint8) == _LF) + (not chunk.endswith(b"\n"))
+        for chunk in _chunks(fh)
+    )
     if not rows:
         return None
     fh.seek(body)
-    values = np.empty((rows, len(columns)))
+    cuts = (0, len(columns)) if split is None else (0, split % len(columns), len(columns))
+    parts = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    tables = tuple(np.empty((rows, part.stop - part.start)) for part in parts)
     whole = [j for j, name in enumerate(columns) if name in int_columns]
     ruled = [(columns.index(name), bad) for name, bad, _ in rules]
     done = 0
@@ -324,17 +359,21 @@ def _read_exact(
             or len(cells) > rows - done
             or np.isinf(cells).any()
             or (cells[1:, 0] <= cells[:-1, 0]).any()
-            or (done and cells[0, 0] <= values[done - 1, 0])
+            or (done and cells[0, 0] <= tables[0][done - 1, 0])
             or any((np.trunc(cells[:, j]) != cells[:, j]).any() for j in whole)
             or any(bad(cells[:, j]).any() for j, bad in ruled)
         ):
             return None
-        values[done : done + len(cells)] = cells
+        for table, part in zip(tables, parts):
+            table[done : done + len(cells)] = cells[:, part]
         done += len(cells)
+        # Freed before _chunks reads the next chunk beside its own copy.
+        del chunk, cells
     if done != rows:  # a blank line, or the file changed between the passes
         return None
-    values.setflags(write=False)
-    return values
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def _fill_blanks(chunk: bytes) -> bytes:

@@ -27,7 +27,7 @@ from .detect import RATIO_NAMES, DetectionResult, Metrics, detect, pointwise_los
 from .detect import evaluate, percentile_threshold  # noqa: F401
 from .errors import ConfigError, DimensionError
 from .inject import LabeledSeries
-from .telemetry import TelemetrySeries, format_table, window_matrix
+from .telemetry import TelemetrySeries, format_table, row_blocks, window_matrix
 
 TIER_NAMES = ("onboard", "edge", "cloud")
 
@@ -115,14 +115,21 @@ class PersistenceDetector:
     """Scores each record by its mean squared jump from the previous record.
 
     Needs no training, so it suits latency experiments where the scorer
-    itself should not vary.  The first record of a stream scores 0.
+    itself should not vary.  The first record of a stream scores 0.  The
+    jumps are taken one row block at a time into the one (N,) output, so
+    scoring holds the output and a block's temporaries, never an (N, D)
+    difference; each record's loss has the same bits as in one pass.
     """
 
     def losses(self, matrix: np.ndarray) -> np.ndarray:
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] < 1:
             raise DimensionError(f"expected a non-empty (N, D) matrix, got shape {m.shape}")
-        return np.concatenate([[0.0], pointwise_loss(m[1:], m[:-1])])
+        out = np.zeros(m.shape[0])
+        jumps = out[1:]
+        for rows in row_blocks(jumps.size):
+            jumps[rows] = pointwise_loss(m[1:][rows], m[:-1][rows])
+        return out
 
 
 class PredictorDetector:

@@ -2,12 +2,14 @@
 
 ``reference_parse_table`` is the line-by-line numeric CSV parser that
 ``uavloop.telemetry.parse_table`` replaced; the differential tests hold the
-package's reader to it.  ``reference_forward``, ``reference_loss`` and
-``reference_record_losses`` are the one-pass forms of the blocked full-set
-passes, which must match them bit for bit.  ``reference_loss_and_grad`` is the
-allocating form of the in-place SGD step, and ``reference_train`` the training
-loop on it that also records every batch loss; ``forecast.train`` must match
-its parameters and validation losses bit for bit.  ``reference_parse_dataset`` is the
+package's reader to it.  ``reference_forward``, ``reference_loss``,
+``reference_record_losses`` and ``reference_persistence_losses`` are the
+one-pass forms of the blocked full-set passes and of the blocked
+``tiersim.PersistenceDetector``, which must match them bit for bit.
+``reference_loss_and_grad`` is the allocating form of the in-place SGD step,
+and ``reference_train`` the training loop on it that also records every batch
+loss; ``forecast.train`` must match its parameters and validation losses bit
+for bit.  ``reference_parse_dataset`` is the
 line-by-line packet dataset reader that ``uavloop.packetset.parse_dataset``
 replaced; it must return equal samples, or raise the same ``ParseError``
 message and line.  ``reference_parse_packet_csv`` is the column-wise packet
@@ -31,6 +33,7 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
+from uavloop.detect import pointwise_loss
 from uavloop.errors import ConfigError, OrderingError, ParseError
 from uavloop.packetset import (
     FLAG_ALPHABET,
@@ -137,6 +140,12 @@ def reference_record_losses(predictor, dataset) -> np.ndarray:
     np.add.at(counts, rows.ravel(), 1.0)
     covered = counts > 0
     return sums[covered] / counts[covered]
+
+
+def reference_persistence_losses(matrix) -> np.ndarray:
+    """Each record's mean squared jump from the previous record, in one pass; the first is 0."""
+    m = np.asarray(matrix, dtype=np.float64)
+    return np.concatenate([[0.0], pointwise_loss(m[1:], m[:-1])])
 
 
 def reference_loss_and_grad(predictor, windows, targets, params):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uavloop import telemetry
 from uavloop.errors import ConfigError, ImputationError, ParseError
 from uavloop.inject import (
     InjectionMeta,
@@ -221,6 +222,41 @@ class TestLabeledCsv:
             cells[row][col] = fixed
         path.write_bytes((eol.join(map(",".join, cells)) + eol).encode())
         assert len(load_labeled_csv(path).series) == 4
+
+    def test_both_load_paths_read_a_multi_chunk_file_alike(self, tmp_path, monkeypatch):
+        labeled = inject_every_nth(synth_mission(12000, seed=4), 5)
+        exact, padded = tmp_path / "exact.csv", tmp_path / "padded.csv"
+        save_labeled_csv(labeled, exact)
+        assert exact.stat().st_size > 1.5 * telemetry._CHUNK_BYTES
+        lines = exact.read_text().splitlines()
+        # Spaces after each comma are outside format_table's layout.
+        padded.write_text("\r\n".join([lines[0], *(line.replace(",", ", ") for line in lines[1:])]))
+        ran, read_lines = [], telemetry._read_lines
+        monkeypatch.setattr(telemetry, "_read_lines", lambda *a: ran.append(1) or read_lines(*a))
+        from_exact = load_labeled_csv(exact)
+        assert not ran
+        from_lines = load_labeled_csv(padded)
+        assert ran
+        want = labeled.series.values.tobytes()
+        assert from_exact.series.values.tobytes() == from_lines.series.values.tobytes() == want
+        assert np.array_equal(from_exact.labels, labeled.labels)
+        assert np.array_equal(from_lines.labels, labeled.labels)
+
+    def test_exact_file_keeps_the_loaders_matrix(self, tmp_path, monkeypatch):
+        path = tmp_path / "labeled.csv"
+        save_labeled_csv(inject_every_nth(synth_mission(60, seed=2), 7), path)
+        results = []
+        read_exact = telemetry._read_exact
+
+        def spy(*args):
+            results.append(read_exact(*args))
+            return results[-1]
+
+        monkeypatch.setattr(telemetry, "_read_exact", spy)
+        loaded = load_labeled_csv(path)
+        values, labels = results[0]
+        assert loaded.series.values is values
+        assert values.shape == (60, len(telemetry.COLUMNS)) and labels.shape == (60, 1)
 
     def test_meta_json_round_trip(self):
         meta = InjectionMeta("random", {"fraction": 0.05, "selection": "fixed-count"}, 7)

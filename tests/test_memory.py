@@ -6,11 +6,14 @@ array and one (W, horizon) record-index array, and the blank fill of
 ``parse_table`` three body-sized buffers.  A numeric CSV file load that
 decodes the file and copies its body holds the file two to four times over,
 and one that holds the file's bytes holds them once; a load in chunks holds
-its matrices and a few chunk-sized buffers.  A step that builds a new
-series matrix hands the series that copy, frozen, so it is never copied again.
-A packet dataset built on columns holds its output about twice (the rendered
-pairs and their join) and no sample or rejected record per pair.  A
-detection experiment frees the mission and its splits before it writes.
+its matrices and a few chunk-sized buffers; a labeled CSV's matrices are its
+series and its label column, never the whole table.  The stream path's
+persistence scorer holds its output and one row block's temporaries.  A step
+that builds a new series matrix hands the series that copy, frozen, so it is
+never copied again.  A packet dataset built on columns holds its output about
+twice (the rendered pairs and their join) and no sample or rejected record per
+pair.  A detection experiment frees the mission and its splits before it
+writes.
 """
 
 import gc
@@ -41,6 +44,7 @@ from uavloop.telemetry import (
     save_sensor_csv,
     serialize_sensor_csv,
 )
+from uavloop.tiersim import LatencyModel, PersistenceDetector, Tier, run_batch_experiment
 
 from support import reference_loss
 
@@ -116,8 +120,8 @@ class TestLoadPeakMemory:
         labeled = inject_every_nth(synth_mission(n_records=20000, seed=3), 5)
         path = tmp_path / "labeled.csv"
         save_labeled_csv(labeled, path)
-        matrix = len(labeled.series) * (len(COLUMNS) + 1) * 8
-        bound = path.stat().st_size + 2 * matrix
+        labels = len(labeled.series) * 8
+        bound = path.stat().st_size + labeled.series.values.nbytes + labels
         assert traced_peak(load_labeled_csv, path) < bound
 
 
@@ -144,12 +148,12 @@ class TestChunkedLoadPeak:
         save_sensor_csv(series, path)
         assert traced_peak(load_sensor_csv, path) < series.values.nbytes + CHUNK_SLACK
 
-    def test_load_labeled_csv_holds_the_table_and_the_series(self, tmp_path, records):
+    def test_load_labeled_csv_holds_the_series_and_the_labels(self, tmp_path, records):
         labeled = inject_every_nth(synth_mission(n_records=records, seed=3), 5)
         path = tmp_path / "labeled.csv"
         save_labeled_csv(labeled, path)
-        # The (N, 12) table and the (N, 11) series copied out of it.
-        matrices = records * (2 * len(COLUMNS) + 1) * 8
+        # The (N, 11) series and the (N,) label column the chunks are copied into.
+        matrices = records * (len(COLUMNS) + 1) * 8
         assert traced_peak(load_labeled_csv, path) < matrices + CHUNK_SLACK
 
     def test_blank_cells_in_bytes_hold_one_matrix(self, records):
@@ -157,6 +161,35 @@ class TestChunkedLoadPeak:
         data = serialize_sensor_csv(series).encode()
         peak = traced_peak(parse_table, data, COLUMNS, INT_COLUMNS)
         assert peak < series.values.nbytes + CHUNK_SLACK
+
+
+STREAM_TIER = Tier("edge", compute_factor=1.0)
+STREAM_COSTS = LatencyModel(a=0.0, b=0.001, c=0.0)
+
+
+class TestStreamPeak:
+    """The stream path scores in row blocks; a full-size (N, D) jump breaks each bound."""
+
+    def test_persistence_losses_hold_the_output_and_one_block(self):
+        matrix = np.random.default_rng(5).normal(size=(50000, 6))
+        output = len(matrix) * 8
+        # A block's jumps, their squares and their row means.
+        block = 3 * (telemetry.BLOCK_ROWS + 1) * matrix.shape[1] * 8
+        assert traced_peak(PersistenceDetector().losses, matrix) < output + block
+
+    def test_batch_experiment_on_a_loaded_labeled_csv(self, tmp_path):
+        records = 80000
+        path = tmp_path / "labeled.csv"
+        save_labeled_csv(inject_every_nth(synth_mission(n_records=records, seed=3), 5), path)
+
+        def sweep():
+            labeled = load_labeled_csv(path)
+            run_batch_experiment(labeled, [4, 8], STREAM_TIER, STREAM_COSTS, PersistenceDetector())
+
+        # The series, its (N, 6) features and three loss vectors (the losses,
+        # their sorted copy, the flags and labels), plus one chunk.
+        bound = records * (len(COLUMNS) + 6 + 3) * 8 + telemetry._CHUNK_BYTES
+        assert traced_peak(sweep) < bound
 
 
 class TestWorkingCopyPeak:

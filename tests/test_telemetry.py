@@ -833,3 +833,34 @@ class TestSeriesValidation:
         feats = series.features()
         feats[0, 0] = 99.0
         assert series.features()[0, 0] != 99.0
+
+    @pytest.mark.parametrize("shape", [(3,), (3, len(COLUMNS) - 1), (2, 3, len(COLUMNS))])
+    def test_matrix_shape_checked(self, shape):
+        with pytest.raises(DimensionError) as err:
+            TelemetrySeries(np.zeros(shape))
+        assert str(err.value) == (
+            f"expected an (N, {len(COLUMNS)}) value matrix, got shape {shape}"
+        )
+
+    def test_missing_timestamp_rejected(self):
+        values = np.array(make_series(3).values)
+        values[1, 0] = np.nan
+        with pytest.raises(ParseError) as err:
+            TelemetrySeries(values)
+        assert str(err.value) == "timestamp cells may not be missing"
+
+    def test_timestamps_must_increase(self):
+        values = np.array(make_series(4).values)
+        values[2, 0] = values[1, 0]
+        with pytest.raises(OrderingError) as err:
+            TelemetrySeries(values)
+        assert str(err.value) == (
+            "timestamp 216000 at record 2 is not greater than predecessor 216000"
+        )
+
+
+def test_read_text_names_an_unreadable_file(tmp_path):
+    path = tmp_path / "missing.txt"
+    with pytest.raises(InputError) as err:
+        telemetry.read_text(path)
+    assert str(err.value) == f"cannot read input file {path}: No such file or directory"

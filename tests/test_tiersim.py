@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from support import reference_persistence_losses
 from test_telemetry import make_series
 
 from uavloop.config import RunConfig
@@ -115,6 +116,13 @@ class TestDetectors:
         det = PersistenceDetector()
         losses = det.losses(np.array([[0.0, 0.0], [1.0, 3.0]]))
         assert losses.tolist() == [0.0, 5.0]
+
+    @pytest.mark.parametrize("n", [1, 2, 4096, 4097, 4098, 8193])
+    def test_persistence_blocks_match_one_pass(self, n):
+        # 4097 jumps leave a 1-row tail for the block before it; 8192 fill two blocks.
+        matrix = np.random.default_rng(n).normal(size=(n, 6)) * [1e-3, 1.0, 7.0, 1e3, 0.5, 3.0]
+        got = PersistenceDetector().losses(matrix)
+        assert got.tobytes() == reference_persistence_losses(matrix).tobytes()
 
     def test_persistence_validation(self):
         with pytest.raises(DimensionError):
