@@ -132,11 +132,22 @@ def _finish(out_dir: str, config: RunConfig, command: str, inputs: dict, outputs
 
 
 def _out_dir(config: RunConfig) -> str:
+    """Make --out, and remove the manifest an earlier run left there.
+
+    The manifest is written last, so a run that fails leaves none.
+    """
     path = config["out"]
     try:
         os.makedirs(path, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"--out {path!r} is not a directory") from exc
+    manifest = os.path.join(path, "run_manifest.json")
+    try:
+        os.remove(manifest)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise PipelineError(f"cannot remove {manifest}: {exc.strerror}") from None
     return path
 
 
@@ -320,13 +331,14 @@ def cmd_packetset_build(args, config: RunConfig, out: str) -> tuple:
         seed=config["seed"],
         idle_timeout_s=config["session_timeout_s"],
     )
+    # Parse errors and a capture without a window raise here, before any block.
     if path:
-        text = tel.read_parsed(path, build)
+        blocks = tel.read_parsed(path, build)
         inputs = {"data": path}
     else:
-        text = build(syn.synth_packet_log(n_packets=config["records"], seed=config["seed"]))
+        blocks = build(syn.synth_packet_log(n_packets=config["records"], seed=config["seed"]))
         inputs = {}
-    tel.write_text(os.path.join(out, "samples.txt"), text)
+    tel.write_text(os.path.join(out, "samples.txt"), blocks)
     return "packetset build", inputs, ["samples.txt"]
 
 

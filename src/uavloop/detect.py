@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
-from .telemetry import WindowedDataset, format_table
+from .telemetry import WindowedDataset, table_blocks
 
 # anomaly_ratio is read at micro-percent resolution so the nearest-rank index
 # can be computed in exact integer arithmetic; ceil(0.8 * 4000) = 3201 in
@@ -263,11 +263,14 @@ def metrics_json(result: DetectionResult) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def records_csv(result: DetectionResult) -> str:
-    """Per-record dump: index, loss, predicted, truth (truth blank if unknown)."""
+def records_csv(result: DetectionResult):
+    """Per-record dump: index, loss, predicted, truth (truth blank if unknown).
+
+    The text comes in ``table_blocks``' row blocks.
+    """
     n = result.losses.size
     truth = np.full(n, np.nan) if result.truth is None else result.truth
-    return format_table(
+    return table_blocks(
         ("index", "loss", "predicted", "truth"),
         (np.arange(n), result.losses, result.predicted, truth),
         frozenset(("index", "predicted", "truth")),

@@ -210,9 +210,10 @@ def inject_poisson(
     return _labeled(series, pos[pos < n], spec, "poisson", params, seed=seed)
 
 
-def serialize_labeled_csv(labeled: LabeledSeries) -> str:
+def serialize_labeled_csv(labeled: LabeledSeries):
+    """The labeled CSV's text, in ``telemetry.table_blocks``' row blocks."""
     cells = [*labeled.series.values.T, labeled.labels]
-    return telemetry.format_table(LABELED_COLUMNS, cells, _LABELED_INT_COLUMNS)
+    return telemetry.table_blocks(LABELED_COLUMNS, cells, _LABELED_INT_COLUMNS)
 
 
 def save_labeled_csv(labeled: LabeledSeries, csv_path) -> None:

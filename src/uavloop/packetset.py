@@ -15,6 +15,10 @@ sort of the rows by flow and timestamp, then index arithmetic.
 ``build_samples_text`` goes from CSV text to the rendered dataset on those
 columns and builds no sample; ``extract_sessions``, ``build_dataset`` and
 ``render_dataset`` use the same helpers and block format.
+``build_samples_text`` parses, sessionizes and raises every error first, then
+returns the text as an iterator of blocks of ``_PAIRS_PER_BLOCK`` pairs, which
+``telemetry.write_text`` writes one at a time, so the dataset is never held
+as one string.
 
 ``PacketRecord`` and ``FinetuneSample`` are immutable named tuples.  Each
 one's ``__new__`` is its only range, flag and pairing check, so each distinct
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
 from operator import add, itemgetter, ne
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -356,13 +360,19 @@ def _parse_rendered(text: str) -> list[FinetuneSample] | None:
         return None
     docs[0] = docs[0][len(start) :]
     docs[-1] = docs[-1][:-1]
-    # Every block's key: each pair's context in turn, then all prompts, chosen and
-    # rejected blocks; sizes[k] is the context length of pair k.
+    # The result is made before the intermediates, so the memory they free
+    # stays in one piece for the caller's next large allocation.
+    samples: list = [None] * (len(docs) // 2)
+    # Each pair's context blocks in turn; sizes[k] is the context length of
+    # pair k.  seen holds one string per distinct block text, which every
+    # list shares.
     order: list[str] = []
     sizes: list[int] = []
     prompts: list[str] = []
     chosens: list[str] = []
     rejecteds: list[str] = []
+    seen: dict[str, str] = {}
+    block = seen.setdefault
     for chosen, rejected in zip(docs[::2], docs[1::2]):
         prefix, sep, predicted = chosen.rpartition(_PREDICTED_BLOCK)
         r_prefix, r_sep, r_predicted = rejected.rpartition(_PREDICTED_BLOCK)
@@ -370,48 +380,53 @@ def _parse_rendered(text: str) -> list[FinetuneSample] | None:
         if not (sep and r_sep and p_sep and r_prefix == prefix):
             return None
         context = context.split(_NEXT_BLOCK)
-        order += context
+        order += map(block, context, context)
         sizes.append(len(context))
-        prompts.append(prompt)
-        chosens.append(predicted)
-        rejecteds.append(r_predicted)
-    order += prompts
-    order += chosens
-    order += rejecteds
-    keys = list(dict.fromkeys(order))
+        prompts.append(block(prompt, prompt))
+        chosens.append(block(predicted, predicted))
+        rejecteds.append(block(r_predicted, r_predicted))
+    del docs
+    keys = list(seen)
+    del seen, block
     if set(map(str.count, keys, repeat("\n"))) != {len(KEY_FIELDS) - 1}:
         return None
+    # Each intermediate is dropped once the next exists: the documents, the
+    # block lines once cut into field columns, each field's raw values once
+    # converted.
     lines = "\n".join(keys).split("\n")
+    fields = ["\n".join(lines[j :: len(KEY_FIELDS)]) for j in range(len(KEY_FIELDS))]
+    del lines
     columns = []
     as_int = lru_cache(maxsize=None)(int)
-    for j, name in enumerate(KEY_FIELDS):
+    for name, column in zip(KEY_FIELDS, fields):
         head = f"{name}:"
-        column = "\n".join(lines[j :: len(KEY_FIELDS)])
         if not column.startswith(head) or column.count("\n" + head) != len(keys) - 1:
             return None
         raws = column[len(head) :].split("\n" + head)
-        if name == "flags":
-            # PacketRecord rejects any letter outside FLAG_ALPHABET.
-            columns.append(raws)
-            continue
-        digits = "".join(raws)
-        if not (digits.isascii() and digits.isdigit()):
-            return None
-        columns.append(map(as_int, raws))
+        # PacketRecord rejects any flag letter outside FLAG_ALPHABET.
+        if name != "flags":
+            digits = "".join(raws)
+            if not (digits.isascii() and digits.isdigit()):
+                return None
+            # An empty value passes the digit test, and int("") raises.
+            try:
+                raws = list(map(as_int, raws))
+            except ValueError:
+                return None
+        columns.append(raws)
     try:
         records = map(PacketRecord, repeat(0.0), repeat(""), repeat(""), *columns)
         packet = dict(zip(keys, records)).__getitem__
         contexts = map(packet, order)
-        return list(
-            map(
-                FinetuneSample,
-                [tuple(islice(contexts, n)) for n in sizes],
-                map(packet, prompts),
-                map(packet, chosens),
-                map(packet, rejecteds),
-            )
+        samples[:] = map(
+            FinetuneSample,
+            [tuple(islice(contexts, n)) for n in sizes],
+            map(packet, prompts),
+            map(packet, chosens),
+            map(packet, rejecteds),
         )
-    except (ValueError, PipelineError):
+        return samples
+    except PipelineError:
         return None
 
 
@@ -532,30 +547,42 @@ def build_dataset(
     return [make_pair(ranked[p - context : p], ranked[p], ranked[p + 1], rng) for p in prompts]
 
 
+# Pairs per block of build_samples_text's output.
+_PAIRS_PER_BLOCK = 512
+
+
 def build_samples_text(
     text: str,
     context: int = 3,
     seed: int = 0,
     idle_timeout_s: float = SESSION_IDLE_TIMEOUT_S,
-) -> str:
-    """render_dataset(build_dataset(parse_packet_csv(text), ...)), run on columns.
+) -> Iterator[str]:
+    """render_dataset(build_dataset(parse_packet_csv(text), ...)), run on columns, in blocks.
 
-    The same text and the same errors, but no sample and no rejected record
-    is built.  A capture with no window raises SizingError.
+    The blocks, each of _PAIRS_PER_BLOCK pairs but the last, join to the
+    same text, and the same errors are raised before this returns, but no
+    sample and no rejected record is built.  A capture with no window raises
+    SizingError.
     """
     _check_settings(idle_timeout_s, context)
     columns = _columns(parse_packet_csv(text))
     order, prompts = _windows(columns, context, idle_timeout_s)
     if not prompts:
         raise SizingError(f"no session holds more than context + 1 = {context + 1} packets")
-    keys = columns[_KEY0:]
+    return _pair_blocks(columns[_KEY0:], order, prompts, context, seed)
+
+
+def _pair_blocks(keys: list, order: list, prompts: list, context: int, seed: int):
     ranked = [_BLOCK.format(*[column[i] for column in keys]) for i in order]
     rng = np.random.default_rng(seed)
-    pairs = []
-    for p in prompts:
-        rejected = _BLOCK.format(*_corrupted([column[order[p + 1]] for column in keys], rng))
-        pairs.append(_pair_text(ranked[p - context : p], ranked[p], ranked[p + 1], rejected))
-    return "\n".join(pairs)
+    sep = ""
+    for start in range(0, len(prompts), _PAIRS_PER_BLOCK):
+        pairs = []
+        for p in prompts[start : start + _PAIRS_PER_BLOCK]:
+            rejected = _BLOCK.format(*_corrupted([column[order[p + 1]] for column in keys], rng))
+            pairs.append(_pair_text(ranked[p - context : p], ranked[p], ranked[p + 1], rejected))
+        yield sep + "\n".join(pairs)
+        sep = "\n"
 
 
 _HISTOGRAM_BUCKETS = ("0", "1", "2", "3", "4+")

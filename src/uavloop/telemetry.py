@@ -1,9 +1,11 @@
 """Sensor telemetry and the package's one numeric CSV format.
 
-Every numeric CSV uavloop reads or writes goes through ``format_table`` and
+Every numeric CSV uavloop reads or writes goes through ``table_blocks`` and
 ``parse_table``: a header of column names, integer columns as integers,
 other values by ``repr`` (the shortest text that parses back to the same
 float), and a blank cell, the only non-finite value, for a missing one.
+``table_blocks`` renders one row block at a time; ``format_table`` joins
+its blocks for the small tables that are wanted as one string.
 ``parse_table`` has two paths.  Text in ``format_table``'s layout, with LF
 or CRLF line ends, is read in line-aligned chunks of about 1 MiB by numpy's
 C reader, which uses ``float``'s own string-to-double routine, and each
@@ -17,6 +19,12 @@ chunk-sized buffers.  Asked to split the columns, it copies each chunk into
 two matrices instead, so a labeled CSV costs its series and its label
 column, never the whole table.  ``read_text`` reads every other input file.
 
+``write_text`` writes every artifact: a string, or an iterable of string
+blocks such as ``table_blocks`` yields, so a large artifact is never held
+whole.  It writes to a temporary file beside the target and moves it into
+place with ``os.replace``, so a file is either complete or left as it was,
+and a failed write leaves no temporary file behind.
+
 A sensor log's columns follow PX4 gyro/accelerometer exports (``COLUMNS``);
 in memory a mission is an ``(N, 11)`` float64 matrix whose NaN cells may sit
 only in the six sensor-axis columns.  The rest of the module imputes,
@@ -28,8 +36,10 @@ full-set pass over rows or windows into blocks of ``BLOCK_ROWS``.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +52,7 @@ from .errors import (
     NumericError,
     OrderingError,
     ParseError,
+    PipelineError,
     SizingError,
 )
 
@@ -221,10 +232,26 @@ def read_text(path) -> str:
     return _read_bytes(path).decode()
 
 
-def write_text(path, text: str) -> None:
-    """Write text as UTF-8, its line ends as given on every platform."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def write_text(path, text) -> None:
+    """Write text, a string or an iterable of string blocks, to path as UTF-8.
+
+    Line ends are written as given on every platform.  The blocks go to a
+    temporary file beside path, which replaces path only once the last block
+    is written, so path is never left holding part of the text.  On any
+    failure the temporary file is removed; an OSError becomes a
+    PipelineError naming path.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise PipelineError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise
 
 
 def read_parsed(path, parse):
@@ -262,22 +289,32 @@ def load_table(
     return tables[0] if split is None else tables
 
 
-def format_table(columns: tuple[str, ...], cells, int_columns: frozenset[str]) -> str:
-    """Numeric CSV text from one value sequence per column, built column-wise.
+def table_blocks(columns: tuple[str, ...], cells, int_columns: frozenset[str]):
+    """Numeric CSV text from one value sequence per column, in ``row_blocks``' blocks.
 
-    ``int_columns`` cells are written as integers and every other cell by
-    ``repr``, so ``parse_table`` reads back the same floats; NaN is a blank.
+    The first block is the header.  ``int_columns`` cells are written as
+    integers and every other cell by ``repr``, so ``parse_table`` reads back
+    the same floats; NaN is a blank.  Each block converts only its own rows.
     """
-    rendered = []
-    for name, column in zip(columns, cells, strict=True):
-        values = np.asarray(column, dtype=np.float64).tolist()
-        if name in int_columns:
-            rendered.append(["" if v != v else str(int(v)) for v in values])
-        else:
-            rendered.append(["" if v != v else repr(v) for v in values])
-    lines = [",".join(columns)]
-    lines.extend(map(",".join, zip(*rendered, strict=True)))
-    return "\n".join(lines) + "\n"
+    cells = list(cells)
+    if len(cells) != len(columns) or len(set(map(len, cells))) > 1:
+        raise ValueError(f"expected {len(columns)} columns of one length")
+    integral = [name in int_columns for name in columns]
+    yield ",".join(columns) + "\n"
+    for rows in row_blocks(len(cells[0])):
+        rendered = []
+        for column, whole in zip(cells, integral):
+            values = np.asarray(column[rows], dtype=np.float64).tolist()
+            if whole:
+                rendered.append(["" if v != v else str(int(v)) for v in values])
+            else:
+                rendered.append(["" if v != v else repr(v) for v in values])
+        yield "\n".join(map(",".join, zip(*rendered))) + "\n"
+
+
+def format_table(columns: tuple[str, ...], cells, int_columns: frozenset[str]) -> str:
+    """The text of ``table_blocks``, as one string."""
+    return "".join(table_blocks(columns, cells, int_columns))
 
 
 def parse_table(

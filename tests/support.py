@@ -2,7 +2,9 @@
 
 ``reference_parse_table`` is the line-by-line numeric CSV parser that
 ``uavloop.telemetry.parse_table`` replaced; the differential tests hold the
-package's reader to it.  ``reference_forward``, ``reference_loss``,
+package's reader to it.  ``reference_format_table`` is the one-string CSV
+writer that ``uavloop.telemetry.table_blocks`` replaced; the blocks must join
+to its bytes.  ``reference_forward``, ``reference_loss``,
 ``reference_record_losses`` and ``reference_persistence_losses`` are the
 one-pass forms of the blocked full-set passes and of the blocked
 ``tiersim.PersistenceDetector``, which must match them bit for bit.
@@ -108,6 +110,20 @@ def reference_parse_table(
     if not rows:
         return np.empty((0, n_cols)), locs
     return np.array(rows, dtype=np.float64), locs
+
+
+def reference_format_table(columns: tuple[str, ...], cells, int_columns: frozenset[str]) -> str:
+    """Numeric CSV text from one value sequence per column, built whole, column-wise."""
+    rendered = []
+    for name, column in zip(columns, cells, strict=True):
+        values = np.asarray(column, dtype=np.float64).tolist()
+        if name in int_columns:
+            rendered.append(["" if v != v else str(int(v)) for v in values])
+        else:
+            rendered.append(["" if v != v else repr(v) for v in values])
+    lines = [",".join(columns)]
+    lines.extend(map(",".join, zip(*rendered, strict=True)))
+    return "\n".join(lines) + "\n"
 
 
 def reference_forward(predictor, windows, params=None) -> np.ndarray:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 from uavloop import forecast as fc
 from uavloop import packetset as ps
 from uavloop.cli import main
+from uavloop.errors import NumericError
 from uavloop.synthetic import synth_packet_log
 from uavloop.telemetry import HEADER, fit_normalize, load_sensor_csv
 
@@ -411,7 +413,7 @@ class TestPacketset:
             out = tmp_path / str(records)
             assert run("packetset", "build", "--records", str(records), "--out", str(out)) == 0
             pairs[records] = len(ps.parse_dataset((out / "samples.txt").read_text()))
-        want = ps.build_samples_text(synth_packet_log(n_packets=100, seed=0))
+        want = "".join(ps.build_samples_text(synth_packet_log(n_packets=100, seed=0)))
         assert pairs[100] == len(ps.parse_dataset(want))
         assert 0 < pairs[100] < pairs[400]
 
@@ -446,6 +448,43 @@ class TestPacketset:
             "run_manifest.json":
                 "a80c1dd4c91aae6f063e175740c77acb8b7d0e5418f3f4f36aee447e8c5a6e7b",
         }
+
+
+class TestWriteFailure:
+    """A write that fails partway leaves no partial file and no manifest, and exits 4."""
+
+    @pytest.mark.parametrize("fault", [
+        OSError(errno.ENOSPC, "No space left on device"),
+        NumericError("block 2 is not finite"),
+    ], ids=["os-error", "pipeline-error"])
+    def test_failed_build_leaves_no_artifact(self, tmp_path, capsys, monkeypatch, fault):
+        out = tmp_path / "o"
+        assert run("ingest", "--records", "50", "--out", str(out)) == 0
+        build = ps.build_samples_text
+
+        def failing(*args, **kwargs):
+            blocks = build(*args, **kwargs)
+            yield next(blocks)
+            raise fault
+
+        monkeypatch.setattr(ps, "build_samples_text", failing)
+        capsys.readouterr()
+        assert run("packetset", "build", "--records", "400", "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        if isinstance(fault, OSError):
+            assert err == f"error: cannot write {out / 'samples.txt'}: No space left on device\n"
+        else:
+            assert err == "error: block 2 is not finite\n"
+        # The earlier run's output stays; its manifest, which no longer describes out, does not.
+        assert os.listdir(out) == ["clean.csv"]
+
+    def test_manifest_that_cannot_be_removed(self, tmp_path, capsys):
+        stale = tmp_path / "o" / "run_manifest.json"
+        stale.mkdir(parents=True)
+        capsys.readouterr()
+        assert run("ingest", "--records", "50", "--out", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == f"error: cannot remove {stale}: Is a directory\n"
+        assert os.listdir(tmp_path / "o") == ["run_manifest.json"]
 
 
 class TestSimulateAndSweeps:
@@ -727,7 +766,7 @@ class TestExitMessages:
         assert capsys.readouterr().err == (
             f"error: {data}: no session holds more than context + 1 = 4 packets\n"
         )
-        assert not (tmp_path / "o" / "samples.txt").exists()
+        assert os.listdir(tmp_path / "o") == []
 
     def test_packet_build_settings_before_parse(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"

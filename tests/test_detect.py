@@ -302,7 +302,7 @@ class TestSerialization:
         assert payload["threshold"] == result.threshold
 
     def test_records_csv_layout(self):
-        lines = records_csv(self.result()).splitlines()
+        lines = "".join(records_csv(self.result())).splitlines()
         assert lines[0] == "index,loss,predicted,truth"
         assert lines[1] == "0,1.0,0,0"
         # record 4 (value 9) scores 81
@@ -311,5 +311,5 @@ class TestSerialization:
     def test_records_csv_blank_truth_when_unlabeled(self):
         result = detect(SquareScorer(), TestDetect.eval_data(), anomaly_ratio=20.0,
                         threshold_source="eval")
-        lines = records_csv(result).splitlines()
+        lines = "".join(records_csv(result)).splitlines()
         assert lines[1].endswith(",")

@@ -186,12 +186,12 @@ class TestLabeledCsv:
 
     def test_header_carries_label_column(self):
         labeled = inject_every_nth(make_series(4), 2)
-        header = serialize_labeled_csv(labeled).splitlines()[0]
+        header = "".join(serialize_labeled_csv(labeled)).splitlines()[0]
         assert header.endswith(",label")
 
     def test_label_cells_must_be_binary(self, tmp_path):
         labeled = inject_every_nth(make_series(4), 2)
-        text = serialize_labeled_csv(labeled).replace("\n", "\n", 1)
+        text = "".join(serialize_labeled_csv(labeled)).replace("\n", "\n", 1)
         lines = text.splitlines()
         lines[1] = lines[1][: lines[1].rfind(",")] + ",2"
         path = tmp_path / "labeled.csv"
@@ -202,7 +202,7 @@ class TestLabeledCsv:
     @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["exact", "crlf"])
     def test_row_rules_keep_their_order(self, tmp_path, eol):
         """The first rule failing on any row wins: the dt rules, clipping, then label."""
-        lines = serialize_labeled_csv(inject_every_nth(make_series(4), 2)).splitlines()
+        lines = "".join(serialize_labeled_csv(inject_every_nth(make_series(4), 2))).splitlines()
         cells = [line.split(",") for line in lines]
         cells[1][-1] = "2"
         cells[2][-2] = "-1"

@@ -10,10 +10,11 @@ its matrices and a few chunk-sized buffers; a labeled CSV's matrices are its
 series and its label column, never the whole table.  The stream path's
 persistence scorer holds its output and one row block's temporaries.  A step
 that builds a new series matrix hands the series that copy, frozen, so it is
-never copied again.  A packet dataset built on columns holds its output about
-twice (the rendered pairs and their join) and no sample or rejected record per
-pair.  A detection experiment frees the mission and its splits before it
-writes.
+never copied again.  A packet dataset built on columns and written in blocks
+holds less than its output, and no sample or rejected record per pair; read
+back, it holds under two and a half times its text.  A labeled CSV written in
+row blocks holds one block's cells, whatever its row count.  A detection
+experiment frees the mission and its splits before it writes.
 """
 
 import gc
@@ -29,7 +30,7 @@ from uavloop.cli import main
 from uavloop.detect import record_losses
 from uavloop.forecast import PredictorConfig, init_predictor
 from uavloop.inject import inject_every_nth, load_labeled_csv, save_labeled_csv
-from uavloop.packetset import build_samples_text
+from uavloop.packetset import build_samples_text, parse_dataset
 from uavloop.synthetic import synth_mission, synth_packet_log
 from uavloop.telemetry import (
     COLUMNS,
@@ -43,6 +44,7 @@ from uavloop.telemetry import (
     parse_table,
     save_sensor_csv,
     serialize_sensor_csv,
+    write_text,
 )
 from uavloop.tiersim import LatencyModel, PersistenceDetector, Tier, run_batch_experiment
 
@@ -133,20 +135,29 @@ def blank_mission(n_records):
     return TelemetrySeries(values)
 
 
-# What a chunked load holds beside its matrices, whatever the file's size: a
-# chunk, its blank-filled copies, and numpy's reading of it.
-CHUNK_SLACK = 5 * telemetry._CHUNK_BYTES
+# The chunk size of TestChunkedLoadPeak's loads.  What a chunked load holds
+# beside its matrices, whatever the file's size (a chunk, its blank-filled
+# copies, and numpy's reading of it), is then well below one 20,000-record
+# matrix, so a second matrix shows at either size.
+CHUNK_BYTES = 1 << 16
+CHUNK_SLACK = 5 * CHUNK_BYTES
 
 
 @pytest.mark.parametrize("records", [20000, 80000])
 class TestChunkedLoadPeak:
     """A load's peak is its result matrices plus a constant that does not grow with the file."""
 
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "_CHUNK_BYTES", CHUNK_BYTES)
+
     def test_load_sensor_csv_holds_one_matrix(self, tmp_path, records):
         series = blank_mission(records)
         path = tmp_path / "mission.csv"
         save_sensor_csv(series, path)
-        assert traced_peak(load_sensor_csv, path) < series.values.nbytes + CHUNK_SLACK
+        # TelemetrySeries checks the order on the (N,) timestamp steps and an (N,) mask.
+        checks = records * (8 + 1)
+        assert traced_peak(load_sensor_csv, path) < series.values.nbytes + checks + CHUNK_SLACK
 
     def test_load_labeled_csv_holds_the_series_and_the_labels(self, tmp_path, records):
         labeled = inject_every_nth(synth_mission(n_records=records, seed=3), 5)
@@ -154,7 +165,8 @@ class TestChunkedLoadPeak:
         save_labeled_csv(labeled, path)
         # The (N, 11) series and the (N,) label column the chunks are copied into.
         matrices = records * (len(COLUMNS) + 1) * 8
-        assert traced_peak(load_labeled_csv, path) < matrices + CHUNK_SLACK
+        checks = records * (8 + 1)
+        assert traced_peak(load_labeled_csv, path) < matrices + checks + CHUNK_SLACK
 
     def test_blank_cells_in_bytes_hold_one_matrix(self, records):
         series = blank_mission(records)
@@ -213,11 +225,28 @@ class TestWorkingCopyPeak:
 
 
 class TestPacketBuildPeak:
-    def test_csv_text_to_samples_text(self):
-        text = synth_packet_log(n_packets=20000, seed=3, n_flows=8)
-        output = len(build_samples_text(text))
-        # 2.8 times the output here; the record path (parse, build, render) takes 3.2.
-        assert traced_peak(build_samples_text, text) < 3 * output
+    def test_csv_text_to_samples_text(self, tmp_path):
+        path = tmp_path / "samples.txt"
+        for packets in (20000, 80000):
+            text = synth_packet_log(n_packets=packets, seed=3, n_flows=8)
+            peak = traced_peak(lambda: write_text(path, build_samples_text(text)))
+            # 0.7 times the output; built whole and then written, 2.8 times.
+            assert peak < path.stat().st_size
+
+    def test_parse_dataset(self):
+        text = "".join(build_samples_text(synth_packet_log(n_packets=20000, seed=3, n_flows=8)))
+        # 1.6 times the text; holding the documents and the block lines together, 4.7.
+        assert traced_peak(parse_dataset, text) < 2.5 * len(text)
+
+
+class TestWritePeak:
+    def test_labeled_csv_holds_one_row_block(self, tmp_path):
+        peaks = {}
+        for records in (20000, 80000):
+            labeled = inject_every_nth(synth_mission(n_records=records, seed=3), 5)
+            peaks[records] = traced_peak(save_labeled_csv, labeled, tmp_path / "labeled.csv")
+        # Rendered whole, the peak grows with the rows: 27 MB, then 110 MB.
+        assert peaks[80000] < 1.1 * peaks[20000]
 
 
 class TestRecipeLifetimes:

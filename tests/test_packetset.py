@@ -769,8 +769,28 @@ def assert_build_matches_reference(text, context, seed, idle):
             build_samples_text(text, context, seed, idle)
         return
     want = reference_build_text(text, context, seed, idle)
-    assert build_samples_text(text, context, seed, idle) == want
+    assert "".join(build_samples_text(text, context, seed, idle)) == want
     assert render_dataset(samples) == want
+
+
+def one_session_log(packets):
+    """A capture of one session: ACK packets of one flow, a second apart."""
+    rows = [f"{float(i)!r},10.0.0.1,10.0.0.2,40000,80,A,{i},{i},64" for i in range(packets)]
+    return "\n".join([PACKET_HEADER, *rows]) + "\n"
+
+
+class TestBuildBlocks:
+    @pytest.mark.parametrize("pairs", [1, 511, 512, 513, 1025])
+    def test_blocks_join_to_the_rendered_dataset(self, pairs):
+        assert packetset._PAIRS_PER_BLOCK == 512
+        # A session of m packets holds m - context - 1 windows.
+        text = one_session_log(pairs + 3 + 1)
+        want = render_dataset(build_dataset(parse_packet_csv(text), context=3, seed=7))
+        blocks = list(build_samples_text(text, context=3, seed=7))
+        assert "".join(blocks) == want
+        # Every block but the last holds 512 pairs, of two documents each.
+        sizes = [block.count("#Context\n") // 2 for block in blocks]
+        assert sizes == [512] * (pairs // 512) + [pairs % 512] * bool(pairs % 512)
 
 
 class TestBuildMatchesReference:

@@ -31,13 +31,15 @@ from uavloop.telemetry import (
     impute_missing,
     load_sensor_csv,
     parse_table,
+    row_blocks,
     serialize_sensor_csv,
     split,
+    table_blocks,
     window,
     window_matrix,
 )
 
-from support import reference_parse_table
+from support import reference_format_table, reference_parse_table
 
 
 def make_series(n, feature_values=None, start=212000, cadence=4000):
@@ -199,6 +201,25 @@ class TestTableCodec:
     def test_ragged_columns_rejected(self):
         with pytest.raises(ValueError):
             format_table(("a", "b"), ([1.0, 2.0], [1.0]), frozenset())
+
+    @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+    def test_blocks_join_to_the_one_string_form(self, rows):
+        assert telemetry.BLOCK_ROWS == 4096
+        rng = np.random.default_rng(rows)
+        loss = rng.normal(size=rows)
+        loss[::7] = np.nan
+        truth = (rng.random(rows) < 0.5).astype(float)
+        truth[::11] = np.nan
+        columns, ints = ("index", "loss", "truth"), frozenset(("index", "truth"))
+        cells = (range(rows), loss, truth)
+        want = reference_format_table(columns, cells, ints)
+        blocks = list(table_blocks(columns, cells, ints))
+        assert "".join(blocks) == want
+        assert format_table(columns, cells, ints) == want
+        # The header, then one block per row block.
+        assert blocks[0] == "index,loss,truth\n"
+        sizes = [block.count("\n") for block in blocks[1:]]
+        assert sizes == [b.stop - b.start for b in row_blocks(rows)]
 
 
 
