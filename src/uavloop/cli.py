@@ -21,6 +21,8 @@ import os
 import sys
 from functools import partial
 
+import numpy as np
+
 from . import forecast as fc
 from . import inject as inj
 from . import packetset as ps
@@ -173,6 +175,7 @@ def _load_or_synth(config: RunConfig) -> tuple[tel.TelemetrySeries, dict]:
 
 
 def _inject_series(series: tel.TelemetrySeries, config: RunConfig, scheme: str) -> inj.LabeledSeries:
+    """``scheme``, an argparse choice or a subcommand's name, is one of the four below."""
     spec = config.perturb_spec()
     if scheme == "nth":
         return inj.inject_every_nth(series, config["n"], spec)
@@ -182,9 +185,7 @@ def _inject_series(series: tel.TelemetrySeries, config: RunConfig, scheme: str) 
         )
     if scheme == "variance":
         return inj.inject_variance(series, config["feature"], config["set_value"], config["n"])
-    if scheme == "poisson":
-        return inj.inject_poisson(series, config["poisson_lambda"], spec, seed=config["seed"])
-    raise ConfigError(f"unknown injection scheme {scheme!r}")
+    return inj.inject_poisson(series, config["poisson_lambda"], spec, seed=config["seed"])
 
 
 def _norm_stats(config: RunConfig, full: tel.TelemetrySeries, train: tel.TelemetrySeries):
@@ -225,20 +226,22 @@ _LOSS_COLUMNS = ("index", "loss")
 _INDEX_COLUMNS = frozenset(("index", "epoch"))
 
 
-def _history_csv(predictor) -> str:
+def _history_csv(predictor):
     train = [stat.train_mse for stat in predictor.history]
     val = [math.nan if stat.val_mse is None else stat.val_mse for stat in predictor.history]
     cells = (range(1, len(train) + 1), train, val)
-    return tel.format_table(("epoch", "train_mse", "val_mse"), cells, _INDEX_COLUMNS)
+    return tel.table_blocks(("epoch", "train_mse", "val_mse"), cells, _INDEX_COLUMNS)
 
 
-def _losses_csv(losses) -> str:
-    return tel.format_table(_LOSS_COLUMNS, (range(len(losses)), losses), _INDEX_COLUMNS)
+def _losses_csv(losses):
+    return tel.table_blocks(_LOSS_COLUMNS, (range(len(losses)), losses), _INDEX_COLUMNS)
 
 
 def _load_losses_csv(path: str):
+    # A blank loss is NaN, which detection would reject without naming the file.
+    rules = (("loss", np.isnan, "column loss must not be blank"),)
     try:
-        return tel.load_table(path, _LOSS_COLUMNS, _INDEX_COLUMNS)[:, 1]
+        return tel.load_table(path, _LOSS_COLUMNS, _INDEX_COLUMNS, rules)[:, 1]
     except ParseError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -382,7 +385,7 @@ def cmd_simulate(args, config: RunConfig, out: str) -> tuple:
         "metrics": None if stats.metrics is None else stats.metrics.as_dict(),
     }
     tel.write_text(os.path.join(out, "stats.json"), json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    tel.write_text(os.path.join(out, "report.jsonl"), "".join(r.to_json() + "\n" for r in reports))
+    tel.write_text(os.path.join(out, "report.jsonl"), (r.to_json() + "\n" for r in reports))
     return "simulate", inputs, ["stats.json", "report.jsonl"]
 
 
@@ -411,8 +414,8 @@ def cmd_experiment_variance_sweep(args, config: RunConfig, out: str) -> tuple:
         labeled = inj.inject_variance(parts.test, config["feature"], target, config["n"])
         metrics.append(_detect_labeled(config, predictor, labeled, train_losses).metrics)
     cells = [targets, *([getattr(m, name) for m in metrics] for name in RATIO_NAMES)]
-    text = tel.format_table(("target_value", *RATIO_NAMES), cells, frozenset())
-    tel.write_text(os.path.join(out, "sweep.csv"), text)
+    blocks = tel.table_blocks(("target_value", *RATIO_NAMES), cells, frozenset())
+    tel.write_text(os.path.join(out, "sweep.csv"), blocks)
     return "experiment variance-sweep", inputs, ["sweep.csv"]
 
 

@@ -72,8 +72,6 @@ def _coerce(key: str, raw) -> object:
     if key not in _SCHEMA:
         raise ConfigError(f"unknown config key {key!r}")
     kind = _SCHEMA[key][0]
-    if isinstance(raw, kind) and not (kind is int and isinstance(raw, bool)):
-        return raw
     text = str(raw).strip()
     try:
         if kind is int:

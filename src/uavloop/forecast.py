@@ -27,9 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, NumericError
-from .telemetry import BLOCK_ROWS as _BLOCK_ROWS
-from .telemetry import NormStats, WindowedDataset, read_text, write_text
-from .telemetry import row_blocks as _row_blocks
+from .telemetry import BLOCK_ROWS, NormStats, WindowedDataset, read_text, row_blocks, write_text
 
 CHECKPOINT_MAGIC = "uavloop-predictor-v1"
 
@@ -153,10 +151,10 @@ class Predictor:
         x, y = self._checked(windows, targets)
         # Buffers reused by every block: a fresh one per block is freed and
         # faulted in again whenever glibc trims the heap in between.
-        size = min(x.shape[0], _BLOCK_ROWS + 1)
+        size = min(x.shape[0], BLOCK_ROWS + 1)
         hidden = np.empty((size, self.config.fcn_dim))
         out = np.empty((size, self.n_out))
-        for rows in _row_blocks(x.shape[0]):
+        for rows in row_blocks(x.shape[0]):
             n = rows.stop - rows.start
             _, o = self._forward(
                 x[rows], params, None if y is None else y[rows], hidden[:n], out[:n]

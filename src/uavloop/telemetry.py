@@ -4,9 +4,9 @@ Every numeric CSV uavloop reads or writes goes through ``table_blocks`` and
 ``parse_table``: a header of column names, integer columns as integers,
 other values by ``repr`` (the shortest text that parses back to the same
 float), and a blank cell, the only non-finite value, for a missing one.
-``table_blocks`` renders one row block at a time; ``format_table`` joins
-its blocks for the small tables that are wanted as one string.
-``parse_table`` has two paths.  Text in ``format_table``'s layout, with LF
+``table_blocks`` renders one row block at a time, and every numeric CSV
+artifact is written from its blocks, so none is held whole as text.
+``parse_table`` has two paths.  Text in ``table_blocks``' layout, with LF
 or CRLF line ends, is read in line-aligned chunks of about 1 MiB by numpy's
 C reader, which uses ``float``'s own string-to-double routine, and each
 chunk's rows are checked and copied into one preallocated matrix.  Any other
@@ -269,7 +269,7 @@ def load_table(
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """``parse_table`` of a numeric CSV file; path prefixes a ParseError.
 
-    A file in ``format_table``'s layout is read in chunks and never held
+    A file in ``table_blocks``' layout is read in chunks and never held
     whole; any other file is read whole for the line reader.  With ``split``,
     a column index, the result is the pair ``(table[:, :split],
     table[:, split:])``, which a file in the layout fills as two read-only
@@ -312,11 +312,6 @@ def table_blocks(columns: tuple[str, ...], cells, int_columns: frozenset[str]):
         yield "\n".join(map(",".join, zip(*rendered))) + "\n"
 
 
-def format_table(columns: tuple[str, ...], cells, int_columns: frozenset[str]) -> str:
-    """The text of ``table_blocks``, as one string."""
-    return "".join(table_blocks(columns, cells, int_columns))
-
-
 def parse_table(
     data: bytes, columns: tuple[str, ...], int_columns: frozenset[str], rules=()
 ) -> np.ndarray:
@@ -330,7 +325,7 @@ def parse_table(
     ``message`` the first row where ``bad``, applied elementwise to the
     column's values, is true.
 
-    Text in ``format_table``'s layout, with LF or CRLF line ends, is read in
+    Text in ``table_blocks``' layout, with LF or CRLF line ends, is read in
     chunks by ``_read_exact``; any other text (other line breaks, blank
     lines, spaces, a padded header), and any fault, goes to the line reader
     ``_read_lines``, which alone raises errors.
@@ -350,7 +345,7 @@ def _chunks(fh):
 def _read_exact(
     fh, columns: tuple[str, ...], int_columns: frozenset[str], rules, split=None
 ) -> tuple | None:
-    """``parse_table`` of binary file fh in ``format_table``'s layout, else None.
+    """``parse_table`` of binary file fh in ``table_blocks``' layout, else None.
 
     The result is a tuple of one matrix or, with ``split``, of two: the
     columns before and from that index.  A first pass counts the rows.  A
@@ -519,8 +514,8 @@ SENSOR_RULES = (
 )
 
 
-def serialize_sensor_csv(series: TelemetrySeries) -> str:
-    return format_table(COLUMNS, series.values.T, INT_COLUMNS)
+def serialize_sensor_csv(series: TelemetrySeries):
+    return table_blocks(COLUMNS, series.values.T, INT_COLUMNS)
 
 
 def load_sensor_csv(path) -> TelemetrySeries:

@@ -27,7 +27,7 @@ from .detect import RATIO_NAMES, DetectionResult, Metrics, detect, pointwise_los
 from .detect import evaluate, percentile_threshold  # noqa: F401
 from .errors import ConfigError, DimensionError
 from .inject import LabeledSeries
-from .telemetry import TelemetrySeries, format_table, row_blocks, window_matrix
+from .telemetry import TelemetrySeries, row_blocks, table_blocks, window_matrix
 
 TIER_NAMES = ("onboard", "edge", "cloud")
 
@@ -303,10 +303,10 @@ def run_batch_experiment(
     return [_stream_stats(result, b, _batch_end_clock(n, b, tier, latency_model)) for b in sizes]
 
 
-def batch_experiment_csv(results) -> str:
-    """CSV rows for a batch sweep, one line per batch size; no metrics is blank."""
+def batch_experiment_csv(results):
+    """CSV blocks for a batch sweep, one line per batch size; no metrics is blank."""
     cells = [[s.batch_size for s in results], [s.elapsed_s for s in results]]
     for name in RATIO_NAMES:
         cells.append([math.nan if s.metrics is None else getattr(s.metrics, name) for s in results])
     columns = ("batch_size", "elapsed_s", *RATIO_NAMES)
-    return format_table(columns, cells, frozenset(("batch_size",)))
+    return table_blocks(columns, cells, frozenset(("batch_size",)))

@@ -12,7 +12,7 @@ from uavloop import packetset as ps
 from uavloop.cli import main
 from uavloop.errors import NumericError
 from uavloop.synthetic import synth_packet_log
-from uavloop.telemetry import HEADER, fit_normalize, load_sensor_csv
+from uavloop.telemetry import BLOCK_ROWS, HEADER, fit_normalize, load_sensor_csv
 
 TINY_TRAIN = ["--records", "600", "--seq-len", "8", "--fcn-dim", "8", "--epochs", "1"]
 
@@ -134,12 +134,13 @@ class TestIngest:
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("records=300\nseed=3\n")
+        cfg.write_text("records=300\nseed=3\nimpute_policy = linear\ntier = cloud\n")
         out = tmp_path / "o"
         assert run("ingest", "--config", str(cfg), "--records", "120", "--out", str(out)) == 0
         m = manifest(str(out))
         assert m["config"]["records"] == 120
         assert m["config"]["seed"] == 3
+        assert (m["config"]["impute_policy"], m["config"]["tier"]) == ("linear", "cloud")
 
     def test_ingest_from_file(self, tmp_path):
         first = tmp_path / "a"
@@ -626,7 +627,7 @@ def multiblock_runs(tmp_path_factory):
     12,289 windows each time.
     """
     root = tmp_path_factory.mktemp("multiblock")
-    assert fc._BLOCK_ROWS == 4096
+    assert BLOCK_ROWS == 4096
     assert run("train", "--records", "20492", *MULTIBLOCK, "--out", str(root / "train")) == 0
     assert run("experiment", "nth", "--records", "20492", *MULTIBLOCK,
                "--out", str(root / "nth")) == 0
@@ -717,6 +718,18 @@ class TestExitMessages:
         capsys.readouterr()
         assert run("ingest", "--config", str(config), "--out", str(tmp_path / "o")) == 3
         assert capsys.readouterr().err == f"error: {config}: {message}\n"
+
+    def test_blank_train_loss_names_the_file(self, trained, tmp_path, capsys):
+        losses = tmp_path / "losses.csv"
+        losses.write_text("index,loss\n0,0.5\n1,\n")
+        capsys.readouterr()
+        assert run("detect", "--model", str(trained / "recon" / "model.ckpt"),
+                   "--train-losses", str(losses),
+                   "--data", str(trained / "labeled" / "labeled.csv"),
+                   "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == (
+            f"error: {losses}: line 3: column loss must not be blank\n"
+        )
 
     def test_config_flag_error_unchanged(self, tmp_path, capsys):
         capsys.readouterr()

@@ -17,9 +17,10 @@ class TestValues:
         assert cfg["out"] == "out"
 
     def test_parse_overrides_and_comments(self):
-        cfg = RunConfig.parse("# experiment\n\nseed=7\n  epochs = 2\n")
+        cfg = RunConfig.parse("# experiment\n\nseed=7\n  epochs = 2\ntier = cloud\n")
         assert cfg["seed"] == 7
         assert cfg["epochs"] == 2
+        assert cfg["tier"] == "cloud"
         assert cfg["records"] == 20000
 
     def test_parse_rejects_bad_lines(self):
@@ -43,6 +44,7 @@ class TestValues:
         changed = base.override("anomaly_ratio", "12.5")
         assert changed["anomaly_ratio"] == 12.5
         assert base["anomaly_ratio"] == 20.0
+        assert base.override("impute_policy", " linear ")["impute_policy"] == "linear"
         with pytest.raises(ConfigError):
             base.override("volume", "11")
         with pytest.raises(ConfigError):

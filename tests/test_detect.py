@@ -16,15 +16,14 @@ from uavloop.detect import (
     records_csv,
 )
 from uavloop.errors import ConfigError, DimensionError, NumericError
-from uavloop.forecast import _BLOCK_ROWS, _row_blocks
-from uavloop.telemetry import window_matrix
+from uavloop.telemetry import BLOCK_ROWS, row_blocks, window_matrix
 
 
 class ZeroPredictor:
     """Stub that predicts zeros; record loss becomes the squared signal."""
 
     def blocks(self, windows, targets):
-        for rows in _row_blocks(len(windows)):
+        for rows in row_blocks(len(windows)):
             sq = np.square(np.asarray(targets[rows], dtype=np.float64))
             yield rows, sq.reshape(len(sq), -1)
 
@@ -212,10 +211,10 @@ class TestRecordLosses:
                     yield rows, sq
 
         predictor = CountingPredictor()
-        count = 2 * _BLOCK_ROWS + 1
+        count = 2 * BLOCK_ROWS + 1
         data = window_matrix(np.arange(count + 1, dtype=float), seq_len=2)
         losses = record_losses(predictor, data)
-        assert predictor.sizes == [_BLOCK_ROWS, _BLOCK_ROWS + 1]
+        assert predictor.sizes == [BLOCK_ROWS, BLOCK_ROWS + 1]
         assert losses.tolist() == [float(v * v) for v in range(count + 1)]
 
 

@@ -16,7 +16,7 @@ from uavloop.forecast import (
     save_predictor,
     train,
 )
-from uavloop.telemetry import NormStats, window_matrix
+from uavloop.telemetry import BLOCK_ROWS, NormStats, row_blocks, window_matrix
 
 from support import (
     ar1_series,
@@ -339,7 +339,7 @@ class TestEpochStats:
 
 
 # 2 * BLOCK + 1 leaves a 1-row tail, BLOCK - 1 fits in one block, 1 is a single row.
-BLOCK_WINDOW_COUNTS = (2 * fc._BLOCK_ROWS + 1, fc._BLOCK_ROWS - 1, 1)
+BLOCK_WINDOW_COUNTS = (2 * BLOCK_ROWS + 1, BLOCK_ROWS - 1, 1)
 
 
 def blocked_case(count, mode="reconstruction"):
@@ -391,9 +391,9 @@ class TestBlockedPassesMatchOnePass:
         assert report.per_horizon_mae == tuple(np.mean(np.abs(diff), axis=(0, 2)).tolist())
 
     def test_blocks_cover_rows_with_no_lone_tail(self):
-        block = fc._BLOCK_ROWS
+        block = BLOCK_ROWS
         for n in (0, 1, 2, block - 1, block, block + 1, block + 2, 3 * block + 1):
-            sizes = [s.stop - s.start for s in fc._row_blocks(n)]
+            sizes = [s.stop - s.start for s in row_blocks(n)]
             assert sum(sizes) == n
             assert all(size <= block + 1 for size in sizes)
             assert 1 not in sizes or n == 1

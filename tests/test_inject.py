@@ -229,7 +229,7 @@ class TestLabeledCsv:
         save_labeled_csv(labeled, exact)
         assert exact.stat().st_size > 1.5 * telemetry._CHUNK_BYTES
         lines = exact.read_text().splitlines()
-        # Spaces after each comma are outside format_table's layout.
+        # Spaces after each comma are outside table_blocks' layout.
         padded.write_text("\r\n".join([lines[0], *(line.replace(",", ", ") for line in lines[1:])]))
         ran, read_lines = [], telemetry._read_lines
         monkeypatch.setattr(telemetry, "_read_lines", lambda *a: ran.append(1) or read_lines(*a))

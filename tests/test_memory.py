@@ -12,9 +12,9 @@ persistence scorer holds its output and one row block's temporaries.  A step
 that builds a new series matrix hands the series that copy, frozen, so it is
 never copied again.  A packet dataset built on columns and written in blocks
 holds less than its output, and no sample or rejected record per pair; read
-back, it holds under two and a half times its text.  A labeled CSV written in
-row blocks holds one block's cells, whatever its row count.  A detection
-experiment frees the mission and its splits before it writes.
+back, it holds under two and a half times its text.  A labeled or sensor CSV
+written in row blocks holds one block's cells, whatever its row count.  A
+detection experiment frees the mission and its splits before it writes.
 """
 
 import gc
@@ -24,7 +24,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uavloop import forecast as fc
 from uavloop import inject, telemetry
 from uavloop.cli import main
 from uavloop.detect import record_losses
@@ -51,7 +50,7 @@ from uavloop.tiersim import LatencyModel, PersistenceDetector, Tier, run_batch_e
 from support import reference_loss
 
 # Three full blocks and a 1-row tail, so every block is a third of the set.
-WINDOWS = 3 * fc._BLOCK_ROWS + 1
+WINDOWS = 3 * telemetry.BLOCK_ROWS + 1
 SEQ_LEN, HORIZON = 4, 16
 
 
@@ -98,7 +97,7 @@ class TestPeakMemory:
         assert traced_peak(record_losses, predictor, data) < 5 / 3 * one
 
     def test_blank_fill_holds_two_body_buffers(self):
-        lines = serialize_sensor_csv(synth_mission(n_records=20000, seed=3)).splitlines()
+        lines = "".join(serialize_sensor_csv(synth_mission(n_records=20000, seed=3))).splitlines()
         for k in range(8, len(lines), 50):
             cells = lines[k].split(",")
             # Two adjacent blanks need both ",," passes.
@@ -170,7 +169,7 @@ class TestChunkedLoadPeak:
 
     def test_blank_cells_in_bytes_hold_one_matrix(self, records):
         series = blank_mission(records)
-        data = serialize_sensor_csv(series).encode()
+        data = "".join(serialize_sensor_csv(series)).encode()
         peak = traced_peak(parse_table, data, COLUMNS, INT_COLUMNS)
         assert peak < series.values.nbytes + CHUNK_SLACK
 
@@ -248,6 +247,14 @@ class TestWritePeak:
         # Rendered whole, the peak grows with the rows: 27 MB, then 110 MB.
         assert peaks[80000] < 1.1 * peaks[20000]
 
+    def test_sensor_csv_holds_one_row_block(self, tmp_path):
+        peaks = {}
+        for records in (20000, 80000):
+            series = synth_mission(n_records=records, seed=3)
+            peaks[records] = traced_peak(save_sensor_csv, series, tmp_path / "clean.csv")
+        # Joined into one string, the peak grows with the rows: 6.6 MB, then 23.7 MB.
+        assert peaks[80000] < 1.1 * peaks[20000]
+
 
 class TestRecipeLifetimes:
     def test_detection_experiment_writes_without_the_mission(self, tmp_path, monkeypatch):
@@ -270,7 +277,7 @@ class TestRecipeLifetimes:
 
 class TestBlockedLoss:
     def test_one_block_equals_whole_array_mean(self):
-        predictor, data = forecast_set(fc._BLOCK_ROWS - 1)
+        predictor, data = forecast_set(telemetry.BLOCK_ROWS - 1)
         want = reference_loss(predictor, data.inputs, data.targets)
         assert predictor.loss(data.inputs, data.targets) == want
 

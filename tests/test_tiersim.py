@@ -357,7 +357,7 @@ class TestBatchExperiment:
             data, [4, 8, 16], EDGE, TestStream.MODEL, PersistenceDetector(), 10.0
         )
         assert [s.batch_size for s in results] == [4, 8, 16]
-        text = batch_experiment_csv(results)
+        text = "".join(batch_experiment_csv(results))
         lines = text.splitlines()
         assert lines[0] == "batch_size,elapsed_s,accuracy,precision,recall,f_score"
         assert len(lines) == 4
@@ -370,7 +370,7 @@ class TestBatchExperiment:
         results = run_batch_experiment(
             stream_series([0.0] * 8), [2, 4], EDGE, TestStream.MODEL, PersistenceDetector()
         )
-        line = batch_experiment_csv(results).splitlines()[1]
+        line = "".join(batch_experiment_csv(results)).splitlines()[1]
         assert line.endswith(",,,,")
 
     def test_sweep_validation(self):
