@@ -32,7 +32,7 @@ from . import tiersim as ts
 from .config import RunConfig, schema_keys
 from .detect import detect as run_detect
 from .detect import RATIO_NAMES, metrics_json, record_losses, records_csv
-from .errors import ConfigError, DimensionError, InputError, ParseError, PipelineError
+from .errors import ConfigError, DimensionError, InputError, ParseError, PipelineError, SizingError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,18 +204,19 @@ def _maybe_normalize(series: tel.TelemetrySeries, stats) -> tel.TelemetrySeries:
 
 
 def _train_predictor(config: RunConfig, series: tel.TelemetrySeries, mode: str):
-    """Split, normalize, window, and train; returns splits, model, train losses."""
+    """Split, normalize, window, and train; returns splits, model, train losses.
+
+    A validation split too short for one window trains without validation.
+    """
     parts = tel.split(series, config.split_spec())
     stats = _norm_stats(config, series, parts.train)
     pcfg = config.predictor_config(mode)
-    train_series = _maybe_normalize(parts.train, stats)
-    # Reconstruction windows ignore the horizon.
-    train_windows = tel.window(train_series, pcfg.seq_len, config["stride"], mode, pcfg.horizon)
-    val_windows = None
-    if len(parts.val) >= pcfg.seq_len + (pcfg.horizon if mode == "forecast" else 0):
-        val_windows = tel.window(
-            _maybe_normalize(parts.val, stats), pcfg.seq_len, config["stride"], mode, pcfg.horizon
-        )
+    geometry = (pcfg.seq_len, config["stride"], mode, pcfg.horizon)
+    train_windows = tel.window(_maybe_normalize(parts.train, stats), *geometry)
+    try:
+        val_windows = tel.window(_maybe_normalize(parts.val, stats), *geometry)
+    except SizingError:
+        val_windows = None
     predictor = fc.init_predictor(pcfg, train_windows.feature_count, norm_stats=stats)
     predictor = fc.train(predictor, train_windows, val_windows)
     train_losses = record_losses(predictor, train_windows)
@@ -316,8 +317,7 @@ def cmd_forecast(args, config: RunConfig, out: str) -> tuple:
     parts = tel.split(series, config.split_spec())
     test_series = _maybe_normalize(parts.test, predictor.norm_stats)
     pcfg = predictor.config
-    mode = "reconstruction" if pcfg.horizon == pcfg.seq_len else "forecast"
-    test_windows = tel.window(test_series, pcfg.seq_len, config["stride"], mode, pcfg.horizon)
+    test_windows = tel.window(test_series, pcfg.seq_len, config["stride"], pcfg.mode, pcfg.horizon)
     report = fc.evaluate_forecast(predictor, test_windows)
     baseline = fc.persistence_predictions(test_windows)
     base_mse = float(((baseline - test_windows.targets) ** 2).mean())

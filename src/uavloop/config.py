@@ -138,23 +138,20 @@ class RunConfig:
         )
 
     def predictor_config(self, mode: str = "reconstruction") -> PredictorConfig:
-        if mode == "reconstruction":
-            horizon = self["seq_len"]
-        elif mode == "forecast":
-            horizon = self["horizon"]
-            if horizon == self["seq_len"]:  # such a checkpoint loads as a reconstructor
-                raise ConfigError(f"forecast horizon must differ from seq_len, both are {horizon}")
-        else:
+        if mode not in ("reconstruction", "forecast"):
             raise ConfigError(f"unknown predictor mode {mode!r}")
-        return PredictorConfig(
+        cfg = PredictorConfig(
             seq_len=self["seq_len"],
-            horizon=horizon,
+            horizon=self["seq_len"] if mode == "reconstruction" else self["horizon"],
             fcn_dim=self["fcn_dim"],
             epochs=self["epochs"],
             learning_rate=self["learning_rate"],
             batch_size=self["batch_size"],
             seed=self["seed"],
         )
+        if cfg.mode != mode:  # such a checkpoint loads as a reconstructor
+            raise ConfigError(f"forecast horizon must differ from seq_len, both are {cfg.horizon}")
+        return cfg
 
     def perturb_spec(self) -> PerturbSpec:
         mode = self["perturb_mode"]

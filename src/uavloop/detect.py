@@ -9,7 +9,8 @@ reference loss pool, flag records whose loss strictly exceeds it, and score
 the flags against ground truth with a standard confusion matrix.
 
 ``record_losses`` folds the squared-error row blocks of
-``forecast.Predictor.blocks`` into each record's mean over its windows.
+``forecast.Predictor.blocks`` into each record's mean over its windows, one
+strided slice-add per target offset, so no record-index array is built.
 """
 
 from __future__ import annotations
@@ -149,22 +150,26 @@ def record_losses(predictor, dataset: WindowedDataset) -> np.ndarray:
     A record covered by several windows gets the mean of its per-window
     squared errors.  predictor.blocks(inputs, targets) yields each row block
     of windows with its (rows, horizon * D) squared errors, as
-    ``forecast.Predictor.blocks`` does.  Each block's per-row errors are
-    added into the record sums before the next block is scored, so no
-    (W, horizon) array is built.  Blocks go in window order, so every sum
-    gets its terms in window order.
+    ``forecast.Predictor.blocks`` does.  Each block's (rows, horizon) per-row
+    errors are added into the record sums before the next block is scored,
+    so no (W, horizon) array is built.  Target offset k of windows w0, w0 + 1,
+    ... lands on records spaced ``stride`` apart, so each offset is one
+    strided slice-add.  Offsets go in descending order and blocks in window
+    order, so every sum gets its terms in window order.
     """
-    width = dataset.feature_count
-    # The window that starts last holds the last record any window covers.
-    last = int(np.argmax(dataset.start_indices))
-    size = int(dataset.target_record_indices(slice(last, last + 1)).max()) + 1
-    sums = np.zeros(size)
-    counts = np.zeros(size)
+    count, horizon, stride = len(dataset), dataset.horizon, dataset.stride
+    if count == 0:
+        raise DimensionError("cannot take the loss of zero windows")
+    # The last window's last target row is the last record any window covers.
+    sums = np.zeros((count - 1) * stride + dataset.target_offset + horizon)
+    counts = np.zeros(sums.size)
     for block, sq in predictor.blocks(dataset.inputs, dataset.targets):
-        per_row = np.mean(sq.reshape(-1, width), axis=1)
-        rows = dataset.target_record_indices(block).ravel()
-        np.add.at(sums, rows, per_row)
-        np.add.at(counts, rows, 1.0)
+        per_row = np.mean(sq.reshape(sq.shape[0], horizon, -1), axis=2)
+        first = block.start * stride + dataset.target_offset
+        for k in range(horizon - 1, -1, -1):
+            sums[first + k :: stride][: per_row.shape[0]] += per_row[:, k]
+    for k in range(horizon):
+        counts[dataset.target_offset + k :: stride][:count] += 1.0
     covered = counts > 0
     losses = sums[covered] / counts[covered]
     if not np.isfinite(losses).all():

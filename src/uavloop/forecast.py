@@ -52,6 +52,11 @@ class PredictorConfig:
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate!r}")
 
+    @property
+    def mode(self) -> str:
+        """The window mode: a horizon of seq_len rows is the window itself, reconstructed."""
+        return "reconstruction" if self.horizon == self.seq_len else "forecast"
+
 
 def param_count(config: PredictorConfig, feature_count: int) -> int:
     n_in = config.seq_len * feature_count

@@ -30,8 +30,11 @@ in memory a mission is an ``(N, 11)`` float64 matrix whose NaN cells may sit
 only in the six sensor-axis columns.  The rest of the module imputes,
 normalizes, splits and windows it.  Windows are read-only strided views
 over one private copy of the feature matrix, so a dataset of W windows
-costs the matrix's memory, not W * seq_len rows.  ``row_blocks`` cuts every
-full-set pass over rows or windows into blocks of ``BLOCK_ROWS``.
+costs the matrix's memory, not W * seq_len rows.  A dataset keeps only its
+two views, the stride between windows and the row where each window's
+targets start; every other window fact is read off the views' shapes.
+``row_blocks`` cuts every full-set pass over rows or windows into blocks of
+``BLOCK_ROWS``.
 """
 
 from __future__ import annotations
@@ -658,40 +661,26 @@ def split(series: TelemetrySeries, spec: SplitSpec = SplitSpec()) -> SplitResult
 
 @dataclass(frozen=True)
 class WindowedDataset:
-    """Fixed-length windows over a feature matrix.
+    """Fixed-length windows over a feature matrix, and where their targets sit.
 
-    ``targets`` holds the window itself in reconstruction mode and the
-    ``horizon`` following rows in forecast mode; ``horizon`` is therefore the
-    number of target rows in both modes (equal to ``seq_len`` for
-    reconstruction).  ``window_matrix`` builds both as views that share one
-    buffer; reshaping one to flat rows copies it, so consumers flatten a
-    block at a time.
+    Window k's inputs start at record ``k * stride`` and its targets at record
+    ``k * stride + target_offset``: 0 in reconstruction mode, where
+    ``targets`` is the window itself, and ``seq_len`` in forecast mode, where
+    it is the ``horizon`` following rows.  ``window_matrix`` builds both as
+    read-only views that share one buffer; reshaping one to flat rows copies
+    it, so consumers flatten a block at a time.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    start_indices: np.ndarray
-    seq_len: int
-    mode: str
-    horizon: int
+    stride: int
+    target_offset: int
 
     def __post_init__(self) -> None:
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.float64)
-        starts = np.asarray(self.start_indices, dtype=np.int64)
-        if inputs.ndim != 3 or targets.ndim != 3:
-            raise DimensionError("inputs and targets must be (W, rows, D) arrays")
-        if inputs.shape[1] != self.seq_len:
-            raise DimensionError("every window must have exactly seq_len rows")
-        if targets.shape != (inputs.shape[0], self.horizon, inputs.shape[2]):
-            raise DimensionError("target block shape does not match (W, horizon, D)")
-        if starts.shape != (inputs.shape[0],):
-            raise DimensionError("start_indices length must equal the window count")
-        for arr in (inputs, targets, starts):
+        for name in ("inputs", "targets"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "start_indices", starts)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return int(self.inputs.shape[0])
@@ -700,11 +689,10 @@ class WindowedDataset:
     def feature_count(self) -> int:
         return int(self.inputs.shape[2])
 
-    def target_record_indices(self, block: slice = slice(None)) -> np.ndarray:
-        """Absolute record row of every target cell, one row per window in block."""
-        offset = 0 if self.mode == "reconstruction" else self.seq_len
-        steps = np.arange(self.horizon, dtype=np.int64) + offset
-        return self.start_indices[block, None] + steps[None, :]
+    @property
+    def horizon(self) -> int:
+        """Target rows per window: seq_len when reconstructing."""
+        return int(self.targets.shape[1])
 
 
 def _window_view(base: np.ndarray, first: int, count: int, rows: int, stride: int) -> np.ndarray:
@@ -740,42 +728,30 @@ def window_matrix(
         raise ConfigError(f"seq_len must be at least 1, got {seq_len}")
     if stride < 1:
         raise ConfigError(f"stride must be at least 1, got {stride}")
-    if mode not in ("reconstruction", "forecast"):
-        raise ConfigError(f"unknown window mode {mode!r}")
-    h = 0
-    if mode == "forecast":
+    if mode == "reconstruction":
+        offset, rows = 0, seq_len
+    elif mode == "forecast":
         if horizon < 1:
             raise ConfigError(f"forecast horizon must be at least 1, got {horizon}")
-        h = int(horizon)
+        offset, rows = seq_len, int(horizon)
+    else:
+        raise ConfigError(f"unknown window mode {mode!r}")
     n = x.shape[0]
-    span = seq_len + h
+    span = offset + rows
     if n < span:
         raise SizingError(
             f"need at least {span} records for seq_len={seq_len}"
-            + (f" plus horizon={h}" if h else "")
+            + (f" plus horizon={rows}" if offset else "")
             + f", got {n}"
         )
     count = (n - span) // stride + 1
-    starts = np.arange(count, dtype=np.int64) * stride
     # One private read-only copy, so a later write to the caller's matrix
     # cannot reach the windows, which are strided views over it.
     base = np.array(x, order="C")
     base.setflags(write=False)
     inputs = _window_view(base, 0, count, seq_len, stride)
-    if mode == "reconstruction":
-        targets = inputs
-        t_rows = seq_len
-    else:
-        targets = _window_view(base, seq_len, count, h, stride)
-        t_rows = h
-    return WindowedDataset(
-        inputs=inputs,
-        targets=targets,
-        start_indices=starts,
-        seq_len=int(seq_len),
-        mode=mode,
-        horizon=t_rows,
-    )
+    targets = _window_view(base, offset, count, rows, stride) if offset else inputs
+    return WindowedDataset(inputs, targets, int(stride), int(offset))
 
 
 def window(

@@ -137,7 +137,7 @@ class PredictorDetector:
 
     def __init__(self, predictor):
         cfg = predictor.config
-        if cfg.horizon != cfg.seq_len:
+        if cfg.mode != "reconstruction":
             raise ConfigError(
                 f"detection needs a reconstruction predictor (horizon == seq_len), "
                 f"got horizon={cfg.horizon}, seq_len={cfg.seq_len}"

@@ -148,7 +148,9 @@ def reference_record_losses(predictor, dataset) -> np.ndarray:
     width = dataset.feature_count
     diff = preds.reshape(-1, width) - dataset.targets.reshape(-1, width)
     per_row = np.mean(diff**2, axis=1)
-    rows = dataset.target_record_indices()
+    # Target cell (w, k) is record w * stride + target_offset + k.
+    windows = np.arange(len(dataset))[:, None]
+    rows = windows * dataset.stride + dataset.target_offset + np.arange(dataset.horizon)
     size = int(rows.max()) + 1
     sums = np.zeros(size)
     counts = np.zeros(size)

@@ -200,6 +200,16 @@ class TestTrainDetectForecast:
         m = manifest(str(detect_out))
         assert set(m["inputs"]) == {"model", "train_losses", "data"}
 
+    @pytest.mark.parametrize("mode", ["reconstruction", "forecast"])
+    def test_val_split_too_short_for_a_window_trains_without_it(self, tmp_path, mode):
+        # 60 records leave a 12-record validation split, short of one 16-row window.
+        out = tmp_path / "o"
+        assert run("train", "--mode", mode, "--records", "60", "--seq-len", "16",
+                   "--epochs", "2", "--out", str(out)) == 0
+        history = (out / "history.csv").read_text().splitlines()
+        assert len(history) == 3
+        assert all(line.endswith(",") for line in history[1:])
+
     def test_norm_scope_none_keeps_raw_units(self, tmp_path):
         out = tmp_path / "o"
         assert run("train", *TINY_TRAIN, "--norm-scope", "none", "--out", str(out)) == 0

@@ -16,7 +16,7 @@ from uavloop.detect import (
     records_csv,
 )
 from uavloop.errors import ConfigError, DimensionError, NumericError
-from uavloop.telemetry import BLOCK_ROWS, row_blocks, window_matrix
+from uavloop.telemetry import BLOCK_ROWS, WindowedDataset, row_blocks, window_matrix
 
 
 class ZeroPredictor:
@@ -193,6 +193,12 @@ class TestRecordLosses:
         losses = record_losses(ZeroPredictor(), data)
         # records 0, 1, 3 and 4; record 2 is in no window
         assert losses.tolist() == [0.0, 1.0, 9.0, 16.0]
+
+    def test_zero_windows_is_a_dimension_error(self):
+        empty = np.zeros((0, 2, 1))
+        data = WindowedDataset(empty, empty, stride=1, target_offset=0)
+        with pytest.raises(DimensionError, match="cannot take the loss of zero windows"):
+            record_losses(ZeroPredictor(), data)
 
     def test_multi_feature_mean(self):
         matrix = np.array([[3.0, 4.0], [0.0, 0.0]])

@@ -342,13 +342,13 @@ class TestEpochStats:
 BLOCK_WINDOW_COUNTS = (2 * BLOCK_ROWS + 1, BLOCK_ROWS - 1, 1)
 
 
-def blocked_case(count, mode="reconstruction"):
-    """A predictor of mission-nth's shape and exactly ``count`` stride-1 windows."""
+def blocked_case(count, mode="reconstruction", stride=1):
+    """A predictor of mission-nth's shape and exactly ``count`` windows ``stride`` apart."""
     seq_len, width, horizon = 16, 6, 2
     lead = horizon if mode == "forecast" else 0
     rng = np.random.default_rng(count)
-    matrix = rng.normal(size=(count + seq_len - 1 + lead, width))
-    data = window_matrix(matrix, seq_len, 1, mode, horizon)
+    matrix = rng.normal(size=((count - 1) * stride + seq_len + lead, width))
+    data = window_matrix(matrix, seq_len, stride, mode, horizon)
     assert len(data) == count
     cfg = PredictorConfig(
         seq_len=seq_len, horizon=data.horizon, fcn_dim=64, seed=count % 1000
@@ -378,6 +378,19 @@ class TestBlockedPassesMatchOnePass:
         got = record_losses(predictor, data)
         want = reference_record_losses(predictor, data)
         assert got.tobytes() == want.tobytes()
+
+    # Stride 20 exceeds seq_len 16, so four records between windows go uncovered.
+    @pytest.mark.parametrize(
+        "mode, stride", [("reconstruction", 3), ("reconstruction", 20), ("forecast", 1), ("forecast", 3)]
+    )
+    def test_record_losses_by_stride_and_offset(self, mode, stride):
+        count = 2 * BLOCK_ROWS + 1
+        predictor, data = blocked_case(count, mode, stride)
+        got = record_losses(predictor, data)
+        want = reference_record_losses(predictor, data)
+        assert got.tobytes() == want.tobytes()
+        if stride > 16:
+            assert got.size == count * 16
 
     @pytest.mark.parametrize("count", BLOCK_WINDOW_COUNTS)
     def test_evaluate_forecast(self, count):

@@ -2,10 +2,9 @@
 
 Each bound is one the one-pass forms exceed: ``Predictor.loss`` held one
 (W, n_out) squared-error array, ``record_losses`` one (W, horizon) error
-array and one (W, horizon) record-index array, and the blank fill of
-``parse_table`` three body-sized buffers.  A numeric CSV file load that
-decodes the file and copies its body holds the file two to four times over,
-and one that holds the file's bytes holds them once; a load in chunks holds
+array, and the blank fill of ``parse_table`` three body-sized buffers.  A
+numeric CSV file load that decodes the file and copies its body holds the
+file two to four times over, and one that holds the file's bytes holds them once; a load in chunks holds
 its matrices and a few chunk-sized buffers; a labeled CSV's matrices are its
 series and its label column, never the whole table.  The stream path's
 persistence scorer holds its output and one row block's temporaries.  A step
@@ -70,7 +69,7 @@ def forecast_set(count=WINDOWS):
     rng = np.random.default_rng(count)
     inputs = rng.normal(size=(count, SEQ_LEN, 1))
     targets = rng.normal(size=(count, HORIZON, 1))
-    data = WindowedDataset(inputs, targets, np.arange(count), SEQ_LEN, "forecast", HORIZON)
+    data = WindowedDataset(inputs, targets, stride=1, target_offset=SEQ_LEN)
     cfg = PredictorConfig(seq_len=SEQ_LEN, horizon=HORIZON, fcn_dim=2, seed=1)
     return init_predictor(cfg, 1), data
 
@@ -84,16 +83,15 @@ class TestPeakMemory:
     def test_record_losses_holds_no_full_set_array_pair(self):
         predictor, data = forecast_set()
         one = WINDOWS * HORIZON * 8
-        # A block's predictions, errors and record indices are each a third
-        # of one (W, horizon) array here, so a single array is out of reach.
+        # A block's predictions and errors are each a third of one
+        # (W, horizon) array here, so a single array is out of reach.
         assert traced_peak(record_losses, predictor, data) < 2 * one
 
     def test_record_losses_squares_each_block_in_place(self):
         predictor, data = forecast_set()
         one = WINDOWS * HORIZON * 8
-        # A block's predictions, per-row losses and record indices are each a
-        # third of one (W, horizon) array.  A separate error block, or the two
-        # that pointwise_loss made, takes the peak past five thirds.
+        # A block's predictions and per-row losses are each a third of one
+        # (W, horizon) array, and the peak is about seven sixths of it.
         assert traced_peak(record_losses, predictor, data) < 5 / 3 * one
 
     def test_blank_fill_holds_two_body_buffers(self):

@@ -722,7 +722,8 @@ class TestWindowing:
         assert len(data) == 4
         assert data.inputs.shape == (4, 4, 6)
         assert data.targets is data.inputs or np.array_equal(data.targets, data.inputs)
-        assert data.start_indices.tolist() == [0, 2, 4, 6]
+        assert (data.stride, data.target_offset) == (2, 0)
+        assert data.inputs[:, 0, 0].tolist() == [0, 2, 4, 6]
 
     def test_forecast_targets_follow_inputs(self):
         matrix = np.arange(12, dtype=float)[:, None]
@@ -752,22 +753,23 @@ class TestWindowing:
         data = window_matrix(np.arange(6, dtype=float), seq_len=2)
         assert data.inputs.shape == (5, 2, 1)
 
-    def test_target_record_indices_reconstruction(self):
+    # Over an arange matrix each target cell holds its own record row.
+    def test_target_rows_reconstruction(self):
         data = window_matrix(np.arange(6, dtype=float), seq_len=3, stride=2)
-        rows = data.target_record_indices()
-        assert rows.tolist() == [[0, 1, 2], [2, 3, 4]]
+        assert data.target_offset == 0 and data.horizon == 3
+        assert data.targets[:, :, 0].tolist() == [[0, 1, 2], [2, 3, 4]]
 
-    def test_target_record_indices_forecast(self):
+    def test_target_rows_forecast(self):
         data = window_matrix(np.arange(8, dtype=float), 3, 1, "forecast", 2)
-        rows = data.target_record_indices()
-        assert rows[0].tolist() == [3, 4]
-        assert rows[-1].tolist() == [6, 7]
+        assert data.target_offset == 3 and data.horizon == 2
+        assert data.targets[0, :, 0].tolist() == [3, 4]
+        assert data.targets[-1, :, 0].tolist() == [6, 7]
 
     def test_stride_one_reconstruction_covers_every_record(self):
         n = 23
         data = window_matrix(np.arange(n, dtype=float), seq_len=7)
         covered = np.zeros(n, dtype=bool)
-        covered[data.target_record_indices().ravel()] = True
+        covered[data.targets.ravel().astype(int)] = True
         assert covered.all()
 
     def test_bad_mode_and_params(self):
@@ -787,7 +789,8 @@ class TestWindowing:
             stride = int(rng.integers(1, 8))
             data = window_matrix(np.arange(n, dtype=float), seq, stride)
             assert len(data) == (n - seq) // stride + 1
-            last = data.start_indices[-1]
+            last = data.inputs[-1, 0, 0]
+            assert last == (len(data) - 1) * stride
             assert last + seq <= n
 
 
@@ -808,6 +811,7 @@ class TestWindowViews:
         matrix = np.random.default_rng(stride).normal(size=(50, 4))
         data = window_matrix(matrix, 6, stride, mode, horizon=2)
         inputs, targets = stacked_windows(matrix, 6, stride, mode, 2)
+        assert (data.stride, data.target_offset) == (stride, 6 if mode == "forecast" else 0)
         assert data.inputs.shape == inputs.shape
         assert data.inputs.tobytes() == inputs.tobytes()
         assert data.targets.tobytes() == targets.tobytes()
