@@ -31,8 +31,9 @@ from . import telemetry as tel
 from . import tiersim as ts
 from .config import RunConfig, schema_keys
 from .detect import detect as run_detect
-from .detect import RATIO_NAMES, metrics_json, record_losses, records_csv
-from .errors import ConfigError, DimensionError, InputError, ParseError, PipelineError, SizingError
+from .detect import metrics_json, record_losses, records_csv, sweep_csv
+from .errors import ConfigError, DimensionError, InputError, NumericError, ParseError
+from .errors import PipelineError, SizingError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -305,7 +306,10 @@ def cmd_detect(args, config: RunConfig, out: str) -> tuple:
     if args.train_losses:
         train_losses = _load_losses_csv(args.train_losses)
         inputs["train_losses"] = args.train_losses
-    result = _detect_labeled(config, predictor, labeled, train_losses)
+    try:
+        result = _detect_labeled(config, predictor, labeled, train_losses)
+    except NumericError as exc:
+        raise NumericError(f"{args.model}: {exc}") from None
     outputs = _detection_outputs(out, config, config.tier(), result)
     return "detect", inputs, outputs
 
@@ -318,7 +322,10 @@ def cmd_forecast(args, config: RunConfig, out: str) -> tuple:
     test_series = _maybe_normalize(parts.test, predictor.norm_stats)
     pcfg = predictor.config
     test_windows = tel.window(test_series, pcfg.seq_len, config["stride"], pcfg.mode, pcfg.horizon)
-    report = fc.evaluate_forecast(predictor, test_windows)
+    try:
+        report = fc.evaluate_forecast(predictor, test_windows)
+    except NumericError as exc:
+        raise NumericError(f"{args.model}: {exc}") from None
     baseline = fc.persistence_predictions(test_windows)
     base_mse = float(((baseline - test_windows.targets) ** 2).mean())
     text = report.to_text() + f"persistence_mse: {base_mse!r}\n"
@@ -413,8 +420,7 @@ def cmd_experiment_variance_sweep(args, config: RunConfig, out: str) -> tuple:
     for target in targets:
         labeled = inj.inject_variance(parts.test, config["feature"], target, config["n"])
         metrics.append(_detect_labeled(config, predictor, labeled, train_losses).metrics)
-    cells = [targets, *([getattr(m, name) for m in metrics] for name in RATIO_NAMES)]
-    blocks = tel.table_blocks(("target_value", *RATIO_NAMES), cells, frozenset())
+    blocks = sweep_csv(("target_value",), (targets,), frozenset(), metrics)
     tel.write_text(os.path.join(out, "sweep.csv"), blocks)
     return "experiment variance-sweep", inputs, ["sweep.csv"]
 

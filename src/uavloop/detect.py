@@ -11,6 +11,11 @@ the flags against ground truth with a standard confusion matrix.
 ``record_losses`` folds the squared-error row blocks of
 ``forecast.Predictor.blocks`` into each record's mean over its windows, one
 strided slice-add per target offset, so no record-index array is built.
+
+The metric names live here alone.  ``METRIC_NAMES`` holds every metric key
+of ``metrics.json`` (each null when a run has no labels) and of the
+``metrics`` object in ``report.jsonl`` and ``stats.json``; ``sweep_csv``
+writes the ``RATIO_NAMES`` columns of both ``sweep.csv`` tables.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ _RATIO_SCALE = 10**6
 
 THRESHOLD_SOURCES = ("train", "eval")
 RATIO_NAMES = ("accuracy", "precision", "recall", "f_score")
+METRIC_NAMES = (*RATIO_NAMES, "tp", "tn", "fp", "fn")
 
 
 def pointwise_loss(predicted, truth) -> np.ndarray:
@@ -92,16 +98,7 @@ class Metrics:
     undefined: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_score": self.f_score,
-            "tp": self.tp,
-            "tn": self.tn,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
+        return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
 def evaluate(predicted, truth) -> Metrics:
@@ -116,21 +113,16 @@ def evaluate(predicted, truth) -> Metrics:
     fp = int(np.count_nonzero(p & ~t))
     fn = int(np.count_nonzero(~p & t))
     undefined: list[str] = []
-    if tp + fp > 0:
-        precision = tp / (tp + fp)
-    else:
-        precision = 0.0
-        undefined.append("precision")
-    if tp + fn > 0:
-        recall = tp / (tp + fn)
-    else:
-        recall = 0.0
-        undefined.append("recall")
-    if precision + recall > 0:
-        f_score = 2.0 * precision * recall / (precision + recall)
-    else:
-        f_score = 0.0
-        undefined.append("f_score")
+
+    def ratio(name: str, numerator, denominator) -> float:
+        if denominator > 0:
+            return numerator / denominator
+        undefined.append(name)
+        return 0.0
+
+    precision = ratio("precision", tp, tp + fp)
+    recall = ratio("recall", tp, tp + fn)
+    f_score = ratio("f_score", 2.0 * precision * recall, precision + recall)
     return Metrics(
         tp=tp,
         tn=tn,
@@ -163,11 +155,13 @@ def record_losses(predictor, dataset: WindowedDataset) -> np.ndarray:
     # The last window's last target row is the last record any window covers.
     sums = np.zeros((count - 1) * stride + dataset.target_offset + horizon)
     counts = np.zeros(sums.size)
-    for block, sq in predictor.blocks(dataset.inputs, dataset.targets):
-        per_row = np.mean(sq.reshape(sq.shape[0], horizon, -1), axis=2)
-        first = block.start * stride + dataset.target_offset
-        for k in range(horizon - 1, -1, -1):
-            sums[first + k :: stride][: per_row.shape[0]] += per_row[:, k]
+    # Weights that overflow the forward pass show up in the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, sq in predictor.blocks(dataset.inputs, dataset.targets):
+            per_row = np.mean(sq.reshape(sq.shape[0], horizon, -1), axis=2)
+            first = block.start * stride + dataset.target_offset
+            for k in range(horizon - 1, -1, -1):
+                sums[first + k :: stride][: per_row.shape[0]] += per_row[:, k]
     for k in range(horizon):
         counts[dataset.target_offset + k :: stride][:count] += 1.0
     covered = counts > 0
@@ -251,18 +245,7 @@ def detect(
 
 def metrics_json(result: DetectionResult) -> str:
     m = result.metrics
-    payload: dict = {
-        "accuracy": None,
-        "precision": None,
-        "recall": None,
-        "f_score": None,
-        "tp": None,
-        "tn": None,
-        "fp": None,
-        "fn": None,
-    }
-    if m is not None:
-        payload.update(m.as_dict())
+    payload = dict.fromkeys(METRIC_NAMES) if m is None else m.as_dict()
     payload["threshold"] = result.threshold
     payload["anomaly_ratio"] = result.anomaly_ratio
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -280,3 +263,13 @@ def records_csv(result: DetectionResult):
         (np.arange(n), result.losses, result.predicted, truth),
         frozenset(("index", "predicted", "truth")),
     )
+
+
+def sweep_csv(columns: tuple[str, ...], cells, int_columns: frozenset[str], metrics):
+    """CSV blocks of a sweep, one row per entry of metrics.
+
+    The caller's columns and cells come first, then one column per ratio,
+    blank in a row whose metrics are None.
+    """
+    ratios = ([np.nan if m is None else getattr(m, name) for m in metrics] for name in RATIO_NAMES)
+    return table_blocks((*columns, *RATIO_NAMES), (*cells, *ratios), int_columns)

@@ -297,15 +297,24 @@ class EvalReport:
 
 
 def evaluate_forecast(predictor: Predictor, data: WindowedDataset) -> EvalReport:
-    diff = predictor.predict_batch(data.inputs)
-    diff -= data.targets
-    sq = np.square(diff)
-    err = np.abs(diff, out=diff)
-    mse_h = np.mean(sq, axis=(0, 2))
-    mae_h = np.mean(err, axis=(0, 2))
+    """Squared and absolute errors over all windows, and per horizon step.
+
+    Weights that overflow the forward pass raise NumericError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = predictor.predict_batch(data.inputs)
+        diff -= data.targets
+        sq = np.square(diff)
+        err = np.abs(diff, out=diff)
+        mse_h = np.mean(sq, axis=(0, 2))
+        mae_h = np.mean(err, axis=(0, 2))
+        mse, mae = float(np.mean(sq)), float(np.mean(err))
+    # Errors are non-negative, so finite totals mean finite per-step values.
+    if not (math.isfinite(mse) and math.isfinite(mae)):
+        raise NumericError("forecast produced non-finite errors")
     return EvalReport(
-        mse=float(np.mean(sq)),
-        mae=float(np.mean(err)),
+        mse=mse,
+        mae=mae,
         per_horizon_mse=tuple(float(v) for v in mse_h),
         per_horizon_mae=tuple(float(v) for v in mae_h),
     )

@@ -186,7 +186,7 @@ def _columns(packets: Sequence[PacketRecord]) -> list:
 
 
 def _check_settings(idle_timeout_s: float, context: int = 1) -> None:
-    if idle_timeout_s <= 0:
+    if not idle_timeout_s > 0:  # NaN too: no gap would ever exceed it
         raise ConfigError(f"idle_timeout_s must be positive, got {idle_timeout_s}")
     if context < 1:
         raise ConfigError(f"context must be positive, got {context}")

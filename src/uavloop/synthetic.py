@@ -8,6 +8,8 @@ conversations.  Both are fully determined by their seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
@@ -38,8 +40,8 @@ def synth_mission(
         raise ConfigError(f"n_records must be positive, got {n_records}")
     if cadence_us < 1:
         raise ConfigError(f"cadence_us must be positive, got {cadence_us}")
-    if noise_level < 0:
-        raise ConfigError(f"noise_level must be non-negative, got {noise_level}")
+    if not (noise_level >= 0 and math.isfinite(noise_level)):
+        raise ConfigError(f"noise_level must be finite and non-negative, got {noise_level}")
     rng = np.random.default_rng([seed, 2])
     t = np.arange(n_records, dtype=np.float64)
     values = np.zeros((n_records, len(COLUMNS)))

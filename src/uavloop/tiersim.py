@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import RATIO_NAMES, DetectionResult, Metrics, detect, pointwise_loss, record_losses
+from .detect import DetectionResult, Metrics, detect, pointwise_loss, record_losses, sweep_csv
 
 # Not called here: benchmark/tracing.py looks both names up on this module.
 from .detect import evaluate, percentile_threshold  # noqa: F401
 from .errors import ConfigError, DimensionError
 from .inject import LabeledSeries
-from .telemetry import TelemetrySeries, row_blocks, table_blocks, window_matrix
+from .telemetry import TelemetrySeries, row_blocks, window_matrix
 
 TIER_NAMES = ("onboard", "edge", "cloud")
 
@@ -235,8 +235,14 @@ def _batch_end_clock(n: int, batch_size: int, tier: Tier, latency_model: Latency
     value is the same float a batch-by-batch loop would reach.
     """
     counts = np.minimum(batch_size, n - np.arange(0, n, batch_size))
-    costs = latency_model.batch_cost(counts, tier.compute_factor, tier.link_latency_ms)
-    return np.cumsum(np.concatenate([[latency_model.a], costs]))[1:]
+    with np.errstate(over="ignore"):
+        costs = latency_model.batch_cost(counts, tier.compute_factor, tier.link_latency_ms)
+        clock = np.cumsum(np.concatenate([[latency_model.a], costs]))[1:]
+    # Costs are non-negative, so the clock never falls: a finite end is a finite clock.
+    if not np.isfinite(clock[-1]):
+        keys = f"latency_a, latency_b, latency_c, {tier.name}_factor or {tier.name}_link_ms"
+        raise ConfigError(f"stream clock over {n} records is not finite: {keys} is too large")
+    return clock
 
 
 def _stream_stats(result: DetectionResult, batch_size: int, clock: np.ndarray) -> StreamStats:
@@ -304,9 +310,7 @@ def run_batch_experiment(
 
 
 def batch_experiment_csv(results):
-    """CSV blocks for a batch sweep, one line per batch size; no metrics is blank."""
-    cells = [[s.batch_size for s in results], [s.elapsed_s for s in results]]
-    for name in RATIO_NAMES:
-        cells.append([math.nan if s.metrics is None else getattr(s.metrics, name) for s in results])
-    columns = ("batch_size", "elapsed_s", *RATIO_NAMES)
-    return table_blocks(columns, cells, frozenset(("batch_size",)))
+    """CSV blocks for a batch sweep, one line per batch size."""
+    cells = ([s.batch_size for s in results], [s.elapsed_s for s in results])
+    metrics = [s.metrics for s in results]
+    return sweep_csv(("batch_size", "elapsed_s"), cells, frozenset(("batch_size",)), metrics)

@@ -15,6 +15,11 @@ from uavloop.synthetic import synth_packet_log
 from uavloop.telemetry import BLOCK_ROWS, HEADER, fit_normalize, load_sensor_csv
 
 TINY_TRAIN = ["--records", "600", "--seq-len", "8", "--fcn-dim", "8", "--epochs", "1"]
+NOISE_LEVEL = "noise_level must be finite and non-negative, got"
+CLOCK_OVERFLOW = (
+    "stream clock over 300 records is not finite: "
+    "latency_a, latency_b, latency_c, edge_factor or edge_link_ms is too large"
+)
 
 
 def run(*argv):
@@ -862,6 +867,39 @@ class TestExitMessages:
                    "--out", str(tmp_path / "o")) == 3
         assert capsys.readouterr().err == f"error: {model}: {message}\n"
         assert not (tmp_path / "o" / "forecast_report.txt").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ingest", "--noise-level", "inf"], f"{NOISE_LEVEL} inf"),
+        (["ingest", "--noise-level", "nan"], f"{NOISE_LEVEL} nan"),
+        (["packetset", "build", "--session-timeout-s", "nan"],
+         "idle_timeout_s must be positive, got nan"),
+        (["simulate", "--latency-c", "1e308"], CLOCK_OVERFLOW),
+        (["experiment", "batch-sweep", "--latency-c", "1e308"], CLOCK_OVERFLOW),
+    ], ids=["noise-inf", "noise-nan", "timeout-nan", "simulate-clock", "sweep-clock"])
+    def test_non_finite_config_number(self, tmp_path, capsys, argv, message):
+        capsys.readouterr()
+        assert run(*argv, "--records", "300", "--out", str(tmp_path / "o")) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path / "o") == []
+
+    @pytest.mark.parametrize("command, model, message", [
+        (["detect", "--data", "labeled/labeled.csv"], "recon",
+         "predictor produced non-finite losses"),
+        (["forecast", "--records", "600"], "fc", "forecast produced non-finite errors"),
+    ], ids=["detect", "forecast"])
+    def test_overflowing_checkpoint_names_path(
+        self, trained, tmp_path, capsys, command, model, message
+    ):
+        # Every weight finite, but 1e300 overflows the forward pass.
+        lines = (trained / model / "model.ckpt").read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("params=")) + 1
+        path = tmp_path / "model.ckpt"
+        path.write_text("\n".join(lines[:start] + ["1e300"] * (len(lines) - start)) + "\n")
+        argv = [str(trained / a) if a.endswith(".csv") else a for a in command]
+        capsys.readouterr()
+        assert run(*argv, "--model", str(path), "--out", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert os.listdir(tmp_path / "o") == []
 
     def test_forecast_with_reconstruction_checkpoint(self, trained, tmp_path):
         out = tmp_path / "o"

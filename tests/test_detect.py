@@ -48,6 +48,12 @@ class TestPointwiseLoss:
         with pytest.raises(DimensionError):
             pointwise_loss([[1.0]], [[1.0, 2.0]])
 
+    def test_three_dim_rejected(self):
+        cube = np.zeros((2, 3, 4))
+        message = r"^expected \(N, D\) matrices, got shape \(2, 3, 4\)$"
+        with pytest.raises(DimensionError, match=message):
+            pointwise_loss(cube, cube)
+
 
 class TestPercentileThreshold:
     def test_frozen_examples(self):
@@ -279,6 +285,21 @@ class TestDetect:
                 threshold=0.0,
                 predicted=np.array([False, False]),  # inconsistent with > 0
                 truth=None,
+                metrics=None,
+                anomaly_ratio=20.0,
+            )
+
+    @pytest.mark.parametrize("predicted, truth, message", [
+        ([True], None, "losses and predictions must have equal length"),
+        ([False, True], [True], "truth length does not match predictions"),
+    ], ids=["predicted", "truth"])
+    def test_result_lengths_enforced(self, predicted, truth, message):
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            DetectionResult(
+                losses=np.array([1.0, 2.0]),
+                threshold=1.5,
+                predicted=np.array(predicted),
+                truth=None if truth is None else np.array(truth),
                 metrics=None,
                 anomaly_ratio=20.0,
             )

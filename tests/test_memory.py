@@ -91,8 +91,9 @@ class TestPeakMemory:
         predictor, data = forecast_set()
         one = WINDOWS * HORIZON * 8
         # A block's predictions and per-row losses are each a third of one
-        # (W, horizon) array, and the peak is about seven sixths of it.
-        assert traced_peak(record_losses, predictor, data) < 5 / 3 * one
+        # (W, horizon) array, and the peak is about seven sixths of it.  A
+        # separate squared-error block adds a third more, about three halves.
+        assert traced_peak(record_losses, predictor, data) < 4 / 3 * one
 
     def test_blank_fill_holds_two_body_buffers(self):
         lines = "".join(serialize_sensor_csv(synth_mission(n_records=20000, seed=3))).splitlines()
