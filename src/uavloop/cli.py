@@ -189,19 +189,29 @@ def _inject_series(series: tel.TelemetrySeries, config: RunConfig, scheme: str) 
     return inj.inject_poisson(series, config["poisson_lambda"], spec, seed=config["seed"])
 
 
+def _blaming(source: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs); a NumericError gets source, when set, in front of its message."""
+    try:
+        return fn(*args, **kwargs)
+    except NumericError as exc:
+        if not source:
+            raise
+        raise type(exc)(f"{source}: {exc}") from None
+
+
 def _norm_stats(config: RunConfig, full: tel.TelemetrySeries, train: tel.TelemetrySeries):
+    """The statistics norm_scope asks for; statistics that overflow name --data."""
     scope = config["norm_scope"]
-    if scope == "train":
-        return tel.fit_normalize(train)
-    if scope == "global":
-        return tel.fit_normalize(full)
     if scope == "none":
         return None
-    raise ConfigError(f"unknown norm_scope {scope!r}")
+    if scope not in ("train", "global"):
+        raise ConfigError(f"unknown norm_scope {scope!r}")
+    return _blaming(config["data"], tel.fit_normalize, train if scope == "train" else full)
 
 
-def _maybe_normalize(series: tel.TelemetrySeries, stats) -> tel.TelemetrySeries:
-    return series if stats is None else tel.apply_normalize(series, stats)
+def _maybe_normalize(config: RunConfig, series: tel.TelemetrySeries, stats) -> tel.TelemetrySeries:
+    """series normalized by stats, if any; features that overflow name --data."""
+    return series if stats is None else _blaming(config["data"], tel.apply_normalize, series, stats)
 
 
 def _train_predictor(config: RunConfig, series: tel.TelemetrySeries, mode: str):
@@ -213,9 +223,9 @@ def _train_predictor(config: RunConfig, series: tel.TelemetrySeries, mode: str):
     stats = _norm_stats(config, series, parts.train)
     pcfg = config.predictor_config(mode)
     geometry = (pcfg.seq_len, config["stride"], mode, pcfg.horizon)
-    train_windows = tel.window(_maybe_normalize(parts.train, stats), *geometry)
+    train_windows = tel.window(_maybe_normalize(config, parts.train, stats), *geometry)
     try:
-        val_windows = tel.window(_maybe_normalize(parts.val, stats), *geometry)
+        val_windows = tel.window(_maybe_normalize(config, parts.val, stats), *geometry)
     except SizingError:
         val_windows = None
     predictor = fc.init_predictor(pcfg, train_windows.feature_count, norm_stats=stats)
@@ -243,7 +253,8 @@ def _load_losses_csv(path: str):
     # A blank loss is NaN, which detection would reject without naming the file.
     rules = (("loss", np.isnan, "column loss must not be blank"),)
     try:
-        return tel.load_table(path, _LOSS_COLUMNS, _INDEX_COLUMNS, rules)[:, 1]
+        (losses,) = tel.load_table(path, _LOSS_COLUMNS, _INDEX_COLUMNS, (("loss",),), rules)
+        return losses[:, 0]
     except ParseError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -270,10 +281,17 @@ def cmd_train(args, config: RunConfig, out: str) -> tuple:
     return f"train {args.mode}", inputs, ["model.ckpt", "history.csv", "train_losses.csv"]
 
 
-def _detect_labeled(config: RunConfig, predictor, labeled: inj.LabeledSeries, train_losses):
-    """Normalize with the model's own statistics and run the one detection path."""
-    series = _maybe_normalize(labeled.series, predictor.norm_stats)
-    return run_detect(
+def _detect_labeled(
+    config: RunConfig, predictor, labeled: inj.LabeledSeries, train_losses, model: str = ""
+):
+    """Normalize with the model's own statistics and run the one detection path.
+
+    A NumericError of the detection names model, the checkpoint, when set.
+    """
+    series = _maybe_normalize(config, labeled.series, predictor.norm_stats)
+    return _blaming(
+        model,
+        run_detect,
         ts.PredictorDetector(predictor),
         series.features(),
         train_losses=train_losses,
@@ -306,10 +324,7 @@ def cmd_detect(args, config: RunConfig, out: str) -> tuple:
     if args.train_losses:
         train_losses = _load_losses_csv(args.train_losses)
         inputs["train_losses"] = args.train_losses
-    try:
-        result = _detect_labeled(config, predictor, labeled, train_losses)
-    except NumericError as exc:
-        raise NumericError(f"{args.model}: {exc}") from None
+    result = _detect_labeled(config, predictor, labeled, train_losses, args.model)
     outputs = _detection_outputs(out, config, config.tier(), result)
     return "detect", inputs, outputs
 
@@ -319,13 +334,10 @@ def cmd_forecast(args, config: RunConfig, out: str) -> tuple:
     series, inputs = _load_or_synth(config)
     inputs["model"] = args.model
     parts = tel.split(series, config.split_spec())
-    test_series = _maybe_normalize(parts.test, predictor.norm_stats)
+    test_series = _maybe_normalize(config, parts.test, predictor.norm_stats)
     pcfg = predictor.config
     test_windows = tel.window(test_series, pcfg.seq_len, config["stride"], pcfg.mode, pcfg.horizon)
-    try:
-        report = fc.evaluate_forecast(predictor, test_windows)
-    except NumericError as exc:
-        raise NumericError(f"{args.model}: {exc}") from None
+    report = _blaming(args.model, fc.evaluate_forecast, predictor, test_windows)
     baseline = fc.persistence_predictions(test_windows)
     base_mse = float(((baseline - test_windows.targets) ** 2).mean())
     text = report.to_text() + f"persistence_mse: {base_mse!r}\n"
@@ -375,7 +387,9 @@ def _labeled_for_stream(config: RunConfig) -> tuple[inj.LabeledSeries, dict]:
 
 def cmd_simulate(args, config: RunConfig, out: str) -> tuple:
     labeled, inputs = _labeled_for_stream(config)
-    stats, reports = ts.simulate_stream(
+    stats, reports = _blaming(
+        config["data"],
+        ts.simulate_stream,
         labeled,
         config.tier(),
         config["batch_size"],
@@ -427,7 +441,9 @@ def cmd_experiment_variance_sweep(args, config: RunConfig, out: str) -> tuple:
 
 def cmd_experiment_batch_sweep(args, config: RunConfig, out: str) -> tuple:
     labeled, inputs = _labeled_for_stream(config)
-    results = ts.run_batch_experiment(
+    results = _blaming(
+        config["data"],
+        ts.run_batch_experiment,
         labeled,
         config.batch_list(),
         config.tier(),

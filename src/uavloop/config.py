@@ -77,7 +77,11 @@ def _coerce(key: str, raw) -> object:
         if kind is int:
             return int(text, 10)
         if kind is float:
-            return float(text)
+            value = float(text)
+            # NaN compares false: only a finite number passes.
+            if not abs(value) < float("inf"):
+                raise ConfigError(f"bad value for {key}: {raw!r} is not a finite number")
+            return value
         return text
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} is not {kind.__name__}") from exc

@@ -24,6 +24,7 @@ _LABELED_INT_COLUMNS = telemetry.INT_COLUMNS | {LABEL_COLUMN}
 _LABELED_RULES = telemetry.SENSOR_RULES + (
     (LABEL_COLUMN, lambda c: (c != 0) & (c != 1), "label cells must be 0 or 1"),
 )
+_LABELED_GROUPS = (telemetry.DEFAULT_FEATURES, telemetry.META_COLUMNS, (LABEL_COLUMN,))
 
 
 @dataclass(frozen=True)
@@ -111,17 +112,18 @@ def _perturb(series: TelemetrySeries, rows: np.ndarray, spec: PerturbSpec) -> Te
         raise ConfigError(f"feature {spec.feature!r} is not a modeling feature of this series")
     if rows.size == 0:
         return series
-    col = series.column(spec.feature)
+    j = telemetry.DEFAULT_FEATURES.index(spec.feature)
+    out = np.array(series.features())
+    col = out[:, j]
     if spec.mode == "set-value":
         new_value = float(spec.value)
     else:
         if np.isnan(col).any():
             raise ImputationError("impute missing cells before offset-sigma injection")
         new_value = float(col.mean() + spec.k * col.std())
-    out = np.array(series.values)
-    out[rows, telemetry.column_index(spec.feature)] = new_value
+    col[rows] = new_value
     out.setflags(write=False)
-    return series.with_values(out)
+    return series.with_features(out)
 
 
 def _labeled(
@@ -212,7 +214,7 @@ def inject_poisson(
 
 def serialize_labeled_csv(labeled: LabeledSeries):
     """The labeled CSV's text, in ``telemetry.table_blocks``' row blocks."""
-    cells = [*labeled.series.values.T, labeled.labels]
+    cells = [*map(labeled.series.column, telemetry.COLUMNS), labeled.labels]
     return telemetry.table_blocks(LABELED_COLUMNS, cells, _LABELED_INT_COLUMNS)
 
 
@@ -228,7 +230,7 @@ def load_labeled_csv(csv_path) -> LabeledSeries:
     meta_path = f"{csv_path}.meta.json"
     if os.path.exists(meta_path):
         meta = telemetry.read_parsed(meta_path, InjectionMeta.from_json)
-    values, labels = telemetry.load_table(
-        csv_path, LABELED_COLUMNS, _LABELED_INT_COLUMNS, _LABELED_RULES, split=-1
+    features, series_meta, labels = telemetry.load_table(
+        csv_path, LABELED_COLUMNS, _LABELED_INT_COLUMNS, _LABELED_GROUPS, _LABELED_RULES
     )
-    return LabeledSeries(TelemetrySeries(values), labels[:, 0] == 1, meta)
+    return LabeledSeries(TelemetrySeries(features, series_meta), labels[:, 0] == 1, meta)

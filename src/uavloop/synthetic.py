@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .telemetry import COLUMNS, DEFAULT_FEATURES, TelemetrySeries
+from .telemetry import DEFAULT_FEATURES, META_COLUMNS, TelemetrySeries
 
 # (amplitude, period in records, phase) per feature, tuned so gyro channels sit
 # near zero and the vertical accelerometer oscillates around -9.8.
@@ -44,21 +44,23 @@ def synth_mission(
         raise ConfigError(f"noise_level must be finite and non-negative, got {noise_level}")
     rng = np.random.default_rng([seed, 2])
     t = np.arange(n_records, dtype=np.float64)
-    values = np.zeros((n_records, len(COLUMNS)))
-    values[:, COLUMNS.index("timestamp")] = start_timestamp + cadence_us * t
-    values[:, COLUMNS.index("gyro_integral_dt")] = cadence_us
-    values[:, COLUMNS.index("accelerometer_integral_dt")] = cadence_us
-    values[:, COLUMNS.index("accelerometer_timestamp_relative")] = 0
-    values[:, COLUMNS.index("accelerometer_clipping")] = 0
-    for name in DEFAULT_FEATURES:
+    # accelerometer_timestamp_relative and accelerometer_clipping stay 0.
+    meta = np.zeros((n_records, len(META_COLUMNS)))
+    meta[:, META_COLUMNS.index("timestamp")] = start_timestamp + cadence_us * t
+    meta[:, META_COLUMNS.index("gyro_integral_dt")] = cadence_us
+    meta[:, META_COLUMNS.index("accelerometer_integral_dt")] = cadence_us
+    features = np.empty((n_records, len(DEFAULT_FEATURES)))
+    for j, name in enumerate(DEFAULT_FEATURES):
         amp, period, phase = _WAVES[name]
         base = _BASELINE.get(name, 0.0)
-        col = COLUMNS.index(name)
         wave = amp * np.sin(2.0 * np.pi * t / period + phase)
         wave += 0.3 * amp * np.sin(2.0 * np.pi * t / (period / 3.7) + 2.0 * phase)
         noise = rng.normal(0.0, noise_level * amp, size=n_records) if noise_level else 0.0
-        values[:, col] = base + wave + noise
-    return TelemetrySeries(values)
+        features[:, j] = base + wave + noise
+    # Read-only, so the series keeps them instead of copying.
+    features.setflags(write=False)
+    meta.setflags(write=False)
+    return TelemetrySeries(features, meta)
 
 
 def synth_packet_log(

@@ -4,37 +4,29 @@ Every numeric CSV uavloop reads or writes goes through ``table_blocks`` and
 ``parse_table``: a header of column names, integer columns as integers,
 other values by ``repr`` (the shortest text that parses back to the same
 float), and a blank cell, the only non-finite value, for a missing one.
-``table_blocks`` renders one row block at a time, and every numeric CSV
-artifact is written from its blocks, so none is held whole as text.
-``parse_table`` has two paths.  Text in ``table_blocks``' layout, with LF
-or CRLF line ends, is read in line-aligned chunks of about 1 MiB by numpy's
-C reader, which uses ``float``'s own string-to-double routine, and each
-chunk's rows are checked and copied into one preallocated matrix.  Any other
-text (other line breaks, blank lines, spaces around cells), and every fault,
-goes to a line reader, which alone reports errors, with the first bad line.
-Each format passes in its row rules, such as a positive sensor step dt or a
-0/1 label.  ``load_table`` reads a numeric CSV file the same way, so a file
-in the exact layout is never held whole: a load costs its matrix and a few
-chunk-sized buffers.  Asked to split the columns, it copies each chunk into
-two matrices instead, so a labeled CSV costs its series and its label
-column, never the whole table.  ``read_text`` reads every other input file.
+``table_blocks`` renders one row block at a time, so no artifact is held
+whole as text.  ``parse_table`` reads text in ``table_blocks``' layout, with
+LF or CRLF line ends, in line-aligned chunks of about 1 MiB with numpy's C
+reader, which uses ``float``'s own string-to-double routine; each chunk's
+rows are checked and copied into preallocated matrices.  Any other text
+(other line breaks, blank lines, spaces around cells), and every fault, goes
+to a line reader, which alone reports errors, with the first bad line.  Each
+format passes in its row rules, such as a positive sensor step dt or a 0/1
+label.  ``load_table`` reads a file the same way, into one matrix per group
+of columns, so a load costs its matrices and a few chunk-sized buffers,
+never the file or the whole table.  ``read_text`` reads every other input
+file, and ``write_text`` writes every artifact atomically.
 
-``write_text`` writes every artifact: a string, or an iterable of string
-blocks such as ``table_blocks`` yields, so a large artifact is never held
-whole.  It writes to a temporary file beside the target and moves it into
-place with ``os.replace``, so a file is either complete or left as it was,
-and a failed write leaves no temporary file behind.
-
-A sensor log's columns follow PX4 gyro/accelerometer exports (``COLUMNS``);
-in memory a mission is an ``(N, 11)`` float64 matrix whose NaN cells may sit
-only in the six sensor-axis columns.  The rest of the module imputes,
-normalizes, splits and windows it.  Windows are read-only strided views
-over one private copy of the feature matrix, so a dataset of W windows
-costs the matrix's memory, not W * seq_len rows.  A dataset keeps only its
-two views, the stride between windows and the row where each window's
-targets start; every other window fact is read off the views' shapes.
-``row_blocks`` cuts every full-set pass over rows or windows into blocks of
-``BLOCK_ROWS``.
+A sensor log's columns follow PX4 gyro/accelerometer exports (``COLUMNS``).
+In memory a mission is two read-only C-ordered matrices: the ``(N, 6)``
+sensor axes, whose NaN cells are the blanks, and the ``(N, 5)`` integer
+columns, which no step changes.  The rest of the module imputes,
+normalizes, splits and windows the features, building a new feature matrix
+and sharing the other.  Windows are read-only strided views over the feature
+matrix, so a dataset of W windows costs no more than that matrix, not
+W * seq_len rows.  A dataset keeps only its two views, the stride between
+windows and the row where each window's targets start.  ``row_blocks`` cuts
+every full-set pass over rows or windows into blocks of ``BLOCK_ROWS``.
 """
 
 from __future__ import annotations
@@ -85,19 +77,12 @@ DEFAULT_FEATURES = (
     "accelerometer_m_s2_2",
 )
 
-# Integer-valued on disk; an empty cell here is a parse error, not "missing".
-INT_COLUMNS = frozenset(
-    (
-        "timestamp",
-        "gyro_integral_dt",
-        "accelerometer_timestamp_relative",
-        "accelerometer_integral_dt",
-        "accelerometer_clipping",
-    )
-)
-
-_COL_INDEX = {name: i for i, name in enumerate(COLUMNS)}
-_FEATURE_INDICES = tuple(_COL_INDEX[name] for name in DEFAULT_FEATURES)
+# The other columns, in COLUMNS order: a series' meta matrix.  They are
+# integer-valued on disk, where an empty one is a parse error, not "missing".
+META_COLUMNS = tuple(name for name in COLUMNS if name not in DEFAULT_FEATURES)
+INT_COLUMNS = frozenset(META_COLUMNS)
+_FEATURE_INDICES = tuple(map(COLUMNS.index, DEFAULT_FEATURES))
+_META_INDICES = tuple(map(COLUMNS.index, META_COLUMNS))
 _STD_EPS = 1e-12
 
 # The characters of a number in a numeric CSV cell; with the delimiter and the
@@ -105,6 +90,9 @@ _STD_EPS = 1e-12
 _NUMBER_CHARS = "0123456789+-.eE"
 _PLAIN_BYTES = (_NUMBER_CHARS + ",\n").encode()
 _LF = ord("\n")
+# A byte's weight as a cell edge: a delimiter 3, a line break 1, else 0.  Two
+# adjacent bytes weigh 4 or more exactly where a blank cell sits between them.
+_EDGE_WEIGHTS = bytes(3 if byte == ord(",") else 1 if byte == _LF else 0 for byte in range(256))
 # Bytes a numeric CSV file is read in; each chunk runs on to the end of its last line.
 _CHUNK_BYTES = 1 << 20
 
@@ -130,88 +118,96 @@ def row_blocks(n: int):
         start = stop
 
 
-def column_index(name: str) -> int:
-    if name not in _COL_INDEX:
-        raise ConfigError(f"unknown column {name!r}")
-    return _COL_INDEX[name]
-
-
 @dataclass(frozen=True)
 class TelemetrySeries:
-    """A mission's records as a read-only ``(N, 11)`` matrix in COLUMNS order.
+    """A mission as ``features()``, the ``(N, 6)`` ``DEFAULT_FEATURES`` (NaN
+    where blank), and ``meta``, the ``(N, 5)`` ``META_COLUMNS``.  A read-only
+    C-ordered matrix that no writable array shares is kept; others are copied."""
 
-    The modeling features are always ``DEFAULT_FEATURES``.  A read-only
-    C-ordered float64 matrix that no writable array shares, such as the one
-    ``load_table`` returns, is kept as it is; any other matrix is copied.
-    """
-
-    values: np.ndarray
+    _features: np.ndarray
+    meta: np.ndarray
 
     def __post_init__(self) -> None:
-        values = self.values if _sealed(self.values) else np.array(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != len(COLUMNS):
+        features, meta = _sealed(self._features), _sealed(self.meta)
+        n = meta.shape[:1]
+        if (features.shape, meta.shape) != (n + (len(DEFAULT_FEATURES),), n + (len(META_COLUMNS),)):
             raise DimensionError(
-                f"expected an (N, {len(COLUMNS)}) value matrix, got shape {values.shape}"
+                f"expected (N, {len(DEFAULT_FEATURES)}) feature and (N, {len(META_COLUMNS)}) "
+                f"meta matrices, got shapes {features.shape} and {meta.shape}"
             )
-        ts = values[:, 0]
-        if np.isnan(ts).any():
-            raise ParseError("timestamp cells may not be missing")
-        steps = np.diff(ts)
-        bad = np.nonzero(steps <= 0)[0]
+        for name, col in zip(META_COLUMNS, meta.T):
+            if np.isnan(col).any():
+                raise ParseError(f"{name} cells may not be missing")
+        ts = meta[:, 0]
+        bad = np.nonzero(np.diff(ts) <= 0)[0]
         if bad.size:
             i = int(bad[0])
             raise OrderingError(
                 f"timestamp {int(ts[i + 1])} at record {i + 1} is not greater "
                 f"than predecessor {int(ts[i])}"
             )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_features", features)
+        object.__setattr__(self, "meta", meta)
+
+    @classmethod
+    def from_values(cls, values: np.ndarray) -> "TelemetrySeries":
+        """The series of an ``(N, 11)`` matrix in COLUMNS order."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] != len(COLUMNS):
+            raise DimensionError(
+                f"expected an (N, {len(COLUMNS)}) value matrix, got shape {values.shape}"
+            )
+        # take, not values[:, group], so each copy is C-ordered and kept as it is.
+        return cls(*(_frozen(values.take(g, axis=1)) for g in (_FEATURE_INDICES, _META_INDICES)))
 
     def __len__(self) -> int:
-        return int(self.values.shape[0])
+        return int(self.meta.shape[0])
 
     @property
     def feature_indices(self) -> tuple[int, ...]:
         return _FEATURE_INDICES
 
+    @property
+    def values(self) -> np.ndarray:
+        """A read-only ``(N, 11)`` matrix in COLUMNS order, assembled on each read."""
+        return _frozen(np.column_stack([self.column(name) for name in COLUMNS]))
+
     def column(self, name: str) -> np.ndarray:
-        return self.values[:, column_index(name)]
+        for names, matrix in ((DEFAULT_FEATURES, self._features), (META_COLUMNS, self.meta)):
+            if name in names:
+                return matrix[:, names.index(name)]
+        raise ConfigError(f"unknown column {name!r}")
 
     def features(self) -> np.ndarray:
-        """The (N, D) modeling-feature matrix, as a writable C-ordered copy."""
-        # values[:, cols] would be Fortran-ordered, and matrix products round differently on it.
-        return self.values.take(self.feature_indices, axis=1)
+        """The stored (N, D) modeling-feature matrix, read-only and C-ordered."""
+        # Kept C-ordered: matrix products round differently on a Fortran-ordered input.
+        return self._features
 
-    def with_values(self, values: np.ndarray) -> "TelemetrySeries":
-        return TelemetrySeries(values)
+    # The same for a caller that holds a series.
+    with_values = from_values
 
     def with_features(self, matrix: np.ndarray) -> "TelemetrySeries":
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape != (len(self), len(DEFAULT_FEATURES)):
-            raise DimensionError(
-                f"feature matrix shape {matrix.shape} does not match "
-                f"({len(self)}, {len(DEFAULT_FEATURES)})"
-            )
-        out = np.array(self.values)
-        out[:, list(self.feature_indices)] = matrix
-        out.setflags(write=False)
-        return self.with_values(out)
+        return TelemetrySeries(matrix, self.meta)
 
     def has_missing(self) -> bool:
-        return bool(np.isnan(self.values).any())
+        return bool(np.isnan(self._features).any())
 
 
-def _sealed(values) -> bool:
-    """Whether values is a read-only C-ordered float64 array that no writable array shares."""
-    if type(values) is not np.ndarray or values.dtype != np.float64:
-        return False
-    if not values.flags.c_contiguous:
-        return False
-    while isinstance(values, np.ndarray):
-        if values.flags.writeable:
-            return False
-        values = values.base
-    return values is None
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """array, made read-only."""
+    array.setflags(write=False)
+    return array
+
+
+def _sealed(values) -> np.ndarray:
+    """values if a read-only C-ordered float64 array no writable array shares, else such a copy."""
+    array = values
+    if type(array) is np.ndarray and array.dtype == np.float64 and array.flags.c_contiguous:
+        while isinstance(array, np.ndarray) and not array.flags.writeable:
+            array = array.base
+        if array is None:
+            return values
+    return _frozen(np.array(values, dtype=np.float64, order="C"))
 
 
 def _read_bytes(path) -> bytes:
@@ -268,28 +264,27 @@ def read_parsed(path, parse):
 
 
 def load_table(
-    path, columns: tuple[str, ...], int_columns: frozenset[str], rules=(), split=None
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """``parse_table`` of a numeric CSV file; path prefixes a ParseError.
+    path, columns: tuple[str, ...], int_columns: frozenset[str], groups, rules=()
+) -> tuple[np.ndarray, ...]:
+    """``parse_table`` of a numeric CSV file, as one matrix per column group.
 
-    A file in ``table_blocks``' layout is read in chunks and never held
-    whole; any other file is read whole for the line reader.  With ``split``,
-    a column index, the result is the pair ``(table[:, :split],
-    table[:, split:])``, which a file in the layout fills as two read-only
-    C-ordered matrices, so the whole table is never built.
+    For each tuple of column names in ``groups``, the result holds a
+    read-only C-ordered matrix of those columns in that order.  path
+    prefixes a ParseError.
     """
+    picks = [[columns.index(name) for name in group] for group in groups]
     try:
         try:
             with open(path, "rb") as fh:
-                tables = _read_exact(fh, columns, int_columns, rules, split)
+                tables = _read_exact(fh, columns, int_columns, rules, picks)
         except OSError as exc:
             raise InputError(f"cannot read input file {path}: {exc.strerror}") from None
         if tables is None:
             values = _read_lines(_read_bytes(path), columns, int_columns, rules)
-            tables = (values,) if split is None else (values[:, :split], values[:, split:])
+            tables = tuple(_frozen(values.take(pick, axis=1)) for pick in picks)
     except ParseError as exc:
         raise exc.in_file(path) from None
-    return tables[0] if split is None else tables
+    return tables
 
 
 def table_blocks(columns: tuple[str, ...], cells, int_columns: frozenset[str]):
@@ -327,13 +322,8 @@ def parse_table(
     Then each ``(column, bad, message)`` rule, in order, rejects with
     ``message`` the first row where ``bad``, applied elementwise to the
     column's values, is true.
-
-    Text in ``table_blocks``' layout, with LF or CRLF line ends, is read in
-    chunks by ``_read_exact``; any other text (other line breaks, blank
-    lines, spaces, a padded header), and any fault, goes to the line reader
-    ``_read_lines``, which alone raises errors.
     """
-    tables = _read_exact(io.BytesIO(data), columns, int_columns, rules)
+    tables = _read_exact(io.BytesIO(data), columns, int_columns, rules, [range(len(columns))])
     return _read_lines(data, columns, int_columns, rules) if tables is None else tables[0]
 
 
@@ -346,15 +336,14 @@ def _chunks(fh):
 
 
 def _read_exact(
-    fh, columns: tuple[str, ...], int_columns: frozenset[str], rules, split=None
+    fh, columns: tuple[str, ...], int_columns: frozenset[str], rules, picks
 ) -> tuple | None:
     """``parse_table`` of binary file fh in ``table_blocks``' layout, else None.
 
-    The result is a tuple of one matrix or, with ``split``, of two: the
-    columns before and from that index.  A first pass counts the rows.  A
-    second pass reads each chunk with numpy's C reader, checks its rows on
-    every column, and copies them into the matrices, so no buffer but those
-    grows with the file.
+    The result holds one matrix per sequence of column indices in ``picks``.
+    A first pass counts the rows.  A second pass reads each chunk with
+    numpy's C reader, checks its rows on every column, and copies the picked
+    columns into the matrices, so no buffer but those grows with the file.
     """
     if fh.readline().replace(b"\r\n", b"\n") != (",".join(columns) + "\n").encode():
         return None
@@ -369,12 +358,10 @@ def _read_exact(
     if not rows:
         return None
     fh.seek(body)
-    cuts = (0, len(columns)) if split is None else (0, split % len(columns), len(columns))
-    parts = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-    tables = tuple(np.empty((rows, part.stop - part.start)) for part in parts)
+    tables = tuple(np.empty((rows, len(pick))) for pick in picks)
     whole = [j for j, name in enumerate(columns) if name in int_columns]
     ruled = [(columns.index(name), bad) for name, bad, _ in rules]
-    done = 0
+    done, last = 0, -math.inf
     for chunk in _chunks(fh):
         if b"\r" in chunk:
             chunk = chunk.replace(b"\r\n", b"\n")
@@ -394,14 +381,15 @@ def _read_exact(
             or len(cells) > rows - done
             or np.isinf(cells).any()
             or (cells[1:, 0] <= cells[:-1, 0]).any()
-            or (done and cells[0, 0] <= tables[0][done - 1, 0])
+            or cells[0, 0] <= last
             or any((np.trunc(cells[:, j]) != cells[:, j]).any() for j in whole)
             or any(bad(cells[:, j]).any() for j, bad in ruled)
         ):
             return None
-        for table, part in zip(tables, parts):
-            table[done : done + len(cells)] = cells[:, part]
-        done += len(cells)
+        for table, pick in zip(tables, picks):
+            # Valid picks need no bounds check, and a checked take buffers its output.
+            cells.take(pick, axis=1, out=table[done : done + len(cells)], mode="clip")
+        done, last = done + len(cells), cells[-1, 0]
         # Freed before _chunks reads the next chunk beside its own copy.
         del chunk, cells
     if done != rows:  # a blank line, or the file changed between the passes
@@ -414,16 +402,28 @@ def _read_exact(
 def _fill_blanks(chunk: bytes) -> bytes:
     """chunk, whole lines of plain bytes, with "nan" written in every blank cell.
 
-    numpy's reader rejects an empty cell.  No cell can read "nan" before,
-    so the written ones mark exactly the blanks.  Each replace scans the
-    whole chunk, so this runs only on a chunk numpy could not read.
+    numpy's reader rejects an empty cell.  No cell can read "nan" before, so
+    the written ones mark exactly the blanks.  This runs only on a chunk
+    numpy could not read.
     """
-    if chunk.startswith(b","):
-        chunk = b"nan" + chunk
-    # Two passes, since the cell between two adjacent blanks overlaps both matches.
-    chunk = chunk.replace(b",,", b",nan,").replace(b",,", b",nan,")
-    chunk = chunk.replace(b"\n,", b"\nnan,").replace(b",\n", b",nan\n")
-    return chunk + b"nan" if chunk.endswith(b",") else chunk
+    # The chunk's two ends weigh as line breaks: edges, but no delimiters.
+    weights = np.frombuffer(b"".join((b"\x01", chunk.translate(_EDGE_WEIGHTS), b"\x01")), np.uint8)
+    pairs = weights[:-1] + weights[1:]
+    del weights
+    # Gap i, before byte i of chunk, lies between padded bytes i and i + 1;
+    # its "nan" starts 3 bytes later in the output for each gap before it.
+    at = np.flatnonzero(pairs >= 4)
+    del pairs
+    at += np.arange(0, 3 * len(at), 3)
+    out = np.empty(len(chunk) + 3 * len(at), np.uint8)
+    kept = np.ones(len(out), dtype=bool)
+    for byte in b"nan":
+        out[at] = byte
+        kept[at] = False
+        at += 1
+    out[kept] = np.frombuffer(chunk, np.uint8)
+    del kept
+    return out.tobytes()
 
 
 def _read_cells(chunk: bytes) -> np.ndarray | None:
@@ -518,11 +518,12 @@ SENSOR_RULES = (
 
 
 def serialize_sensor_csv(series: TelemetrySeries):
-    return table_blocks(COLUMNS, series.values.T, INT_COLUMNS)
+    return table_blocks(COLUMNS, map(series.column, COLUMNS), INT_COLUMNS)
 
 
 def load_sensor_csv(path) -> TelemetrySeries:
-    return TelemetrySeries(load_table(path, COLUMNS, INT_COLUMNS, SENSOR_RULES))
+    groups = (DEFAULT_FEATURES, META_COLUMNS)
+    return TelemetrySeries(*load_table(path, COLUMNS, INT_COLUMNS, groups, SENSOR_RULES))
 
 
 def save_sensor_csv(series: TelemetrySeries, path) -> None:
@@ -530,7 +531,7 @@ def save_sensor_csv(series: TelemetrySeries, path) -> None:
 
 
 def impute_missing(series: TelemetrySeries, policy: str = "linear") -> TelemetrySeries:
-    """Fill NaN cells column by column.
+    """Fill NaN cells feature by feature; the result shares the series' meta.
 
     ``forward-fill`` carries the previous observed value and fails when the
     first record is missing.  ``linear`` interpolates between observed
@@ -540,8 +541,8 @@ def impute_missing(series: TelemetrySeries, policy: str = "linear") -> Telemetry
         raise ConfigError(f"unknown imputation policy {policy!r}")
     if not series.has_missing():
         return series
-    values = np.array(series.values)
-    for j, name in enumerate(COLUMNS):
+    values = np.array(series.features())
+    for j, name in enumerate(DEFAULT_FEATURES):
         col = values[:, j]
         mask = np.isnan(col)
         if not mask.any():
@@ -558,8 +559,7 @@ def impute_missing(series: TelemetrySeries, policy: str = "linear") -> Telemetry
             values[:, j] = col[carry]
         else:
             col[mask] = np.interp(np.nonzero(mask)[0], valid, col[valid])
-    values.setflags(write=False)
-    return series.with_values(values)
+    return series.with_features(_frozen(values))
 
 
 @dataclass(frozen=True)
@@ -580,18 +580,21 @@ class NormStats:
             raise NumericError("normalization statistics must be finite")
         if (std < 0).any():
             raise NumericError("standard deviations must be non-negative")
-        mean.setflags(write=False)
-        std.setflags(write=False)
         object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
+        object.__setattr__(self, "mean", _frozen(mean))
+        object.__setattr__(self, "std", _frozen(std))
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
+        """A new read-only matrix of matrix's z-scores; an overflow is a NumericError."""
         x = np.asarray(matrix, dtype=np.float64)
         degenerate = self.std < _STD_EPS
-        z = (x - self.mean) / np.where(degenerate, 1.0, self.std)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = x - self.mean
+            z /= np.where(degenerate, 1.0, self.std)
         z[:, degenerate] = 0.0
-        return z
+        if not np.isfinite(z).all():
+            raise NumericError("normalized features are not finite: a value is too far from its mean")
+        return _frozen(z)
 
 
 def fit_normalize(series: TelemetrySeries) -> NormStats:
@@ -600,7 +603,9 @@ def fit_normalize(series: TelemetrySeries) -> NormStats:
     x = series.features()
     if np.isnan(x).any():
         raise ImputationError("impute missing cells before fitting normalization")
-    return NormStats(DEFAULT_FEATURES, x.mean(axis=0), x.std(axis=0))
+    # Sums that overflow give infinite statistics, which NormStats rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return NormStats(DEFAULT_FEATURES, x.mean(axis=0), x.std(axis=0))
 
 
 def apply_normalize(series: TelemetrySeries, stats: NormStats) -> TelemetrySeries:
@@ -651,12 +656,8 @@ def split(series: TelemetrySeries, spec: SplitSpec = SplitSpec()) -> SplitResult
         raise ConfigError(
             f"split sizes ({n_train}, {n_val}, {n_test}) for N={n} leave an empty subset"
         )
-    v = series.values
-    return SplitResult(
-        train=series.with_values(v[:n_train]),
-        val=series.with_values(v[n_train : n_train + n_val]),
-        test=series.with_values(v[n_train + n_val :]),
-    )
+    cuts = (slice(0, n_train), slice(n_train, n_train + n_val), slice(n_train + n_val, n))
+    return SplitResult(*(TelemetrySeries(series.features()[c], series.meta[c]) for c in cuts))
 
 
 @dataclass(frozen=True)
@@ -745,10 +746,8 @@ def window_matrix(
             + f", got {n}"
         )
     count = (n - span) // stride + 1
-    # One private read-only copy, so a later write to the caller's matrix
-    # cannot reach the windows, which are strided views over it.
-    base = np.array(x, order="C")
-    base.setflags(write=False)
+    # Views over a sealed matrix, such as a series' features, else over a private copy.
+    base = _sealed(x)
     inputs = _window_view(base, 0, count, seq_len, stride)
     targets = _window_view(base, offset, count, rows, stride) if offset else inputs
     return WindowedDataset(inputs, targets, int(stride), int(offset))

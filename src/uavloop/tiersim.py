@@ -127,8 +127,10 @@ class PersistenceDetector:
             raise DimensionError(f"expected a non-empty (N, D) matrix, got shape {m.shape}")
         out = np.zeros(m.shape[0])
         jumps = out[1:]
-        for rows in row_blocks(jumps.size):
-            jumps[rows] = pointwise_loss(m[1:][rows], m[:-1][rows])
+        # A jump that overflows stays infinite, for detect to refuse.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in row_blocks(jumps.size):
+                jumps[rows] = pointwise_loss(m[1:][rows], m[:-1][rows])
         return out
 
 

@@ -4,7 +4,9 @@
 ``uavloop.telemetry.parse_table`` replaced; the differential tests hold the
 package's reader to it.  ``reference_format_table`` is the one-string CSV
 writer that ``uavloop.telemetry.table_blocks`` replaced; the blocks must join
-to its bytes.  ``reference_forward``, ``reference_loss``,
+to its bytes.  ``reference_fill_blanks`` is the replace chain that
+``uavloop.telemetry._fill_blanks`` replaced; the vectorised fill must return
+its bytes.  ``reference_forward``, ``reference_loss``,
 ``reference_record_losses`` and ``reference_persistence_losses`` are the
 one-pass forms of the blocked full-set passes and of the blocked
 ``tiersim.PersistenceDetector``, which must match them bit for bit.
@@ -124,6 +126,16 @@ def reference_format_table(columns: tuple[str, ...], cells, int_columns: frozens
     lines = [",".join(columns)]
     lines.extend(map(",".join, zip(*rendered, strict=True)))
     return "\n".join(lines) + "\n"
+
+
+def reference_fill_blanks(chunk: bytes) -> bytes:
+    """chunk with "nan" in every blank cell, by four ``bytes.replace`` scans."""
+    if chunk.startswith(b","):
+        chunk = b"nan" + chunk
+    # Two passes, since the cell between two adjacent blanks overlaps both matches.
+    chunk = chunk.replace(b",,", b",nan,").replace(b",,", b",nan,")
+    chunk = chunk.replace(b"\n,", b"\nnan,").replace(b",\n", b",nan\n")
+    return chunk + b"nan" if chunk.endswith(b",") else chunk
 
 
 def reference_forward(predictor, windows, params=None) -> np.ndarray:

@@ -15,7 +15,8 @@ from uavloop.synthetic import synth_packet_log
 from uavloop.telemetry import BLOCK_ROWS, HEADER, fit_normalize, load_sensor_csv
 
 TINY_TRAIN = ["--records", "600", "--seq-len", "8", "--fcn-dim", "8", "--epochs", "1"]
-NOISE_LEVEL = "noise_level must be finite and non-negative, got"
+NOT_FINITE = "bad value for {}: {!r} is not a finite number"
+OVERFLOWING_Z_SCORE = "normalized features are not finite: a value is too far from its mean"
 CLOCK_OVERFLOW = (
     "stream clock over 300 records is not finite: "
     "latency_a, latency_b, latency_c, edge_factor or edge_link_ms is too large"
@@ -774,9 +775,9 @@ class TestExitMessages:
 
     @pytest.mark.parametrize("flags, message", [
         (["--perturb-mode", "bogus"], "unknown perturbation mode 'bogus'"),
-        (["--sigma-k", "inf"], "offset-sigma multiplier must be finite, got inf"),
+        (["--sigma-k", "inf"], NOT_FINITE.format("sigma_k", "inf")),
         (["--perturb-mode", "set-value", "--set-value", "nan"],
-         "set-value mode needs a finite value"),
+         NOT_FINITE.format("set_value", "nan")),
     ], ids=["mode", "sigma-k", "set-value"])
     def test_bad_perturbation(self, tmp_path, capsys, flags, message):
         capsys.readouterr()
@@ -869,18 +870,22 @@ class TestExitMessages:
         assert not (tmp_path / "o" / "forecast_report.txt").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["ingest", "--noise-level", "inf"], f"{NOISE_LEVEL} inf"),
-        (["ingest", "--noise-level", "nan"], f"{NOISE_LEVEL} nan"),
+        (["ingest", "--noise-level", "inf"], NOT_FINITE.format("noise_level", "inf")),
+        (["ingest", "--noise-level", "nan"], NOT_FINITE.format("noise_level", "nan")),
         (["packetset", "build", "--session-timeout-s", "nan"],
-         "idle_timeout_s must be positive, got nan"),
+         NOT_FINITE.format("session_timeout_s", "nan")),
+        (["packetset", "build", "--session-timeout-s", "inf"],
+         NOT_FINITE.format("session_timeout_s", "inf")),
         (["simulate", "--latency-c", "1e308"], CLOCK_OVERFLOW),
         (["experiment", "batch-sweep", "--latency-c", "1e308"], CLOCK_OVERFLOW),
-    ], ids=["noise-inf", "noise-nan", "timeout-nan", "simulate-clock", "sweep-clock"])
+    ], ids=["noise-inf", "noise-nan", "timeout-nan", "timeout-inf", "simulate-clock",
+            "sweep-clock"])
     def test_non_finite_config_number(self, tmp_path, capsys, argv, message):
         capsys.readouterr()
         assert run(*argv, "--records", "300", "--out", str(tmp_path / "o")) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert os.listdir(tmp_path / "o") == []
+        # A config error leaves no out directory; a run error leaves it empty.
+        assert list((tmp_path / "o").glob("*")) == []
 
     @pytest.mark.parametrize("command, model, message", [
         (["detect", "--data", "labeled/labeled.csv"], "recon",
@@ -900,6 +905,40 @@ class TestExitMessages:
         assert run(*argv, "--model", str(path), "--out", str(tmp_path / "o")) == 4
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert os.listdir(tmp_path / "o") == []
+
+    @pytest.mark.parametrize("command, message", [
+        (["detect", "--model", "recon"], OVERFLOWING_Z_SCORE),
+        (["forecast", "--model", "fc"], OVERFLOWING_Z_SCORE),
+        (["experiment", "batch-sweep"], "scorer produced non-finite losses"),
+    ], ids=["detect", "forecast", "batch-sweep"])
+    def test_overflowing_data_names_the_data_file(
+        self, trained, tmp_path, capsys, command, message
+    ):
+        # A finite cell whose z-score, or jump from its neighbour, overflows.
+        made = tmp_path / "made"
+        if command[0] == "forecast":
+            assert run("ingest", "--records", "600", "--out", str(made)) == 0
+            data = made / "clean.csv"
+            lines = data.read_text().splitlines()
+            cells = lines[-1].split(",")
+            cells[1] = "1e308"
+            data.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n")
+        else:
+            assert run("inject", "--scheme", "nth", "--records", "600", "--perturb-mode",
+                       "set-value", "--set-value", "1e308", "--out", str(made)) == 0
+            data = made / "labeled.csv"
+        argv = [str(trained / a / "model.ckpt") if a in ("recon", "fc") else a for a in command]
+        capsys.readouterr()
+        assert run(*argv, "--data", str(data), "--threshold-source", "eval",
+                   "--out", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
+        assert os.listdir(tmp_path / "o") == []
+
+    def test_overflowing_synthetic_stream_exits_with_one_line(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("simulate", "--records", "300", "--perturb-mode", "set-value",
+                   "--set-value", "1e308", "--out", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == "error: scorer produced non-finite losses\n"
 
     def test_forecast_with_reconstruction_checkpoint(self, trained, tmp_path):
         out = tmp_path / "o"

@@ -32,6 +32,14 @@ class TestValues:
         with pytest.raises(ConfigError):
             RunConfig.parse("seed=seven\n")
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e999"])
+    def test_float_keys_must_be_finite(self, raw):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.parse(f"latency_a={raw}\n")
+        assert str(err.value) == f"line 1: bad value for latency_a: {raw!r} is not a finite number"
+        with pytest.raises(ConfigError):
+            RunConfig.default().override("session_timeout_s", raw)
+
     def test_load(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("records=500\nnoise_level=0.1\n")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,17 @@ class TestEveryNth:
         spec = PerturbSpec(feature="timestamp", mode="offset-sigma")
         with pytest.raises(ConfigError):
             inject_every_nth(make_series(10), 2, spec)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mode": "offset-sigma", "k": math.inf}, "offset-sigma multiplier must be finite, got inf"),
+        ({"mode": "set-value", "value": math.nan}, "set-value mode needs a finite value"),
+        ({"mode": "set-value"}, "set-value mode needs a finite value"),
+    ], ids=["infinite-k", "nan-value", "no-value"])
+    def test_non_finite_spec_rejected(self, kwargs, message):
+        # The run config refuses these first; a library caller meets this check.
+        with pytest.raises(ConfigError) as err:
+            PerturbSpec(feature="gyro_rad_0", **kwargs)
+        assert str(err.value) == message
 
     def test_nan_rejected_for_offset_sigma(self):
         series = make_series(4, feature_values=[1.0, np.nan, 3.0, 4.0])
@@ -254,9 +267,10 @@ class TestLabeledCsv:
 
         monkeypatch.setattr(telemetry, "_read_exact", spy)
         loaded = load_labeled_csv(path)
-        values, labels = results[0]
-        assert loaded.series.values is values
-        assert values.shape == (60, len(telemetry.COLUMNS)) and labels.shape == (60, 1)
+        features, meta, labels = results[0]
+        assert loaded.series.features() is features and loaded.series.meta is meta
+        assert features.shape == (60, len(telemetry.DEFAULT_FEATURES))
+        assert meta.shape == (60, len(telemetry.META_COLUMNS)) and labels.shape == (60, 1)
 
     def test_meta_json_round_trip(self):
         meta = InjectionMeta("random", {"fraction": 0.05, "selection": "fixed-count"}, 7)

@@ -7,9 +7,10 @@ numeric CSV file load that decodes the file and copies its body holds the
 file two to four times over, and one that holds the file's bytes holds them once; a load in chunks holds
 its matrices and a few chunk-sized buffers; a labeled CSV's matrices are its
 series and its label column, never the whole table.  The stream path's
-persistence scorer holds its output and one row block's temporaries.  A step
-that builds a new series matrix hands the series that copy, frozen, so it is
-never copied again.  A packet dataset built on columns and written in blocks
+persistence scorer holds its output and one row block's temporaries, and
+reads the loaded features in place.  A step that builds a new feature matrix
+hands the series that copy, frozen, so it is never copied again, and shares
+the series' meta matrix.  A packet dataset built on columns and written in blocks
 holds less than its output, and no sample or rejected record per pair; read
 back, it holds under two and a half times its text.  A labeled or sensor CSV
 written in row blocks holds one block's cells, whatever its row count.  A
@@ -130,7 +131,7 @@ def blank_mission(n_records):
     values = np.array(synth_mission(n_records=n_records, seed=3).values)
     values[8::50, 2:4] = np.nan
     values[5::40, 6] = np.nan
-    return TelemetrySeries(values)
+    return TelemetrySeries.from_values(values)
 
 
 # The chunk size of TestChunkedLoadPeak's loads.  What a chunked load holds
@@ -161,7 +162,8 @@ class TestChunkedLoadPeak:
         labeled = inject_every_nth(synth_mission(n_records=records, seed=3), 5)
         path = tmp_path / "labeled.csv"
         save_labeled_csv(labeled, path)
-        # The (N, 11) series and the (N,) label column the chunks are copied into.
+        # The (N, 6) and (N, 5) series matrices and the (N,) label column the
+        # chunks are copied into.
         matrices = records * (len(COLUMNS) + 1) * 8
         checks = records * (8 + 1)
         assert traced_peak(load_labeled_csv, path) < matrices + checks + CHUNK_SLACK
@@ -196,30 +198,40 @@ class TestStreamPeak:
             labeled = load_labeled_csv(path)
             run_batch_experiment(labeled, [4, 8], STREAM_TIER, STREAM_COSTS, PersistenceDetector())
 
-        # The series, its (N, 6) features and three loss vectors (the losses,
-        # their sorted copy, the flags and labels), plus one chunk.
-        bound = records * (len(COLUMNS) + 6 + 3) * 8 + telemetry._CHUNK_BYTES
+        # The series' two matrices, which the detector reads in place, and
+        # three loss vectors (the losses, their sorted copy, the flags and
+        # labels), plus one chunk.  A copy of the (N, 6) features breaks it.
+        bound = records * (len(COLUMNS) + 3) * 8 + telemetry._CHUNK_BYTES
         assert traced_peak(sweep) < bound
 
 
 class TestWorkingCopyPeak:
     """A series step holds its new matrix once; a second copy of it breaks each bound."""
 
+    def test_synth_mission(self):
+        series = synth_mission(n_records=20000, seed=3)
+        # The series, and per-feature wave and noise temporaries that reach
+        # 0.9 of it.  A copy of either matrix breaks the bound.
+        assert traced_peak(synth_mission, 20000, 3) < 2.25 * series.values.nbytes
+
     def test_impute_missing(self):
         series = blank_mission(20000)
-        # The filled copy and one column's interpolation temporaries.
-        assert traced_peak(impute_missing, series) < 1.5 * series.values.nbytes
+        # The filled (N, 6) copy and one column's interpolation temporaries;
+        # the meta matrix is shared.
+        assert traced_peak(impute_missing, series) < 2 * series.features().nbytes
 
     def test_apply_normalize(self):
         series = synth_mission(n_records=20000, seed=3)
         stats = fit_normalize(series)
-        # The new matrix and two (N, 6) feature arrays, each 6/11 of it.
-        assert traced_peak(apply_normalize, series, stats) < 2 * series.values.nbytes
+        # The new (N, 6) feature matrix and its finite check, an eighth of it;
+        # the meta matrix is shared.  A second (N, 6) array breaks the bound.
+        assert traced_peak(apply_normalize, series, stats) < 1.5 * series.features().nbytes
 
     def test_inject_every_nth(self):
         series = synth_mission(n_records=20000, seed=3)
-        # The perturbed copy, the labels and the selected rows.
-        assert traced_peak(inject_every_nth, series, 5) < 1.5 * series.values.nbytes
+        # The perturbed (N, 6) copy, the labels and the selected rows; the
+        # meta matrix is shared.
+        assert traced_peak(inject_every_nth, series, 5) < 1.5 * series.features().nbytes
 
 
 class TestPacketBuildPeak:

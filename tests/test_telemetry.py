@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavloop import telemetry
@@ -11,6 +11,7 @@ from uavloop.errors import (
     DimensionError,
     ImputationError,
     InputError,
+    NumericError,
     OrderingError,
     ParseError,
     SizingError,
@@ -21,6 +22,7 @@ from uavloop.telemetry import (
     DEFAULT_FEATURES,
     HEADER,
     INT_COLUMNS,
+    META_COLUMNS,
     SENSOR_RULES,
     NormStats,
     SplitSpec,
@@ -38,7 +40,7 @@ from uavloop.telemetry import (
     window_matrix,
 )
 
-from support import reference_format_table, reference_parse_table
+from support import reference_fill_blanks, reference_format_table, reference_parse_table
 
 
 def make_series(n, feature_values=None, start=212000, cadence=4000):
@@ -49,7 +51,7 @@ def make_series(n, feature_values=None, start=212000, cadence=4000):
     values[:, COLUMNS.index("accelerometer_integral_dt")] = cadence
     if feature_values is not None:
         values[:, COLUMNS.index("gyro_rad_0")] = feature_values
-    return TelemetrySeries(values)
+    return TelemetrySeries.from_values(values)
 
 
 def csv_row(ts, g0=0.1, dt=4000, clip=0):
@@ -63,7 +65,8 @@ def make_csv(rows):
 def parse_sensor_csv(text):
     """The series that sensor CSV text holds: ``parse_table`` with the sensor
     loader's columns and rules, then the series constructor."""
-    return TelemetrySeries(parse_table(text.encode(), COLUMNS, INT_COLUMNS, SENSOR_RULES))
+    values = parse_table(text.encode(), COLUMNS, INT_COLUMNS, SENSOR_RULES)
+    return TelemetrySeries.from_values(values)
 
 
 class TestParsing:
@@ -574,6 +577,19 @@ class TestChunkBoundaries:
         assert outcome_of(parse_table, text, TABLE, frozenset(), ()) == want
         assert np.isnan(np.frombuffer(want[1])).sum() == 10
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from([",", ",", "\n", ",\n", "\n,", ",,"]),
+        st.text(alphabet=telemetry._NUMBER_CHARS, min_size=1, max_size=3),
+    ), max_size=24).map("".join))
+    @example(",")
+    @example(",,1\n,")
+    @example("1,\n,2,,\n")
+    @example("\n\n,,,\n")
+    def test_blank_fill_matches_the_replace_chain(self, text):
+        chunk = text.encode()
+        assert telemetry._fill_blanks(chunk) == reference_fill_blanks(chunk)
+
     @pytest.mark.parametrize("kind", sorted(CHUNK_READERS))
     def test_crlf_twin_of_an_exact_file_reads_the_same(self, tmp_path, monkeypatch, kind):
         load, columns, _, matrix = CHUNK_READERS[kind]
@@ -664,6 +680,25 @@ class TestNormalization:
         bad = NormStats(("gyro_rad_0",), np.zeros(1), np.ones(1))
         with pytest.raises(DimensionError):
             apply_normalize(other, bad)
+
+    def test_empty_series_rejected(self):
+        with pytest.raises(NumericError) as err:
+            fit_normalize(make_series(0))
+        assert str(err.value) == "cannot fit normalization statistics on an empty series"
+
+    def test_overflowing_statistics_rejected(self):
+        with pytest.raises(NumericError) as err:
+            fit_normalize(make_series(4, feature_values=[1e308] * 4))
+        assert str(err.value) == "normalization statistics must be finite"
+
+    def test_overflowing_z_score_rejected(self):
+        # A standard deviation below 1 scales 1e308 past the largest float.
+        stats = fit_normalize(make_series(4, feature_values=[0.0, 0.1, 0.2, 0.3]))
+        with pytest.raises(NumericError) as err:
+            apply_normalize(make_series(4, feature_values=[0.0, 0.1, 1e308, 0.3]), stats)
+        assert str(err.value) == (
+            "normalized features are not finite: a value is too far from its mean"
+        )
 
     def test_timestamps_untouched(self):
         series = make_series(4, feature_values=[1.0, 2.0, 3.0, 4.0])
@@ -828,6 +863,20 @@ class TestWindowViews:
             assert not np.shares_memory(arr, matrix)
         assert np.shares_memory(data.inputs, data.targets)
 
+    def test_series_windows_view_its_features(self):
+        series = make_series(40, feature_values=np.arange(40.0))
+        data = window(series, 8, 2, "forecast", 3)
+        assert data.inputs.base is series.features()
+        assert data.targets.base is series.features()
+
+    def test_fortran_ordered_matrix_is_copied_to_c_order(self):
+        matrix = np.random.default_rng(4).normal(size=(30, 3))
+        fortran = np.asfortranarray(matrix)
+        fortran.setflags(write=False)
+        data = window_matrix(fortran, 5, 1)
+        assert data.inputs.base is not fortran and data.inputs.base.flags.c_contiguous
+        assert data.inputs.tobytes() == window_matrix(matrix, 5, 1).inputs.tobytes()
+
     def test_windows_are_read_only(self):
         data = window_matrix(np.arange(30, dtype=float).reshape(10, 3), 4, 1, "forecast", 2)
         for arr in (data.inputs, data.targets):
@@ -851,16 +900,46 @@ class TestSeriesValidation:
         with pytest.raises(ValueError):
             series.values[0, 0] = 1.0
 
-    def test_features_returns_copy(self):
+    def test_features_are_the_stored_read_only_matrix(self):
         series = make_series(3)
         feats = series.features()
-        feats[0, 0] = 99.0
-        assert series.features()[0, 0] != 99.0
+        assert feats is series.features() and feats.flags.c_contiguous
+        assert np.array_equal(series.values[:, list(series.feature_indices)], feats)
+        with pytest.raises(ValueError):
+            feats[0, 0] = 99.0
+        derived = series.with_features(np.ones((3, len(DEFAULT_FEATURES))))
+        assert derived.meta is series.meta
+        assert np.array_equal(derived.column("gyro_rad_0"), np.ones(3))
+
+    @pytest.mark.parametrize("features, meta", [
+        ((3, len(DEFAULT_FEATURES) + 1), (3, len(META_COLUMNS))),
+        ((2, len(DEFAULT_FEATURES)), (3, len(META_COLUMNS))),
+        ((3, len(DEFAULT_FEATURES)), (3,)),
+    ], ids=["feature-count", "row-count", "meta-rank"])
+    def test_matrix_pair_shapes_checked(self, features, meta):
+        with pytest.raises(DimensionError) as err:
+            TelemetrySeries(np.zeros(features), np.ones(meta))
+        assert str(err.value) == (
+            f"expected (N, {len(DEFAULT_FEATURES)}) feature and (N, {len(META_COLUMNS)}) "
+            f"meta matrices, got shapes {features} and {meta}"
+        )
+
+    def test_unknown_column_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            make_series(3).column("altitude")
+        assert str(err.value) == "unknown column 'altitude'"
+
+    def test_missing_meta_cell_rejected(self):
+        values = np.array(make_series(3).values)
+        values[2, COLUMNS.index("accelerometer_clipping")] = np.nan
+        with pytest.raises(ParseError) as err:
+            TelemetrySeries.from_values(values)
+        assert str(err.value) == "accelerometer_clipping cells may not be missing"
 
     @pytest.mark.parametrize("shape", [(3,), (3, len(COLUMNS) - 1), (2, 3, len(COLUMNS))])
     def test_matrix_shape_checked(self, shape):
         with pytest.raises(DimensionError) as err:
-            TelemetrySeries(np.zeros(shape))
+            TelemetrySeries.from_values(np.zeros(shape))
         assert str(err.value) == (
             f"expected an (N, {len(COLUMNS)}) value matrix, got shape {shape}"
         )
@@ -869,14 +948,14 @@ class TestSeriesValidation:
         values = np.array(make_series(3).values)
         values[1, 0] = np.nan
         with pytest.raises(ParseError) as err:
-            TelemetrySeries(values)
+            TelemetrySeries.from_values(values)
         assert str(err.value) == "timestamp cells may not be missing"
 
     def test_timestamps_must_increase(self):
         values = np.array(make_series(4).values)
         values[2, 0] = values[1, 0]
         with pytest.raises(OrderingError) as err:
-            TelemetrySeries(values)
+            TelemetrySeries.from_values(values)
         assert str(err.value) == (
             "timestamp 216000 at record 2 is not greater than predecessor 216000"
         )
